@@ -20,11 +20,6 @@ class AlgebraError(Exception):
     pass
 
 
-# above this support-size product, convolution switches to the integer
-# vectorized kernel (when its int64 overflow bound allows)
-_DENSE_CUTOFF = 4096
-
-
 def _int_rows(elem: "AlgElem"):
     """(indices, integer coordinate rows, common denominator) of an element."""
     den = 1
@@ -39,44 +34,40 @@ def _int_rows(elem: "AlgElem"):
     return idx, mat, den
 
 
-def _mul_dense(a: "AlgElem", b: "AlgElem"):
+def _mul_dense(a: "AlgElem", b: "AlgElem") -> "AlgElem":
     """Exact convolution on scaled integer coordinates, vectorized per row.
 
-    Returns None when the int64 overflow bound fails; the caller then falls
-    back to the term-by-term product.
+    Sums run in int64 when the overflow bound allows it and in exact Python
+    ints (object arrays) otherwise; both dtypes take the same steps.
     """
     table, e = a.table, a.e
+    if not a.coeffs or not b.coeffs:
+        return AlgElem.zero(table, e)
     fold = power_fold(e)
     phi = len(fold)
     ia, ma, da = _int_rows(a)
     ib, mb, db = _int_rows(b)
     max_a = max(abs(x) for row in ma for x in row)
     max_b = max(abs(x) for row in mb for x in row)
-    max_f = max((abs(x) for fs in fold for ft in fs for x in ft), default=1)
-    bound = max_a * max_b * max(max_f, 1) * phi * phi * min(len(ia), len(ib))
-    if bound >= 2 ** 62:
-        return None
+    max_f = max(abs(x) for fs in fold for ft in fs for x in ft)
+    # each output coordinate sums at most min(|a|, |b|) * phi^2 terms
+    bound = max_a * max_b * max_f * phi * phi * min(len(ia), len(ib))
+    dtype = np.int64 if bound < 2 ** 62 else object
     rows = table.mul_row
     gb = np.array(ib, dtype=np.intp)
-    A = np.array(ma, dtype=np.int64)
-    B = np.array(mb, dtype=np.int64)
-    out = np.zeros((table.size, phi), dtype=np.int64)
-    if phi == 1:
-        bv = B[:, 0]
-        for r, arow in zip(ia, A):
-            # a Cayley-table row is a permutation, so targets never collide
-            out[rows(r)[gb], 0] += arow[0] * bv
-    else:
-        ft = np.array(fold, dtype=np.int64).reshape(phi, phi * phi)
-        for r, arow in zip(ia, A):
-            g = (arow @ ft).reshape(phi, phi)
-            out[rows(r)[gb]] += B @ g
+    A = np.array(ma, dtype=dtype)
+    B = np.array(mb, dtype=dtype)
+    ft = np.array(fold, dtype=dtype).reshape(phi, phi * phi)
+    out = np.zeros((table.size, phi), dtype=dtype)
+    # row x of a acts on b's coordinates through the folded matrix G[x]
+    G = (A @ ft).reshape(len(ia), phi, phi)
+    for r, g in zip(ia, G):
+        # a Cayley-table row is a permutation, so targets never collide
+        out[rows(r)[gb]] += B @ g
     den = da * db
-    coeffs = {}
-    for i in np.nonzero(out.any(axis=1))[0]:
-        coeffs[int(i)] = CycloNum(e, tuple(Fraction(int(x), den)
-                                           for x in out[i]))
-    return AlgElem(table, e, coeffs)
+    nz = np.nonzero((out != 0).any(axis=1))[0]
+    return AlgElem(table, e, {i: CycloNum(e, [Fraction(x, den) for x in row])
+                              for i, row in zip(nz.tolist(), out[nz].tolist())})
 
 
 class AlgElem:
@@ -133,21 +124,7 @@ class AlgElem:
         if not isinstance(other, AlgElem):
             return self.scale(other)
         self._check(other)
-        if len(self.coeffs) * len(other.coeffs) > _DENSE_CUTOFF:
-            fast = _mul_dense(self, other)
-            if fast is not None:
-                return fast
-        rows = self.table.py_rows()
-        out = {}
-        items_b = list(other.coeffs.items())
-        for x, ax in self.coeffs.items():
-            row = rows[x]
-            for y, by in items_b:
-                k = row[y]
-                cur = out.get(k)
-                prod = ax * by
-                out[k] = prod if cur is None else cur + prod
-        return AlgElem(self.table, self.e, out)
+        return _mul_dense(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, AlgElem):
@@ -193,10 +170,6 @@ class AlgElem:
     def support(self):
         return sorted(self.coeffs)
 
-    def debug_pairs(self):
-        """(index, coefficient repr) pairs in index order."""
-        return [(i, repr(self.coeffs[i])) for i in sorted(self.coeffs)]
-
     def __eq__(self, other):
         if not isinstance(other, AlgElem):
             return NotImplemented
@@ -220,14 +193,12 @@ def idempotent_subgroup(table: GroupTable, e: int, indices) -> AlgElem:
         for b in idx_set:
             if row[b] not in idx_set:
                 raise AlgebraError("index list not closed under multiplication")
-    from fractions import Fraction
     c = CycloNum.rational(e, Fraction(1, len(idx_set)))
     return AlgElem(table, e, {i: c for i in idx_set})
 
 
 def idempotent_char(table: GroupTable, chi) -> AlgElem:
     """e_chi = |L|^-1 sum_l chi(l)^-1 l over the diagonal torus."""
-    from fractions import Fraction
     e = chi.e
     L = table.subgroup("L")
     inv_count = Fraction(1, len(L))

@@ -156,9 +156,6 @@ class LeviChar:
                 t += row[i].value_exponent(diag[i][f])
         return t % self.e
 
-    def value_on_diag(self, diag) -> CycloNum:
-        return CycloNum.root(self.e, self.value_exponent_on_diag(diag))
-
     def acted(self, w: PermWord) -> "LeviChar":
         """The character sending position w[i] to this one's position i."""
         grid = []
@@ -209,10 +206,6 @@ def all_levi_chars(ring: RingSpec, n: int) -> list[LeviChar]:
         out.append(LeviChar(ring, n, e, grid))
     out.sort(key=LeviChar.sort_key)
     return out
-
-
-def w_act(w: PermWord, chi: LeviChar) -> LeviChar:
-    return chi.acted(w)
 
 
 def stabilizer(chi: LeviChar) -> list[PermWord]:

@@ -84,20 +84,6 @@ def weyl_elements(num_factors: int, n: int) -> list[PermWord]:
     return [PermWord(combo) for combo in itertools.product(perms, repeat=num_factors)]
 
 
-def _det(ring: RingSpec, mat, perms_signs):
-    """Determinant by permutation expansion (n is small throughout)."""
-    n = len(mat)
-    total = ring.zero
-    for perm, sign in perms_signs:
-        term = ring.one
-        for i in range(n):
-            term = ring.mul(term, mat[i][perm[i]])
-        if sign < 0:
-            term = ring.neg(term)
-        total = ring.add(total, term)
-    return total
-
-
 def _perms_with_signs(n):
     out = []
     for perm in itertools.permutations(range(n)):

@@ -357,19 +357,6 @@ class RingSpec:
         return f"RingSpec({self.canonical_str!r})"
 
 
-def ring_arith(ring: RingSpec, op: str, a, b=None):
-    """Dispatch add/mul/neg on validated elements of ring."""
-    ring.validate(a)
-    if op == "neg":
-        return ring.neg(a)
-    ring.validate(b)
-    if op == "add":
-        return ring.add(a, b)
-    if op == "mul":
-        return ring.mul(a, b)
-    raise RingError(f"unknown operation {op!r}")
-
-
 _TOKEN_Z = re.compile(r"Z/(\d+)")
 _TOKEN_GF = re.compile(r"GF\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 

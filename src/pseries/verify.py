@@ -24,7 +24,8 @@ from .chars import (LeviChar, all_levi_chars, conjugacy_class_count,
                     factor_chars, orbit, orbit_reps, partition_count,
                     principal_series_count, stabilizer, stabilizer_degrees,
                     stabilizer_irrep_count, stabilizer_order, unit_structures)
-from .cyclo import CycloMatrix, CycloNum, SparseReducer, solve_affine
+from .cyclo import (CycloError, CycloMatrix, CycloNum, SparseReducer,
+                    solve_affine)
 from .groups import PermWord, enumerate_gl, factor_ulv
 from .rings import RingSpec, residue_structure
 
@@ -339,7 +340,7 @@ class Verifier:
             tr = E.coeff(self.table.identity) * self.table.size
             try:
                 trq = tr.as_fraction()
-            except Exception:
+            except CycloError:
                 raise VerifyAlarm(f"module trace is not rational for chi={key}")
             if trq.denominator != 1 or trq < 0:
                 raise VerifyAlarm(f"module trace is not a dimension for chi={key}")

@@ -1,5 +1,6 @@
 """Group algebra arithmetic: exact convolution, star, idempotents, spans."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -74,25 +75,41 @@ def test_mul_matches_naive_oracle_both_paths():
                 assert dense == want
 
 
-def test_dense_path_forced_and_sparse_path_forced(monkeypatch):
+def test_huge_coefficients_stay_exact():
+    # past the int64 overflow bound the kernel sums exact Python ints; at
+    # 10^12 each entry fits in int64 but their products do not
     rng = random.Random(2)
-    t = table_for("GF(3,1)", 2)
-    a = rand_elem(t, 4, rng, 20)
-    b = rand_elem(t, 4, rng, 20)
-    want = naive_mul(a, b)
-    monkeypatch.setattr(algebra, "_DENSE_CUTOFF", 0)
-    assert a * b == want
-    monkeypatch.setattr(algebra, "_DENSE_CUTOFF", 10 ** 9)
-    assert a * b == want
+    for big, (spec, e) in itertools.product(
+            [10 ** 12, 10 ** 40], [("GF(2,1)", 1), ("GF(3,1)", 4), ("GF(3,1)", 8)]):
+        t = table_for(spec, 2)
+        a = rand_elem(t, e, rng, 12).scale(big)
+        b = rand_elem(t, e, rng, 9).scale(Fraction(big, 7))
+        want = naive_mul(a, b)
+        assert a * b == want
+        assert b * a == naive_mul(b, a)
+        assert want * a == naive_mul(want, a)
 
 
-def test_dense_path_declines_huge_coefficients():
-    t = table_for("GF(2,1)", 2)
-    big = 10 ** 40
-    a = AlgElem(t, 1, {1: CycloNum.rational(1, big), 2: CycloNum.rational(1, big)})
-    b = AlgElem(t, 1, {3: CycloNum.rational(1, big)})
-    assert algebra._mul_dense(a, b) is None  # falls back rather than overflow
-    assert a * b == naive_mul(a, b)
+def test_product_with_empty_factor():
+    rng = random.Random(8)
+    for spec, e in [("GF(2,1)", 1), ("GF(3,1)", 4)]:
+        t = table_for(spec, 2)
+        zero = AlgElem.zero(t, e)
+        a = rand_elem(t, e, rng, 7)
+        for x, y in [(zero, a), (a, zero), (zero, zero)]:
+            assert x * y == naive_mul(x, y) == zero
+
+
+def test_product_of_single_terms():
+    rng = random.Random(9)
+    for spec, e in [("GF(2,1)", 1), ("GF(3,1)", 4), ("Z/4", 8)]:
+        t = table_for(spec, 2)
+        for _ in range(10):
+            i, j = rng.randrange(t.size), rng.randrange(t.size)
+            c = CycloNum.root(e, rng.randrange(e)) * rng.randint(1, 9)
+            d = CycloNum.root(e, rng.randrange(e)) * Fraction(-1, rng.randint(1, 9))
+            a, b = AlgElem(t, e, {i: c}), AlgElem(t, e, {j: d})
+            assert a * b == naive_mul(a, b) == AlgElem(t, e, {t.mul(i, j): c * d})
 
 
 def test_scalar_and_linear_structure():
