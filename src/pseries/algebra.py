@@ -7,31 +7,17 @@ product is Hermitian, conjugate-linear in its first argument.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
-from .cyclo import CycloMatrix, CycloNum, power_fold, rank as cyclo_rank
+from .cyclo import (CycloMatrix, CycloNum, exact_dtype, int_rows, power_fold,
+                    rank as cyclo_rank)
 from .groups import GroupTable
 
 
 class AlgebraError(Exception):
     pass
-
-
-def _int_rows(elem: "AlgElem"):
-    """(indices, integer coordinate rows, common denominator) of an element."""
-    den = 1
-    for c in elem.coeffs.values():
-        for f in c.c:
-            den = den * (f.denominator // math.gcd(den, f.denominator))
-    idx = []
-    mat = []
-    for i, c in elem.coeffs.items():
-        idx.append(i)
-        mat.append([int(f.numerator * (den // f.denominator)) for f in c.c])
-    return idx, mat, den
 
 
 def _mul_dense(a: "AlgElem", b: "AlgElem") -> "AlgElem":
@@ -45,14 +31,14 @@ def _mul_dense(a: "AlgElem", b: "AlgElem") -> "AlgElem":
         return AlgElem.zero(table, e)
     fold = power_fold(e)
     phi = len(fold)
-    ia, ma, da = _int_rows(a)
-    ib, mb, db = _int_rows(b)
+    ia, ma, da = int_rows(a.coeffs)
+    ib, mb, db = int_rows(b.coeffs)
     max_a = max(abs(x) for row in ma for x in row)
     max_b = max(abs(x) for row in mb for x in row)
     max_f = max(abs(x) for fs in fold for ft in fs for x in ft)
     # each output coordinate sums at most min(|a|, |b|) * phi^2 terms
     bound = max_a * max_b * max_f * phi * phi * min(len(ia), len(ib))
-    dtype = np.int64 if bound < 2 ** 62 else object
+    dtype = exact_dtype(bound)
     rows = table.mul_row
     gb = np.array(ib, dtype=np.intp)
     A = np.array(ma, dtype=dtype)

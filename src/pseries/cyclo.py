@@ -5,13 +5,20 @@ coefficients, where z is a primitive e-th root of unity and phi is Euler's
 totient.  Products reduce modulo the e-th cyclotomic polynomial, so all
 arithmetic is exact; floating point appears only in to_complex(), which is
 for diagnostics and never feeds a pass/fail decision.
+
+Linear algebra runs on one engine, SparseReducer: fraction-free elimination
+on integer power-basis coordinates in numpy arrays.  solve_affine is built on
+it; rank() is a plain CycloNum elimination kept as the reference for tests.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 
 class CycloError(Exception):
@@ -86,7 +93,8 @@ class CycloNum:
 
     def __init__(self, e, coeffs):
         self.e = e
-        self.c = tuple(Fraction(x) for x in coeffs)
+        self.c = tuple(x if type(x) is Fraction else Fraction(x)
+                       for x in coeffs)
 
     @classmethod
     def rational(cls, e, q) -> "CycloNum":
@@ -333,6 +341,184 @@ def rank(m: CycloMatrix) -> int:
     return r
 
 
+def exact_dtype(bound):
+    """int64 when a bound on every intermediate is below 2^62, else Python ints."""
+    return np.int64 if bound < 2 ** 62 else object
+
+
+def int_rows(coeffs: dict):
+    """(keys, integer coordinate rows, common denominator) of a dict of CycloNums."""
+    den = math.lcm(*(f.denominator for c in coeffs.values() for f in c.c))
+    rows = [[f.numerator * (den // f.denominator) for f in c.c]
+            for c in coeffs.values()]
+    return list(coeffs), rows, den
+
+
+@lru_cache(maxsize=None)
+def _conjugations(e: int):
+    """Matrices of the Galois maps z -> z^t, t a unit mod e other than 1."""
+    phi, rows = _conductor(e)
+    return [np.array([rows[t * j % e] for j in range(phi)], dtype=object)
+            for t in range(2, e) if math.gcd(t, e) == 1]
+
+
+def _content(a):
+    """gcd of the entries of an integer array (a one-entry reduce keeps its sign)."""
+    return abs(int(np.gcd.reduce(a, axis=None)))
+
+
+def _lead(v, start):
+    """Index of the first nonzero row of v at or after start; None if none."""
+    nz = np.flatnonzero(v[start:].any(axis=1))
+    return start + int(nz[0]) if nz.size else None
+
+
+class SparseReducer:
+    """Incremental exact row reduction of sparse vectors (dict key -> CycloNum).
+
+    Keys are non-negative integers. Pivot rows are normalized to leading
+    coefficient 1 and keyed by their least index; every key in a pivot row
+    other than its lead is strictly larger than the lead, so reduction of any
+    vector terminates with a remainder that is zero exactly when the vector
+    lies in the span.
+
+    Elimination is fraction-free on integer power-basis coordinates, one row
+    of phi integers per key. A pivot is an integer array R with R[lead] = D,
+    a positive integer, and stands for R / D. A vector v is reduced by
+    v <- (D v - v[lead] R) / g, g the gcd of the result's entries, so it stays
+    a positive rational multiple of the exact remainder. Each step takes
+    int64 or exact Python ints from a bound on its entries (exact_dtype).
+    """
+
+    def __init__(self, e):
+        self.e = e
+        fold = power_fold(e)
+        self._phi = len(fold)
+        self._ft = np.array(fold, dtype=np.int64).reshape(self._phi, -1)
+        # |coordinate of a * b| <= _kf * max|a| * max|b|
+        self._kf = self._phi ** 2 * int(np.abs(self._ft).max())
+        self._rows = []    # pivot arrays, from the lead key on
+        self._dens = []
+        self._maxes = []   # largest |entry| of each pivot array
+        self._leads = []   # in insertion order
+        self._at = {}      # lead key -> pivot index
+        self._width = 0
+
+    def _times(self, rows, c, dtype):
+        """rows * c in Z[zeta]: integer rows (w, phi) times the element c."""
+        phi = self._phi
+        m = np.array(c, dtype=dtype) @ self._ft.astype(dtype, copy=False)
+        return rows.astype(dtype, copy=False) @ m.reshape(phi, phi)
+
+    def _vector(self, vec):
+        """(integer rows, denominator) of a dict key -> CycloNum."""
+        keys, rows, den = int_rows(vec)
+        if keys and min(keys) < 0:
+            raise CycloError("reducer keys must be non-negative integers")
+        big = max((abs(x) for row in rows for x in row), default=0)
+        v = np.zeros((max(self._width, max(keys, default=-1) + 1), self._phi),
+                     dtype=exact_dtype(big))
+        if keys:
+            v[keys] = rows
+        return v, den
+
+    def _reduce(self, v):
+        """(remainder, its lead or None, steps) for integer rows v.
+
+        The remainder is a positive rational multiple of the exact one. Each
+        step (pivot index, c, num, den) records the exact coordinate
+        c * num / den of the input v on that pivot.
+        """
+        steps = []
+        num = den = 1
+        k = _lead(v, 0)
+        while k is not None:
+            j = self._at.get(k)
+            if j is None:
+                break
+            R, D = self._rows[j], self._dens[j]
+            c = v[k].tolist()
+            steps.append((j, c, num, den))
+            mv = int(np.abs(v[k:]).max())
+            dtype = exact_dtype(D * mv + self._kf * mv * self._maxes[j])
+            v = v.astype(dtype, copy=False)
+            tail = v[k:]
+            tail *= D
+            tail[:len(R)] -= self._times(R, c, dtype)
+            g = _content(tail)
+            if g > 1:
+                tail //= g
+                num *= g
+            den *= D
+            h = math.gcd(num, den)
+            num, den = num // h, den // h
+            k = _lead(v, k + 1)
+        return v, k, steps
+
+    def _adjugate(self, a):
+        """Product of the Galois conjugates of a other than a itself.
+
+        a * adjugate(a) is the norm of a, a nonzero integer when a != 0.
+        """
+        out = np.array([[1] + [0] * (self._phi - 1)], dtype=object)
+        for s in _conjugations(self.e):
+            out = self._times(out, np.array(a, dtype=object) @ s, object)
+        return out[0].tolist()
+
+    def _insert(self, v, k):
+        """Make the nonzero remainder v, lead k, a pivot scaled to lead D."""
+        adj = self._adjugate(v[k].tolist())
+        nz = np.flatnonzero(v[k:].any(axis=1))
+        tail = v[k:k + int(nz[-1]) + 1]
+        mv = int(np.abs(tail).max())
+        R = self._times(tail, adj, exact_dtype(
+            self._kf * mv * max(abs(x) for x in adj)))
+        g = _content(R)
+        if R[0, 0] < 0:
+            g = -g
+        R //= g
+        big = int(np.abs(R).max())
+        R = R.astype(exact_dtype(big), copy=False)
+        self._at[k] = len(self._rows)
+        self._rows.append(R)
+        self._dens.append(int(R[0, 0]))
+        self._maxes.append(big)
+        self._leads.append(k)
+        self._width = max(self._width, k + len(R))
+
+    def feed(self, vec) -> bool:
+        """Insert vec; True when it enlarged the span."""
+        v, k, _ = self._reduce(self._vector(vec)[0])
+        if k is None:
+            return False
+        self._insert(v, k)
+        return True
+
+    def contains(self, vec) -> bool:
+        return self._reduce(self._vector(vec)[0])[1] is None
+
+    def coords_list(self, vec):
+        """Coordinates in insertion order of pivots; None if vec is outside."""
+        v, den = self._vector(vec)
+        _, k, steps = self._reduce(v)
+        if k is not None:
+            return None
+        out = [CycloNum.zero(self.e)] * self.rank
+        for j, c, num, d in steps:
+            out[j] = CycloNum(self.e, [Fraction(x * num, d * den) for x in c])
+        return out
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def basis_rows(self):
+        """Pivot rows, lead coefficient 1, in insertion order."""
+        return [{lead + i: CycloNum(self.e, [Fraction(x, D) for x in row])
+                 for i, row in enumerate(R.tolist()) if any(row)}
+                for R, D, lead in zip(self._rows, self._dens, self._leads)]
+
+
 class AffineSolution:
     """Solutions of M x = rhs: particular point plus nullspace basis."""
 
@@ -346,110 +532,40 @@ class AffineSolution:
 
 
 def solve_affine(m: CycloMatrix, rhs) -> AffineSolution | None:
-    """Solve M x = rhs exactly; None when inconsistent."""
-    e = m.e
-    zero = CycloNum.zero(e)
-    rows = [list(r) + [b] for r, b in zip(m.rows, rhs)]
-    ncols = m.ncols
-    pivots = []  # (row, col)
-    r = 0
-    for col in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if not rows[i][col].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pinv = rows[r][col].inverse()
-        rows[r] = [x * pinv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-    for i in range(r, len(rows)):
-        if not rows[i][ncols].is_zero():
-            return None
-    particular = [zero] * ncols
-    for pr, pc in pivots:
-        particular[pc] = rows[pr][ncols]
-    pivot_cols = {pc for _, pc in pivots}
-    nullspace = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [zero] * ncols
-        vec[free] = CycloNum.one(e)
-        for pr, pc in pivots:
-            vec[pc] = -rows[pr][free]
-        nullspace.append(vec)
-    return AffineSolution(particular, nullspace)
+    """Solve M x = rhs exactly; None when inconsistent.
 
-
-class SparseReducer:
-    """Incremental exact row reduction of sparse vectors (dict key -> CycloNum).
-
-    Pivot rows are normalized to leading coefficient 1 and keyed by their
-    least index; every key in a pivot row other than its lead is strictly
-    larger than the lead, so reduction of any vector terminates with a
-    remainder that is zero exactly when the vector lies in the span.
+    The columns of [M | rhs] go left to right through one SparseReducer, each
+    with a unit tag on keys after M's rows. A column whose M part reduces to
+    zero is a combination of the pivot columns before it, and its tags hold
+    that relation; read off, the relations are the reduced-row-echelon
+    particular solution and nullspace basis.
     """
-
-    def __init__(self, e):
-        self.e = e
-        self.pivots = {}
-        self.leads = []
-
-    def reduce(self, vec):
-        """(coords, remainder): vec = sum coords[lead]*pivot[lead] + remainder."""
-        v = {k: x for k, x in vec.items() if not x.is_zero()}
-        coords = {}
-        while v:
-            lead = min(v)
-            row = self.pivots.get(lead)
-            if row is None:
-                break
-            c = v[lead]
-            coords[lead] = c
-            for k, x in row.items():
-                y = v.get(k)
-                nxt = (y - c * x) if y is not None else (-c * x)
-                if nxt.is_zero():
-                    v.pop(k, None)
-                else:
-                    v[k] = nxt
-        return coords, v
-
-    def feed(self, vec) -> bool:
-        """Insert vec; True when it enlarged the span."""
-        _, rem = self.reduce(vec)
-        if not rem:
-            return False
-        lead = min(rem)
-        scale = rem[lead].inverse()
-        self.pivots[lead] = {k: x * scale for k, x in rem.items()}
-        self.leads.append(lead)
-        return True
-
-    def contains(self, vec) -> bool:
-        _, rem = self.reduce(vec)
-        return not rem
-
-    def coords_list(self, vec):
-        """Coordinates in insertion order of pivots; None if vec is outside."""
-        coords, rem = self.reduce(vec)
-        if rem:
-            return None
-        zero = CycloNum.zero(self.e)
-        return [coords.get(lead, zero) for lead in self.leads]
-
-    @property
-    def rank(self) -> int:
-        return len(self.leads)
-
-    def basis_rows(self):
-        """Pivot rows in insertion order."""
-        return [self.pivots[lead] for lead in self.leads]
+    e, nr, nc = m.e, m.nrows, m.ncols
+    keys, rows, _ = int_rows({(j, i): x for i, row in enumerate(m.rows)
+                              for j, x in enumerate(list(row) + [rhs[i]])})
+    red = SparseReducer(e)
+    big = max((abs(x) for row in rows for x in row), default=1)
+    cols = np.zeros((nc + 1, nr + nc + 1, red._phi), dtype=exact_dtype(big))
+    for (j, i), row in zip(keys, rows):
+        cols[j, i] = row
+    for j in range(nc + 1):
+        cols[j, nr + j, 0] = 1
+    zero = CycloNum.zero(e)
+    nullspace = []
+    for j in range(nc + 1):
+        v, k, _ = red._reduce(cols[j])
+        if k < nr:
+            if j == nc:
+                return None
+            red._insert(v, k)
+            continue
+        # the tags read sum_i tags[i] * column_i = 0 with tags[j] a positive
+        # integer; for the rhs column, divided by -tags[j], they are the
+        # particular solution
+        tags = v[nr:]
+        t = int(tags[j, 0]) if j < nc else -int(tags[j, 0])
+        relation = [CycloNum(e, [Fraction(x, t) for x in row]) if any(row)
+                    else zero for row in tags[:nc].tolist()]
+        if j < nc:
+            nullspace.append(relation)
+    return AffineSolution(relation, nullspace)

@@ -191,12 +191,10 @@ class Verifier:
         cuv1 = eU1 * eV1
         cvu1 = eV1 * eU1
         red = SparseReducer(1)
-        basis = []
         queue = []
 
         def feed(a):
             if red.feed(a.coeffs):
-                basis.append(AlgElem(table, 1, dict(red.pivots[red.leads[-1]])))
                 queue.append(a)
 
         feed(eU1)
@@ -207,6 +205,7 @@ class Verifier:
             pos += 1
             feed(a * eU1)
             feed(a * eV1)
+        basis = [AlgElem(table, 1, row) for row in red.basis_rows()]
         k = len(basis)
 
         def coords_q(elem: AlgElem):
@@ -425,7 +424,7 @@ class Verifier:
         for row in mred.basis_rows():
             bred.feed((E * AlgElem(table, e, row)).coeffs)
         k = bred.rank
-        basis = [AlgElem(table, e, dict(bred.pivots[lead])) for lead in bred.leads]
+        basis = [AlgElem(table, e, row) for row in bred.basis_rows()]
 
         def coords(elem):
             cl = bred.coords_list(elem.coeffs)
@@ -723,26 +722,19 @@ class Verifier:
             red_cw.feed(cw.right_translate(g).coeffs)
             red_vcw.feed(vcw.right_translate(g).coeffs)
         phi_red = SparseReducer(e)
-        phis = []
         for l in t.subgroup("L"):
             wl = t.mul(widx, l)
-            el = self.c_uv.right_translate(wl) * self.c_uv
-            phis.append(el)
-            phi_red.feed(el.coeffs)
-        cell_in_span = True
-        extra_rank = SparseReducer(e)
-        for row in phi_red.basis_rows():
-            extra_rank.feed(row)
-        for g in t.cells.get(w, ()):
-            el = self.c_uv.right_translate(g) * self.c_uv
-            if not phi_red.contains(el.coeffs):
-                cell_in_span = False
-            extra_rank.feed(el.coeffs)
+            phi_red.feed((self.c_uv.right_translate(wl) * self.c_uv).coeffs)
+        # with every cell element inside phi_red's span, the joint span is
+        # that span, so containment alone decides span equality
+        cell_in_span = all(
+            phi_red.contains((self.c_uv.right_translate(g) * self.c_uv).coeffs)
+            for g in t.cells.get(w, ()))
         data = {
             "rank_cw": red_cw.rank,
             "rank_vcw": red_vcw.rank,
             "rank_phi": phi_red.rank,
-            "cell_span_equal": cell_in_span and extra_rank.rank == phi_red.rank,
+            "cell_span_equal": cell_in_span,
         }
         self._phi[key] = data
         return data

@@ -60,7 +60,7 @@ def test_one_is_neutral():
         assert one * a == a == a * one
 
 
-def test_mul_matches_naive_oracle_both_paths():
+def test_mul_matches_naive_oracle():
     rng = random.Random(1)
     for spec, n, e in [("GF(2,1)", 2, 1), ("GF(3,1)", 2, 2),
                        ("GF(3,1)", 2, 8), ("Z/4", 2, 4)]:
@@ -68,11 +68,7 @@ def test_mul_matches_naive_oracle_both_paths():
         for support in [3, t.size // 2, t.size]:
             a = rand_elem(t, e, rng, support)
             b = rand_elem(t, e, rng, support)
-            want = naive_mul(a, b)
-            assert a * b == want
-            dense = algebra._mul_dense(a, b)
-            if dense is not None:
-                assert dense == want
+            assert a * b == naive_mul(a, b)
 
 
 def test_huge_coefficients_stay_exact():

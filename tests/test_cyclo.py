@@ -13,10 +13,23 @@ from pseries.cyclo import CycloError, cyclotomic_poly, power_fold
 CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
 
 
-def rand_num(e, rng, dense=True):
+# 2^70 is past the int64 range the elimination engine may use
+HUGE = 2 ** 70
+
+
+def rand_num(e, rng, top=4):
     phi = len(CycloNum.zero(e).c)
-    return CycloNum(e, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return CycloNum(e, [Fraction(rng.randint(-top, top), rng.randint(1, 3))
                         for _ in range(phi)])
+
+
+def combine(e, coeffs, vecs):
+    """sum of coeffs[i] * vecs[i] for sparse vectors (dict key -> CycloNum)."""
+    out = {}
+    for cf, vec in zip(coeffs, vecs):
+        for k, val in vec.items():
+            out[k] = out.get(k, CycloNum.zero(e)) + cf * val
+    return out
 
 
 def test_cyclotomic_poly_known_values():
@@ -148,10 +161,13 @@ def test_rank_big_random_full():
 
 def test_solve_affine_consistent():
     rng = random.Random(7)
-    for e in [1, 4, 8]:
+    for e, top in [(1, 4), (3, 4), (4, 4), (8, 4), (1, HUGE), (3, HUGE)]:
         zero = CycloNum.zero(e)
-        for m, n in [(5, 3), (4, 6), (6, 6)]:
-            mat = [[rand_num(e, rng) for _ in range(n)] for _ in range(m)]
+        for m, n, r in [(5, 3, 3), (4, 6, 4), (6, 6, 6), (6, 5, 2), (3, 4, 0)]:
+            left = [[rand_num(e, rng, top) for _ in range(r)] for _ in range(m)]
+            right = [[rand_num(e, rng) for _ in range(n)] for _ in range(r)]
+            mat = [[sum((left[i][k] * right[k][j] for k in range(r)), zero)
+                    for j in range(n)] for i in range(m)]
             x0 = [rand_num(e, rng) for _ in range(n)]
             rhs = [sum((mat[i][j] * x0[j] for j in range(n)), zero) for i in range(m)]
             sol = solve_affine(CycloMatrix(e, mat), rhs)
@@ -179,44 +195,47 @@ def test_solve_affine_inconsistent():
 
 def test_sparse_reducer_matches_dense_rank():
     rng = random.Random(13)
-    for e in [1, 2, 8]:
+    for e, top in [(1, 4), (2, 4), (3, 4), (4, 4), (8, 4), (1, HUGE), (3, HUGE), (8, HUGE)]:
+        zero = CycloNum.zero(e)
+        red = SparseReducer(e)
         vecs = []
         for _ in range(12):
-            vec = {rng.randrange(30): rand_num(e, rng) for _ in range(rng.randint(1, 5))}
+            if vecs and rng.random() < 0.3:
+                # a combination of earlier vectors must not enlarge the span
+                vec = combine(e, [rand_num(e, rng) for _ in vecs], vecs)
+            else:
+                vec = {rng.randrange(30): rand_num(e, rng, top)
+                       for _ in range(rng.randint(1, 5))}
+            before = rank(CycloMatrix(e, [[v.get(j, zero) for j in range(30)]
+                                          for v in vecs])) if vecs else 0
             vecs.append(vec)
-        red = SparseReducer(e)
-        for v in vecs:
-            red.feed(v)
-        zero = CycloNum.zero(e)
-        dense = [[v.get(j, zero) for j in range(30)] for v in vecs]
-        assert red.rank == rank(CycloMatrix(e, dense))
+            after = rank(CycloMatrix(e, [[v.get(j, zero) for j in range(30)]
+                                         for v in vecs]))
+            assert red.feed(vec) == (after > before)
+            assert red.rank == after
 
 
 def test_sparse_reducer_membership_and_coords():
-    e = 4
     rng = random.Random(17)
-    red = SparseReducer(e)
-    basis = []
-    for i in range(4):
-        vec = {i: CycloNum.one(e), 10 + i: rand_num(e, rng)}
-        red.feed(vec)
-        basis.append(vec)
-    # a random combination of basis rows is contained, with matching coordinates
-    coeffs = [rand_num(e, rng) for _ in range(4)]
-    combo = {}
-    for cf, vec in zip(coeffs, basis):
-        for k, val in vec.items():
-            combo[k] = combo.get(k, CycloNum.zero(e)) + cf * val
-    assert red.contains(combo)
-    got = red.coords_list(combo)
-    assert got is not None
-    rebuilt = {}
-    for cf, row in zip(got, red.basis_rows()):
-        for k, val in row.items():
-            rebuilt[k] = rebuilt.get(k, CycloNum.zero(e)) + cf * val
-    for k in set(combo) | set(rebuilt):
-        assert (combo.get(k, CycloNum.zero(e)) - rebuilt.get(k, CycloNum.zero(e))).is_zero()
-    # something outside the span
-    outside = {25: CycloNum.one(e)}
-    assert not red.contains(outside)
-    assert red.coords_list(outside) is None
+    for e, top in [(1, 4), (3, 4), (4, 4), (8, 4), (4, HUGE)]:
+        red = SparseReducer(e)
+        basis = []
+        for i in range(4):
+            vec = {i: rand_num(e, rng, top) + 1, 10 + i: rand_num(e, rng, top),
+                   20 + i: rand_num(e, rng)}
+            red.feed(vec)
+            basis.append(vec)
+        # a random combination of basis rows is contained, with matching coordinates
+        combo = combine(e, [rand_num(e, rng) for _ in range(4)], basis)
+        assert red.contains(combo)
+        got = red.coords_list(combo)
+        assert got is not None
+        rows = red.basis_rows()
+        assert all(row[min(row)] == CycloNum.one(e) for row in rows)
+        rebuilt = combine(e, got, rows)
+        for k in set(combo) | set(rebuilt):
+            assert (combo.get(k, CycloNum.zero(e)) - rebuilt.get(k, CycloNum.zero(e))).is_zero()
+        # something outside the span
+        outside = {25: CycloNum.one(e)}
+        assert not red.contains(outside)
+        assert red.coords_list(outside) is None
