@@ -136,15 +136,15 @@ class AlgElem:
 
     def left_translate(self, g: int) -> "AlgElem":
         """delta_g * self, computed without a full convolution."""
-        rows = self.table.py_rows()
-        row = rows[g]
-        return AlgElem(self.table, self.e, {row[i]: c for i, c in self.coeffs.items()})
+        keys = list(self.coeffs)
+        targets = self.table._table[g, keys].tolist()
+        return AlgElem(self.table, self.e, dict(zip(targets, self.coeffs.values())))
 
     def right_translate(self, g: int) -> "AlgElem":
         """self * delta_g."""
-        rows = self.table.py_rows()
-        return AlgElem(self.table, self.e,
-                       {rows[i][g]: c for i, c in self.coeffs.items()})
+        keys = list(self.coeffs)
+        targets = self.table._table[keys, g].tolist()
+        return AlgElem(self.table, self.e, dict(zip(targets, self.coeffs.values())))
 
     def coeff(self, i: int) -> CycloNum:
         return self.coeffs.get(i, CycloNum.zero(self.e))
@@ -172,13 +172,13 @@ def idempotent_subgroup(table: GroupTable, e: int, indices) -> AlgElem:
     idx_set = set(indices)
     if table.identity not in idx_set:
         raise AlgebraError("subgroup must contain the identity")
-    for a in idx_set:
-        if table.inv(a) not in idx_set:
-            raise AlgebraError("index list not closed under inverse")
-        row = table.py_rows()[a]
-        for b in idx_set:
-            if row[b] not in idx_set:
-                raise AlgebraError("index list not closed under multiplication")
+    idx = np.fromiter(idx_set, dtype=np.intp, count=len(idx_set))
+    member = np.full(table.size, -1, dtype=np.int32)   # 0 on H, -1 elsewhere
+    member[idx] = 0
+    if member[table._inv[idx]].min() < 0:
+        raise AlgebraError("index list not closed under inverse")
+    if member[table._table[np.ix_(idx, idx)]].min() < 0:
+        raise AlgebraError("index list not closed under multiplication")
     c = CycloNum.rational(e, Fraction(1, len(idx_set)))
     return AlgElem(table, e, {i: c for i in idx_set})
 

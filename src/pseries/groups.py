@@ -119,19 +119,53 @@ def _local_gl(local, n):
     return mats, dets
 
 
-def _local_matmul(local, a, b, n):
-    mul, add = local.mul, local.add
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(n):
-            acc = mul(ai[0], b[0][j])
-            for k in range(1, n):
-                acc = add(acc, mul(ai[k], b[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+# entries per row block of a vectorised table gather: keeps temporaries small
+_BLOCK = 1 << 14
+
+
+def row_blocks(rows, width):
+    """Slices covering range(rows), each about _BLOCK entries of the given width."""
+    step = max(1, _BLOCK // width)
+    return (slice(r, min(r + step, rows)) for r in range(0, rows, step))
+
+
+def _local_table(local, mats, n):
+    """Cayley table of one local factor's matrices, gathered from its ring tables.
+
+    Each product is summed entry by entry through the ring's addition and
+    multiplication tables, encoded by its row-major base-q entry codes and
+    mapped back to an index through a code -> index array of q^(n^2)
+    entries (_local_gl has already walked every one of those codes).  A
+    product that is not among mats raises.
+    """
+    q, size = local.size, len(mats)
+    mul = np.array(local._mul, dtype=np.int32)
+    add = np.array(local._add, dtype=np.int32)
+    A = np.array(mats, dtype=np.int32).reshape(size, n, n)
+
+    def encode(x):
+        """Codes of matrices whose n*n row-major entries run along axis 1."""
+        code = x[:, 0].astype(np.int64)
+        for t in range(1, n * n):
+            code = code * q + x[:, t]
+        return code
+
+    lookup = np.full(q ** (n * n), -1, dtype=np.int32)
+    lookup[encode(A.reshape(size, n * n))] = np.arange(size, dtype=np.int32)
+    # M[x, k, j, b] = x * A[b, k, j]: row k of every right factor, scaled by x
+    M = mul[:, A.transpose(1, 2, 0)]
+    table = np.empty((size, size), dtype=np.int32)
+    for rows in row_blocks(size, size * n * n):
+        a = A[rows]
+        # acc[r, i, j, b] = sum_k a[r, i, k] * A[b, k, j] in the ring
+        acc = M[a[:, :, 0], 0]
+        for k in range(1, n):
+            acc = add[acc, M[a[:, :, k], k]]
+        pos = lookup[encode(acc.reshape(len(a), n * n, size))]
+        if pos.min() < 0:
+            raise GroupError("a product of invertible matrices is not in the group")
+        table[rows] = pos
+    return table
 
 
 def _mono_perm(field, mat):
@@ -239,7 +273,11 @@ class GroupTable(object):
         return self._table[i]
 
     def py_rows(self):
-        """Multiplication table as nested Python-int lists (hot-loop friendly)."""
+        """Multiplication table as nested Python-int lists.
+
+        Nothing in the package calls it: its only callers are the naive
+        product oracle of the tests and the benchmark tracer, which wraps it.
+        """
         if self._pyrows is None:
             self._pyrows = self._table.tolist()
         return self._pyrows
@@ -296,17 +334,7 @@ def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
     if total * total > max_cost:
         raise SizeGuardError(
             f"group order {total} gives table size {total}^2 > bound {max_cost}")
-    local_tables = []
-    for f, loc in enumerate(locs):
-        mats, idx = local_mats[f], local_index[f]
-        nf = len(mats)
-        tab = np.empty((nf, nf), dtype=np.int32)
-        for a in range(nf):
-            ma = mats[a]
-            row = tab[a]
-            for b in range(nf):
-                row[b] = idx[_local_matmul(loc, ma, mats[b], n)]
-        local_tables.append(tab)
+    local_tables = [_local_table(loc, local_mats[f], n) for f, loc in enumerate(locs)]
 
     # combined elements, identity first then lexicographic in entry codes
     identity = tuple(tuple(ring.one if i == j else ring.zero for j in range(n))
@@ -326,9 +354,13 @@ def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
     enc = np.empty(tuple(sizes), dtype=np.int32)
     enc[tuple(dec)] = np.arange(total, dtype=np.int32)
 
-    pair = [local_tables[f][dec[f][:, None], dec[f][None, :]] for f in range(m)]
-    table = enc[tuple(pair)]
-    inv = np.argmax(table == 0, axis=1).astype(np.int32)
+    table = np.empty((total, total), dtype=np.int32)
+    for rows in row_blocks(total, total):
+        table[rows] = enc[tuple(local_tables[f][dec[f][rows, None], dec[f][None, :]]
+                                for f in range(m))]
+    # inverses factor by factor; element 0, the identity, holds each local one
+    inv = enc[tuple(np.argmax(local_tables[f] == dec[f][0], axis=1)[dec[f]]
+                    for f in range(m))]
 
     dets = [tuple(local_dets[f][dec[f][i]] for f in range(m)) for i in range(total)]
 

@@ -25,8 +25,8 @@ from .chars import (LeviChar, all_levi_chars, conjugacy_class_count,
                     principal_series_count, stabilizer, stabilizer_degrees,
                     stabilizer_irrep_count, stabilizer_order, unit_structures)
 from .cyclo import (CycloError, CycloMatrix, CycloNum, SparseReducer,
-                    solve_affine)
-from .groups import PermWord, enumerate_gl, factor_ulv
+                    exact_dtype, int_rows, solve_affine)
+from .groups import PermWord, enumerate_gl, factor_ulv, row_blocks
 from .rings import RingSpec, residue_structure
 
 
@@ -369,24 +369,23 @@ class Verifier:
         return out.rank
 
     def pind_character(self, chi: LeviChar):
-        """Character values of the induced module, one CycloNum per element."""
+        """Character values of the induced module, one CycloNum per element.
+
+        chi(g) = sum_x E(x^-1 g^-1 x), summed on E's integer coordinates.
+        """
         key = chi.key()
         if key not in self._pind_char:
-            E = self.E(chi)
-            table = self.table
-            rows = table.py_rows()
-            inv = [table.inv(i) for i in range(table.size)]
-            coeffs = E.coeffs
-            zero = CycloNum.zero(self.e)
+            table, size = self.table, self.table.size
+            keys, rows, den = int_rows(self.E(chi).coeffs)
+            top = max((abs(x) for row in rows for x in row), default=0)
+            dense = np.zeros((size, len(CycloNum.zero(self.e).c)),
+                             dtype=exact_dtype(top * size))
+            dense[keys] = rows
+            mul, inv, xs = table._table, table._inv, np.arange(size)
             out = []
-            for g in range(table.size):
-                ginv = inv[g]
-                total = zero
-                for x in range(table.size):
-                    c = coeffs.get(rows[rows[inv[x]][ginv]][x])
-                    if c is not None:
-                        total = total + c
-                out.append(total)
+            for g in range(size):
+                sums = dense[mul[mul[inv, inv[g]], xs]].sum(axis=0)
+                out.append(CycloNum(self.e, [Fraction(int(x), den) for x in sums]))
             self._pind_char[key] = out
         return self._pind_char[key]
 
@@ -832,18 +831,9 @@ class Verifier:
                 # multiplicativity of chi1(det .) on all pairs
                 dexp = [chi1.value_exponent(tf.dets[i][0])
                         for i in range(tf.size)]
-                ok = True
-                rows = tf.py_rows()
-                for a in range(tf.size):
-                    da = dexp[a]
-                    row = rows[a]
-                    for b in range(tf.size):
-                        if (da + dexp[b]) % ef != dexp[row[b]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
+                d = np.array(dexp)
+                if not all(((d[rows, None] + d) % ef == d[tf._table[rows]]).all()
+                           for rows in row_blocks(tf.size, tf.size)):
                     failures.append(f"factor{f}:exps{chi1.exps}:multiplicative")
                     continue
                 eUf = idempotent_subgroup(tf, ef, tf.subgroup("U"))

@@ -140,12 +140,13 @@ def test_inner_product_adjunction():
 
 
 def test_translates_match_delta_products():
-    t = table_for("Z/4", 2)
-    rng = random.Random(6)
-    a = rand_elem(t, 2, rng, 12)
-    for g in range(0, t.size, 11):
-        assert a.left_translate(g) == AlgElem.delta(t, 2, g) * a
-        assert a.right_translate(g) == a * AlgElem.delta(t, 2, g)
+    for spec, step in [("Z/4", 11), ("Z/2xZ/2", 1)]:
+        t = table_for(spec, 2)
+        rng = random.Random(6)
+        a = rand_elem(t, 2, rng, 12)
+        for g in range(0, t.size, step):
+            assert a.left_translate(g) == AlgElem.delta(t, 2, g) * a
+            assert a.right_translate(g) == a * AlgElem.delta(t, 2, g)
 
 
 def test_subgroup_idempotents():
@@ -163,10 +164,14 @@ def test_subgroup_idempotents():
 def test_idempotent_subgroup_validates():
     t = table_for("GF(3,1)", 2)
     g = next(i for i in range(t.size) if t.mul(i, i) != t.identity and i != t.identity)
-    with pytest.raises(algebra.AlgebraError):
+    with pytest.raises(algebra.AlgebraError, match="inverse"):
         idempotent_subgroup(t, 2, [t.identity, g])
-    with pytest.raises(algebra.AlgebraError):
+    with pytest.raises(algebra.AlgebraError, match="identity"):
         idempotent_subgroup(t, 2, [g])
+    # closed under inverses, but h^2 is neither 1, h nor h^-1
+    h = next(i for i in range(t.size) if t.mul(i, i) not in (t.identity, t.inv(i)))
+    with pytest.raises(algebra.AlgebraError, match="multiplication"):
+        idempotent_subgroup(t, 2, [t.identity, h, t.inv(h)])
 
 
 def test_char_idempotents_resolve_torus_identity():

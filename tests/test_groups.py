@@ -65,15 +65,22 @@ def test_group_axioms_small():
 
 
 def test_table_matches_matrix_product():
-    for spec, n in [("GF(2,1)", 2), ("GF(3,1)", 2), ("Z/4", 2)]:
+    # GF(2,2): field codes are not residues; GF(2,1) n=3: three products per
+    # entry; GF(5,1): a table of many row blocks; Z/2xGF(2,2): two factors
+    for spec, n in [("GF(2,1)", 2), ("GF(3,1)", 2), ("Z/4", 2), ("GF(2,2)", 2),
+                    ("GF(2,1)", 3), ("GF(5,1)", 2), ("Z/2xGF(2,2)", 2)]:
         ring = parse_ring_spec(spec)
         t = enumerate_gl(ring, n)
         idx = {t.mat(i): i for i in range(t.size)}
         assert len(idx) == t.size
+        ident = t.mat(t.identity)
         step = 7 if t.size > 50 else 1
         for i in range(0, t.size, step):
             for j in range(0, t.size, step):
                 assert t.mul(i, j) == idx[mat_mul(ring, t.mat(i), t.mat(j))]
+        for i in range(t.size):
+            assert mat_mul(ring, t.mat(i), t.mat(t.inv(i))) == ident
+            assert mat_mul(ring, t.mat(t.inv(i)), t.mat(i)) == ident
 
 
 def test_dets_are_multiplicative():

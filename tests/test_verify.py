@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pseries import (AlgElem, SparseReducer, Verifier, all_levi_chars,
+from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
                      idempotent_subgroup, orbit_reps, parse_ring_spec, span_rank,
                      stabilizer, stabilizer_degrees)
 
@@ -98,6 +98,22 @@ def test_character_route_agrees_with_sandwich(vget):
     for chi in chars:
         for sigma in chars:
             assert v._character_dim(chi, sigma) == v._sandwich_rank(chi, sigma)
+
+
+def test_pind_character_matches_definition(vget):
+    # chi(g) = sum_x E(x^-1 g^-1 x), summed term by term with CycloNum
+    for spec, n in [("GF(2,1)", 2), ("GF(3,1)", 2)]:
+        v = vget(spec, n)
+        t = v.table
+        for chi in all_levi_chars(v.ring, n):
+            E = v.E(chi)
+            want = []
+            for g in range(t.size):
+                total = CycloNum.zero(v.e)
+                for x in range(t.size):
+                    total = total + E.coeff(t.mul(t.mul(t.inv(x), t.inv(g)), x))
+                want.append(total)
+            assert v.pind_character(chi) == want
 
 
 def test_end_algebra_shapes(vget):
