@@ -1,19 +1,29 @@
 """The group algebra of a tabulated group, with exact cyclotomic coefficients.
 
-Elements are sparse dictionaries mapping group indices to CycloNum values.
+An element is held in integer arrays, in the layout of FLINT's fmpq_poly
+applied per group element: a sorted support array `keys`, an integer array
+`rows` of power-basis coordinates in Q(zeta_e), one row per key, and one
+positive denominator `den`; the coefficient of keys[i] is rows[i] / den.
+Elements are canonical (no zero rows, gcd of rows and den is 1), so equality
+is array equality.  Every operation picks int64 or exact Python ints (object
+arrays) from an a-priori bound on its entries.
+
 The star operation sends g to g^-1 and conjugates coefficients; the inner
 product is Hermitian, conjugate-linear in its first argument.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
-from .cyclo import (CycloMatrix, CycloNum, exact_dtype, int_rows, power_fold,
-                    rank as cyclo_rank)
-from .groups import GroupTable
+from .cyclo import (CycloMatrix, CycloNum, content, exact_dtype, fold_array,
+                    galois, int_rows, max_abs, power_fold, rank as cyclo_rank,
+                    root_coords, times)
+from .groups import GroupTable, row_blocks
 
 
 class AlgebraError(Exception):
@@ -21,90 +31,138 @@ class AlgebraError(Exception):
 
 
 def _mul_dense(a: "AlgElem", b: "AlgElem") -> "AlgElem":
-    """Exact convolution on scaled integer coordinates, vectorized per row.
+    """Exact convolution on the integer rows, a block of a's support at a time.
 
+    For a block of a's keys x and all of b's keys y, the targets x * y are
+    gathered from the Cayley table and the coordinates of a_x b_y come from
+    one matmul.  Targets collide across a block, so np.add.at sums them, one
+    coordinate at a time into a contiguous row of the (phi, |G|) sum, where
+    its one-dimensional form runs several times faster than its row form.
     Sums run in int64 when the overflow bound allows it and in exact Python
     ints (object arrays) otherwise; both dtypes take the same steps.
     """
     table, e = a.table, a.e
-    if not a.coeffs or not b.coeffs:
+    if a.is_zero() or b.is_zero():
         return AlgElem.zero(table, e)
-    fold = power_fold(e)
-    phi = len(fold)
-    ia, ma, da = int_rows(a.coeffs)
-    ib, mb, db = int_rows(b.coeffs)
-    max_a = max(abs(x) for row in ma for x in row)
-    max_b = max(abs(x) for row in mb for x in row)
-    max_f = max(abs(x) for fs in fold for ft in fs for x in ft)
-    # each output coordinate sums at most min(|a|, |b|) * phi^2 terms
-    bound = max_a * max_b * max_f * phi * phi * min(len(ia), len(ib))
-    dtype = exact_dtype(bound)
-    rows = table.mul_row
-    gb = np.array(ib, dtype=np.intp)
-    A = np.array(ma, dtype=dtype)
-    B = np.array(mb, dtype=dtype)
-    ft = np.array(fold, dtype=dtype).reshape(phi, phi * phi)
-    out = np.zeros((table.size, phi), dtype=dtype)
+    ft, kf = fold_array(e)
+    phi = len(ft)
+    # each output coordinate sums at most min(|a|, |b|) products
+    dtype = exact_dtype(kf * max_abs(a.rows) * max_abs(b.rows)
+                        * min(len(a.keys), len(b.keys)))
+    B = b.rows.astype(dtype, copy=False)
     # row x of a acts on b's coordinates through the folded matrix G[x]
-    G = (A @ ft).reshape(len(ia), phi, phi)
-    for r, g in zip(ia, G):
-        # a Cayley-table row is a permutation, so targets never collide
-        out[rows(r)[gb]] += B @ g
-    den = da * db
-    nz = np.nonzero((out != 0).any(axis=1))[0]
-    return AlgElem(table, e, {i: CycloNum(e, [Fraction(x, den) for x in row])
-                              for i, row in zip(nz.tolist(), out[nz].tolist())})
+    G = (a.rows.astype(dtype, copy=False) @ ft.astype(dtype, copy=False)
+         ).reshape(-1, phi, phi)
+    out = np.zeros((phi, table.size), dtype=dtype)
+    for blk in row_blocks(len(a.keys), len(b.keys) * phi):
+        targets = table._table[a.keys[blk, None], b.keys].ravel()
+        values = (B @ G[blk]).reshape(-1, phi)
+        for c in range(phi):
+            np.add.at(out[c], targets, values[:, c])
+    return AlgElem.from_vec(table, e, (np.arange(table.size), out.T, a.den * b.den))
+
+
+def _elem(table, e, keys, rows, den) -> "AlgElem":
+    """The AlgElem of arrays that are canonical already."""
+    out = object.__new__(AlgElem)
+    out.table, out.e, out.keys, out.rows, out.den = table, e, keys, rows, den
+    return out
+
+
+def _canonical(keys, rows, den):
+    """(keys, rows, den) sorted, without zero rows, and with gcd 1."""
+    nz = (rows != 0).any(axis=1)
+    keys, rows = keys[nz], rows[nz]
+    order = np.argsort(keys)
+    keys, rows = keys[order].astype(np.intp, copy=False), rows[order]
+    g = math.gcd(content(rows), den)
+    if g > 1:
+        rows, den = rows // g, den // g
+    return keys, rows, den
 
 
 class AlgElem:
-    """A sparse element of the group algebra over Q(zeta_e)."""
+    """An element of the group algebra over Q(zeta_e), as integer arrays."""
 
-    __slots__ = ("table", "e", "coeffs")
+    __slots__ = ("table", "e", "keys", "rows", "den")
 
     def __init__(self, table: GroupTable, e: int, coeffs: dict):
-        self.table = table
-        self.e = e
-        self.coeffs = {i: c for i, c in coeffs.items() if not c.is_zero()}
+        """The element sum_g coeffs[g] g, for a dict g -> CycloNum."""
+        keys, rows, den = int_rows(coeffs)
+        rows = np.array(rows, dtype=exact_dtype(
+            max((abs(x) for row in rows for x in row), default=0)))
+        self.table, self.e = table, e
+        self.keys, self.rows, self.den = _canonical(
+            np.array(keys, dtype=np.intp),
+            rows.reshape(len(keys), len(power_fold(e))), den)
+
+    @classmethod
+    def from_vec(cls, table, e, vec) -> "AlgElem":
+        """The element of a vector (keys, rows, den): distinct keys, den > 0."""
+        return _elem(table, e, *_canonical(*vec))
 
     @classmethod
     def zero(cls, table, e) -> "AlgElem":
-        return cls(table, e, {})
+        return _elem(table, e, np.zeros(0, dtype=np.intp),
+                     np.zeros((0, len(power_fold(e))), dtype=np.int64), 1)
 
     @classmethod
     def delta(cls, table, e, i: int) -> "AlgElem":
-        return cls(table, e, {i: CycloNum.one(e)})
+        return _elem(table, e, np.array([i], dtype=np.intp), root_coords(e)[:1], 1)
 
     @classmethod
     def one(cls, table, e) -> "AlgElem":
         return cls.delta(table, e, table.identity)
 
+    @property
+    def vec(self):
+        """(keys, rows, den), the vector form SparseReducer takes."""
+        return self.keys, self.rows, self.den
+
+    @property
+    def coeffs(self):
+        """Read-only {g: CycloNum} view, built on each access."""
+        return MappingProxyType({
+            k: CycloNum(self.e, [Fraction(x, self.den) for x in row])
+            for k, row in zip(self.keys.tolist(), self.rows.tolist())})
+
     def _check(self, other: "AlgElem"):
         if self.table is not other.table or self.e != other.e:
             raise AlgebraError("elements live in different group algebras")
 
-    def __add__(self, other):
+    def _plus(self, other: "AlgElem", sign: int) -> "AlgElem":
+        """self + sign * other, summed on a dense (|G|, phi) array."""
         self._check(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            cur = out.get(i)
-            out[i] = c if cur is None else cur + c
-        return AlgElem(self.table, self.e, out)
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other if sign > 0 else -other
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        dtype = exact_dtype(max_abs(self.rows) * fa + max_abs(other.rows) * abs(fb))
+        out = np.zeros((self.table.size, self.rows.shape[1]), dtype=dtype)
+        out[self.keys] = self.rows.astype(dtype, copy=False) * fa
+        out[other.keys] += other.rows.astype(dtype, copy=False) * fb
+        return AlgElem.from_vec(self.table, self.e,
+                                (np.arange(self.table.size), out, den))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            cur = out.get(i)
-            out[i] = -c if cur is None else cur - c
-        return AlgElem(self.table, self.e, out)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return AlgElem(self.table, self.e, {i: -c for i, c in self.coeffs.items()})
+        return _elem(self.table, self.e, self.keys, -self.rows, self.den)
 
     def scale(self, s) -> "AlgElem":
         if not isinstance(s, CycloNum):
             s = CycloNum.rational(self.e, s)
-        return AlgElem(self.table, self.e, {i: c * s for i, c in self.coeffs.items()})
+        _, (c,), d = int_rows({0: s})
+        _, kf = fold_array(self.e)
+        dtype = exact_dtype(kf * max_abs(self.rows) * max(abs(x) for x in c))
+        rows = times(self.rows, c, self.e, dtype)
+        return AlgElem.from_vec(self.table, self.e, (self.keys, rows, self.den * d))
 
     def __mul__(self, other):
         if not isinstance(other, AlgElem):
@@ -117,53 +175,52 @@ class AlgElem:
             return NotImplemented
         return self.scale(other)
 
+    def _moved(self, keys, rows) -> "AlgElem":
+        """An element with new distinct keys and rows of the same content."""
+        order = np.argsort(keys)
+        return _elem(self.table, self.e, keys[order].astype(np.intp, copy=False),
+                     rows[order], self.den)
+
     def star(self) -> "AlgElem":
         """g -> g^-1 with conjugated coefficients (an anti-automorphism)."""
-        inv = self.table.inv
-        return AlgElem(self.table, self.e,
-                       {inv(i): c.conj() for i, c in self.coeffs.items()})
+        conj = galois(self.e, -1)   # an involution of Z^phi keeps the content
+        dtype = exact_dtype(max_abs(self.rows) * len(conj) * max_abs(conj))
+        return self._moved(self.table._inv[self.keys],
+                           self.rows.astype(dtype, copy=False)
+                           @ conj.astype(dtype, copy=False))
 
     def inner(self, other: "AlgElem") -> CycloNum:
-        """Hermitian inner product, conjugate-linear in self."""
-        self._check(other)
-        total = CycloNum.zero(self.e)
-        small, big = self.coeffs, other.coeffs
-        for i, c in small.items():
-            d = big.get(i)
-            if d is not None:
-                total = total + c.conj() * d
-        return total
+        """Hermitian inner product, conjugate-linear in self: the identity
+        coefficient of self* other."""
+        return (self.star() * other).coeff(self.table.identity)
 
     def left_translate(self, g: int) -> "AlgElem":
         """delta_g * self, computed without a full convolution."""
-        keys = list(self.coeffs)
-        targets = self.table._table[g, keys].tolist()
-        return AlgElem(self.table, self.e, dict(zip(targets, self.coeffs.values())))
+        return self._moved(self.table._table[g, self.keys], self.rows)
 
     def right_translate(self, g: int) -> "AlgElem":
         """self * delta_g."""
-        keys = list(self.coeffs)
-        targets = self.table._table[keys, g].tolist()
-        return AlgElem(self.table, self.e, dict(zip(targets, self.coeffs.values())))
+        return self._moved(self.table._table[self.keys, g], self.rows)
 
     def coeff(self, i: int) -> CycloNum:
-        return self.coeffs.get(i, CycloNum.zero(self.e))
+        j = int(np.searchsorted(self.keys, i))
+        if j == len(self.keys) or self.keys[j] != i:
+            return CycloNum.zero(self.e)
+        return CycloNum(self.e, [Fraction(x, self.den) for x in self.rows[j].tolist()])
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def support(self):
-        return sorted(self.coeffs)
+        return not len(self.keys)
 
     def __eq__(self, other):
         if not isinstance(other, AlgElem):
             return NotImplemented
         return (self.table is other.table and self.e == other.e
-                and self.coeffs == other.coeffs)
+                and self.den == other.den
+                and np.array_equal(self.keys, other.keys)
+                and np.array_equal(self.rows, other.rows))
 
     def __repr__(self):
-        pairs = ", ".join(f"{i}:{c!r}" for i, c in sorted(self.coeffs.items()))
+        pairs = ", ".join(f"{i}:{c!r}" for i, c in self.coeffs.items())
         return f"AlgElem({{{pairs}}})"
 
 
@@ -179,20 +236,17 @@ def idempotent_subgroup(table: GroupTable, e: int, indices) -> AlgElem:
         raise AlgebraError("index list not closed under inverse")
     if member[table._table[np.ix_(idx, idx)]].min() < 0:
         raise AlgebraError("index list not closed under multiplication")
-    c = CycloNum.rational(e, Fraction(1, len(idx_set)))
-    return AlgElem(table, e, {i: c for i in idx_set})
+    rows = np.repeat(root_coords(e)[:1], len(idx), axis=0)
+    return _elem(table, e, np.sort(idx), rows, len(idx))
 
 
 def idempotent_char(table: GroupTable, chi) -> AlgElem:
     """e_chi = |L|^-1 sum_l chi(l)^-1 l over the diagonal torus."""
     e = chi.e
     L = table.subgroup("L")
-    inv_count = Fraction(1, len(L))
-    coeffs = {}
-    for i in L:
-        t = chi.value_exponent_on_diag(table.diag(i))
-        coeffs[i] = CycloNum.root(e, -t) * inv_count
-    return AlgElem(table, e, coeffs)
+    ts = [-chi.value_exponent_on_diag(table.diag(i)) % e for i in L]
+    return AlgElem.from_vec(table, e, (np.array(L, dtype=np.intp),
+                                       root_coords(e)[ts], len(L)))
 
 
 def span_rank(elems) -> int:
@@ -207,5 +261,6 @@ def span_rank(elems) -> int:
     for a in elems:
         if a.table is not table or a.e != e:
             raise AlgebraError("mixed group algebras in span_rank")
-        rows.append([a.coeffs.get(i, zero) for i in range(size)])
+        coeffs = a.coeffs
+        rows.append([coeffs.get(i, zero) for i in range(size)])
     return cyclo_rank(CycloMatrix(e, rows))

@@ -82,6 +82,37 @@ def power_fold(e: int):
     return tuple(tuple(rows[s + t] for t in range(phi)) for s in range(phi))
 
 
+@lru_cache(maxsize=None)
+def fold_array(e: int):
+    """(F, kf): power_fold(e) as an int64 array of shape (phi, phi * phi), and
+    kf with |coordinate of a * b| <= kf * max|a| * max|b| in Z[zeta_e]."""
+    fold = power_fold(e)
+    ft = np.array(fold, dtype=np.int64).reshape(len(fold), -1)
+    ft.flags.writeable = False
+    return ft, len(fold) ** 2 * int(np.abs(ft).max())
+
+
+@lru_cache(maxsize=None)
+def root_coords(e: int):
+    """Int64 array whose row t holds the power-basis coordinates of zeta_e^t."""
+    _, rows = _conductor(e)
+    out = np.array(rows[:e], dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def galois(e: int, t: int):
+    """Integer matrix of z -> z^t on coordinate rows: v @ galois(e, t)."""
+    return root_coords(e)[t * np.arange(len(power_fold(e))) % e]
+
+
+def times(rows, c, e, dtype):
+    """rows * c in Z[zeta_e]: integer rows (k, phi) times integer coordinates c."""
+    ft, _ = fold_array(e)
+    m = np.array(c, dtype=dtype) @ ft.astype(dtype, copy=False)
+    return rows.astype(dtype, copy=False) @ m.reshape(len(ft), -1)
+
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -357,14 +388,19 @@ def int_rows(coeffs: dict):
 @lru_cache(maxsize=None)
 def _conjugations(e: int):
     """Matrices of the Galois maps z -> z^t, t a unit mod e other than 1."""
-    phi, rows = _conductor(e)
-    return [np.array([rows[t * j % e] for j in range(phi)], dtype=object)
-            for t in range(2, e) if math.gcd(t, e) == 1]
+    return [galois(e, t).astype(object) for t in range(2, e)
+            if math.gcd(t, e) == 1]
 
 
-def _content(a):
-    """gcd of the entries of an integer array (a one-entry reduce keeps its sign)."""
+def content(a):
+    """gcd of the entries of an integer array, 0 when it is empty or zero
+    (a one-entry reduce keeps its sign)."""
     return abs(int(np.gcd.reduce(a, axis=None)))
+
+
+def max_abs(a):
+    """Largest |entry| of an integer array, 0 when it is empty."""
+    return int(np.abs(a).max()) if a.size else 0
 
 
 def _lead(v, start):
@@ -374,9 +410,12 @@ def _lead(v, start):
 
 
 class SparseReducer:
-    """Incremental exact row reduction of sparse vectors (dict key -> CycloNum).
+    """Incremental exact row reduction of sparse vectors over Q(zeta_e).
 
-    Keys are non-negative integers. Pivot rows are normalized to leading
+    A vector is (keys, rows, den), the form AlgElem.vec gives: an integer
+    array of distinct non-negative keys, an integer array with one row of phi
+    power-basis coordinates per key, and a positive denominator; it stands
+    for rows[i] / den at keys[i]. Pivot rows are normalized to leading
     coefficient 1 and keyed by their least index; every key in a pivot row
     other than its lead is strictly larger than the lead, so reduction of any
     vector terminates with a remainder that is zero exactly when the vector
@@ -392,11 +431,8 @@ class SparseReducer:
 
     def __init__(self, e):
         self.e = e
-        fold = power_fold(e)
-        self._phi = len(fold)
-        self._ft = np.array(fold, dtype=np.int64).reshape(self._phi, -1)
-        # |coordinate of a * b| <= _kf * max|a| * max|b|
-        self._kf = self._phi ** 2 * int(np.abs(self._ft).max())
+        ft, self._kf = fold_array(e)
+        self._phi = len(ft)
         self._rows = []    # pivot arrays, from the lead key on
         self._dens = []
         self._maxes = []   # largest |entry| of each pivot array
@@ -404,23 +440,16 @@ class SparseReducer:
         self._at = {}      # lead key -> pivot index
         self._width = 0
 
-    def _times(self, rows, c, dtype):
-        """rows * c in Z[zeta]: integer rows (w, phi) times the element c."""
-        phi = self._phi
-        m = np.array(c, dtype=dtype) @ self._ft.astype(dtype, copy=False)
-        return rows.astype(dtype, copy=False) @ m.reshape(phi, phi)
-
     def _vector(self, vec):
-        """(integer rows, denominator) of a dict key -> CycloNum."""
-        keys, rows, den = int_rows(vec)
-        if keys and min(keys) < 0:
+        """Dense integer rows of the vector (keys, rows, den), den dropped."""
+        keys, rows, _ = vec
+        if len(keys) and keys.min() < 0:
             raise CycloError("reducer keys must be non-negative integers")
-        big = max((abs(x) for row in rows for x in row), default=0)
-        v = np.zeros((max(self._width, max(keys, default=-1) + 1), self._phi),
-                     dtype=exact_dtype(big))
-        if keys:
-            v[keys] = rows
-        return v, den
+        width = int(keys.max()) + 1 if len(keys) else 0
+        v = np.zeros((max(self._width, width), self._phi),
+                     dtype=exact_dtype(max_abs(rows)))
+        v[keys] = rows
+        return v
 
     def _reduce(self, v):
         """(remainder, its lead or None, steps) for integer rows v.
@@ -444,8 +473,8 @@ class SparseReducer:
             v = v.astype(dtype, copy=False)
             tail = v[k:]
             tail *= D
-            tail[:len(R)] -= self._times(R, c, dtype)
-            g = _content(tail)
+            tail[:len(R)] -= times(R, c, self.e, dtype)
+            g = content(tail)
             if g > 1:
                 tail //= g
                 num *= g
@@ -462,7 +491,7 @@ class SparseReducer:
         """
         out = np.array([[1] + [0] * (self._phi - 1)], dtype=object)
         for s in _conjugations(self.e):
-            out = self._times(out, np.array(a, dtype=object) @ s, object)
+            out = times(out, np.array(a, dtype=object) @ s, self.e, object)
         return out[0].tolist()
 
     def _insert(self, v, k):
@@ -471,9 +500,9 @@ class SparseReducer:
         nz = np.flatnonzero(v[k:].any(axis=1))
         tail = v[k:k + int(nz[-1]) + 1]
         mv = int(np.abs(tail).max())
-        R = self._times(tail, adj, exact_dtype(
+        R = times(tail, adj, self.e, exact_dtype(
             self._kf * mv * max(abs(x) for x in adj)))
-        g = _content(R)
+        g = content(R)
         if R[0, 0] < 0:
             g = -g
         R //= g
@@ -488,21 +517,21 @@ class SparseReducer:
 
     def feed(self, vec) -> bool:
         """Insert vec; True when it enlarged the span."""
-        v, k, _ = self._reduce(self._vector(vec)[0])
+        v, k, _ = self._reduce(self._vector(vec))
         if k is None:
             return False
         self._insert(v, k)
         return True
 
     def contains(self, vec) -> bool:
-        return self._reduce(self._vector(vec)[0])[1] is None
+        return self._reduce(self._vector(vec))[1] is None
 
     def coords_list(self, vec):
         """Coordinates in insertion order of pivots; None if vec is outside."""
-        v, den = self._vector(vec)
-        _, k, steps = self._reduce(v)
+        _, k, steps = self._reduce(self._vector(vec))
         if k is not None:
             return None
+        den = vec[2]
         out = [CycloNum.zero(self.e)] * self.rank
         for j, c, num, d in steps:
             out[j] = CycloNum(self.e, [Fraction(x * num, d * den) for x in c])
@@ -513,10 +542,13 @@ class SparseReducer:
         return len(self._rows)
 
     def basis_rows(self):
-        """Pivot rows, lead coefficient 1, in insertion order."""
-        return [{lead + i: CycloNum(self.e, [Fraction(x, D) for x in row])
-                 for i, row in enumerate(R.tolist()) if any(row)}
-                for R, D, lead in zip(self._rows, self._dens, self._leads)]
+        """Pivot rows as vectors (keys, rows, den), lead coefficient 1, in
+        insertion order."""
+        out = []
+        for R, D, lead in zip(self._rows, self._dens, self._leads):
+            nz = np.flatnonzero((R != 0).any(axis=1))
+            out.append((lead + nz, R[nz], D))
+        return out
 
 
 class AffineSolution:

@@ -268,10 +268,6 @@ class GroupTable(object):
     def mat(self, i: int):
         return self.elements[i]
 
-    def mul_row(self, i: int):
-        """Row of the multiplication table: j -> index of g_i * g_j."""
-        return self._table[i]
-
     def py_rows(self):
         """Multiplication table as nested Python-int lists.
 

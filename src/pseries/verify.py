@@ -25,7 +25,8 @@ from .chars import (LeviChar, all_levi_chars, conjugacy_class_count,
                     principal_series_count, stabilizer, stabilizer_degrees,
                     stabilizer_irrep_count, stabilizer_order, unit_structures)
 from .cyclo import (CycloError, CycloMatrix, CycloNum, SparseReducer,
-                    exact_dtype, int_rows, solve_affine)
+                    exact_dtype, fold_array, galois, max_abs, power_fold,
+                    solve_affine)
 from .groups import PermWord, enumerate_gl, factor_ulv, row_blocks
 from .rings import RingSpec, residue_structure
 
@@ -194,7 +195,7 @@ class Verifier:
         queue = []
 
         def feed(a):
-            if red.feed(a.coeffs):
+            if red.feed(a.vec):
                 queue.append(a)
 
         feed(eU1)
@@ -205,11 +206,11 @@ class Verifier:
             pos += 1
             feed(a * eU1)
             feed(a * eV1)
-        basis = [AlgElem(table, 1, row) for row in red.basis_rows()]
+        basis = [AlgElem.from_vec(table, 1, row) for row in red.basis_rows()]
         k = len(basis)
 
         def coords_q(elem: AlgElem):
-            cl = red.coords_list(elem.coeffs)
+            cl = red.coords_list(elem.vec)
             if cl is None:
                 raise VerifyAlarm("product left the algebra generated by e_U, e_V")
             return [c.as_fraction() for c in cl]
@@ -291,8 +292,10 @@ class Verifier:
             candidates.append(xs)
 
         def lift(a: AlgElem) -> AlgElem:
-            return AlgElem(table, e, {i: CycloNum.rational(e, c.as_fraction())
-                                      for i, c in a.coeffs.items()})
+            # a rational coordinate q at conductor 1 is (q, 0, ..., 0) at e
+            rows = np.zeros((len(a.keys), len(power_fold(e))), dtype=a.rows.dtype)
+            rows[:, :1] = a.rows
+            return AlgElem.from_vec(table, e, (a.keys, rows, a.den))
 
         for xs in candidates:
             z = build(xs)
@@ -346,7 +349,7 @@ class Verifier:
             expected = int(trq)
             red = SparseReducer(self.e)
             for g in range(self.table.size):
-                red.feed(E.left_translate(g).coeffs)
+                red.feed(E.left_translate(g).vec)
                 if red.rank == expected:
                     break
             if red.rank != expected:
@@ -365,41 +368,51 @@ class Verifier:
         Esig = self.E(sigma)
         out = SparseReducer(self.e)
         for row in red.basis_rows():
-            out.feed((Esig * AlgElem(self.table, self.e, row)).coeffs)
+            out.feed((Esig * AlgElem.from_vec(self.table, self.e, row)).vec)
         return out.rank
 
     def pind_character(self, chi: LeviChar):
-        """Character values of the induced module, one CycloNum per element.
+        """Character of the induced module: (values, den), with values an
+        integer array (|G|, phi) whose row g over den is the value at g.
 
-        chi(g) = sum_x E(x^-1 g^-1 x), summed on E's integer coordinates.
+        chi(g) = sum_x E(x^-1 g^-1 x), summed on E's integer coordinates for
+        a block of g at a time.
         """
         key = chi.key()
         if key not in self._pind_char:
             table, size = self.table, self.table.size
-            keys, rows, den = int_rows(self.E(chi).coeffs)
-            top = max((abs(x) for row in rows for x in row), default=0)
-            dense = np.zeros((size, len(CycloNum.zero(self.e).c)),
-                             dtype=exact_dtype(top * size))
-            dense[keys] = rows
+            E = self.E(chi)
+            dense = np.zeros((size, E.rows.shape[1]),
+                             dtype=exact_dtype(max_abs(E.rows) * size))
+            dense[E.keys] = E.rows
             mul, inv, xs = table._table, table._inv, np.arange(size)
-            out = []
-            for g in range(size):
-                sums = dense[mul[mul[inv, inv[g]], xs]].sum(axis=0)
-                out.append(CycloNum(self.e, [Fraction(int(x), den) for x in sums]))
-            self._pind_char[key] = out
+            out = np.empty_like(dense)
+            for gs in row_blocks(size, size * dense.shape[1]):
+                # entry (g, x) is x^-1 g^-1 x
+                conj = mul[mul[inv, inv[gs, None]], xs]
+                out[gs] = dense[conj].sum(axis=1)
+            self._pind_char[key] = out, E.den
         return self._pind_char[key]
 
     def _character_dim(self, chi: LeviChar, sigma: LeviChar) -> int:
-        """dim Hom via the averaged inner product of the two characters."""
-        a = self.pind_character(chi)
-        b = self.pind_character(sigma)
-        total = CycloNum.zero(self.e)
-        for x, y in zip(a, b):
-            total = total + x * y.conj()
-        val = (total * Fraction(1, self.table.size)).as_fraction()
-        if val.denominator != 1:
+        """dim Hom via the averaged inner product of the two characters.
+
+        sum_g a(g) conj(b(g)) is A^T (B C) contracted with the fold tensor,
+        C the matrix of complex conjugation; it is divided once, at the end.
+        """
+        A, da = self.pind_character(chi)
+        B, db = self.pind_character(sigma)
+        ft, kf = fold_array(self.e)
+        phi, size = len(ft), self.table.size
+        conj = galois(self.e, -1)
+        dtype = exact_dtype(kf * size * phi * max_abs(conj)
+                            * max_abs(A) * max_abs(B))
+        A, B, conj, ft = (x.astype(dtype, copy=False) for x in (A, B, conj, ft))
+        total = (A.T @ (B @ conj)).reshape(-1) @ ft.reshape(phi * phi, phi)
+        q, r = divmod(int(total[0]), size * da * db)
+        if r or (total[1:] != 0).any():
             raise VerifyAlarm("character inner product is not an integer")
-        return int(val)
+        return q
 
     def intertwining_dim_oracle(self, chi: LeviChar, sigma: LeviChar) -> int:
         s = self._sandwich_rank(chi, sigma)
@@ -421,12 +434,12 @@ class Verifier:
         mred = self.module_reducer(chi)
         bred = SparseReducer(e)
         for row in mred.basis_rows():
-            bred.feed((E * AlgElem(table, e, row)).coeffs)
+            bred.feed((E * AlgElem.from_vec(table, e, row)).vec)
         k = bred.rank
-        basis = [AlgElem(table, e, row) for row in bred.basis_rows()]
+        basis = [AlgElem.from_vec(table, e, row) for row in bred.basis_rows()]
 
         def coords(elem):
-            cl = bred.coords_list(elem.coeffs)
+            cl = bred.coords_list(elem.vec)
             if cl is None:
                 raise VerifyAlarm("product left the endomorphism algebra")
             return cl
@@ -718,16 +731,16 @@ class Verifier:
         red_cw = SparseReducer(e)
         red_vcw = SparseReducer(e)
         for g in range(t.size):
-            red_cw.feed(cw.right_translate(g).coeffs)
-            red_vcw.feed(vcw.right_translate(g).coeffs)
+            red_cw.feed(cw.right_translate(g).vec)
+            red_vcw.feed(vcw.right_translate(g).vec)
         phi_red = SparseReducer(e)
         for l in t.subgroup("L"):
             wl = t.mul(widx, l)
-            phi_red.feed((self.c_uv.right_translate(wl) * self.c_uv).coeffs)
+            phi_red.feed((self.c_uv.right_translate(wl) * self.c_uv).vec)
         # with every cell element inside phi_red's span, the joint span is
         # that span, so containment alone decides span equality
         cell_in_span = all(
-            phi_red.contains((self.c_uv.right_translate(g) * self.c_uv).coeffs)
+            phi_red.contains((self.c_uv.right_translate(g) * self.c_uv).vec)
             for g in t.cells.get(w, ()))
         data = {
             "rank_cw": red_cw.rank,
@@ -772,7 +785,7 @@ class Verifier:
                 gens.append(self.c_uv.right_translate(wl) * self.c_uv)
         red = SparseReducer(self.e)
         for g in gens:
-            red.feed(g.coeffs)
+            red.feed(g.vec)
         expect = len(t.subgroup("W")) * len(t.subgroup("L"))
         return CheckResult("prop3.7", "pass" if red.rank == expect else "fail",
                            {"rank": expect}, {"rank": red.rank})

@@ -1,9 +1,11 @@
 """Group algebra arithmetic: exact convolution, star, idempotents, spans."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import pseries.algebra as algebra
@@ -71,9 +73,31 @@ def test_mul_matches_naive_oracle():
             assert a * b == naive_mul(a, b)
 
 
+def linear_oracle(a, b, sign):
+    """a + sign * b on the coefficient dicts."""
+    out = dict(a.coeffs)
+    for k, c in b.coeffs.items():
+        out[k] = out.get(k, CycloNum.zero(a.e)) + c * sign
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def moved_oracle(a, key, conj=False):
+    """The coefficient dict of a with g moved to key(g), conjugated on request."""
+    return {key(k): c.conj() if conj else c for k, c in a.coeffs.items()}
+
+
+def assert_canonical(a):
+    keys, rows, den = a.vec
+    assert keys.dtype == np.intp and keys.tolist() == sorted(set(keys.tolist()))
+    assert rows.shape == (len(keys), len(CycloNum.zero(a.e).c))
+    assert (rows != 0).any(axis=1).all()
+    assert type(den) is int and den > 0
+    assert math.gcd(*rows.ravel().tolist(), den) == 1
+
+
 def test_huge_coefficients_stay_exact():
-    # past the int64 overflow bound the kernel sums exact Python ints; at
-    # 10^12 each entry fits in int64 but their products do not
+    # past the int64 overflow bound every operation runs on exact Python
+    # ints; at 10^12 each entry fits in int64 but their products do not
     rng = random.Random(2)
     for big, (spec, e) in itertools.product(
             [10 ** 12, 10 ** 40], [("GF(2,1)", 1), ("GF(3,1)", 4), ("GF(3,1)", 8)]):
@@ -84,6 +108,48 @@ def test_huge_coefficients_stay_exact():
         assert a * b == want
         assert b * a == naive_mul(b, a)
         assert want * a == naive_mul(want, a)
+        s = CycloNum.root(e, 1) * Fraction(big, 3) + Fraction(1, big)
+        g = rng.randrange(t.size)
+        for got, oracle in [
+                (a + b, linear_oracle(a, b, 1)),
+                (want - a, linear_oracle(want, a, -1)),
+                (a.scale(s), {k: c * s for k, c in a.coeffs.items()}),
+                (want.star(), moved_oracle(want, t.inv, conj=True)),
+                (want.left_translate(g), moved_oracle(want, lambda k: t.mul(g, k))),
+                (b.right_translate(g), moved_oracle(b, lambda k: t.mul(k, g)))]:
+            assert got.coeffs == oracle
+            assert_canonical(got)
+
+
+def test_routes_agree_and_are_canonical():
+    # equality is array equality, so every route to one value must end in
+    # the same canonical arrays
+    rng = random.Random(10)
+    for spec, e in [("GF(3,1)", 1), ("GF(3,1)", 4), ("Z/4", 8)]:
+        t = table_for(spec, 2)
+        for _ in range(4):
+            # at most 20 keys in the product, so some key is left for a zero
+            a, b = rand_elem(t, e, rng, 5), rand_elem(t, e, rng, 4)
+            g = rng.randrange(t.size)
+            want = naive_mul(a, b)
+            spare = next(k for k in range(t.size) if k not in want.coeffs)
+            scaled = {k: c * Fraction(3, 7) for k, c in want.coeffs.items()}
+            scaled[spare] = CycloNum.zero(e)
+            routes = [
+                a * b,
+                AlgElem(t, e, scaled).scale(Fraction(7, 3)),
+                (want + b) - b,
+                (want + want).scale(Fraction(1, 2)),
+                want.star().star(),
+                want.left_translate(g).left_translate(t.inv(g)),
+                want.right_translate(g).right_translate(t.inv(g)),
+            ]
+            for got in routes:
+                assert got == want
+                assert got.coeffs == want.coeffs
+                assert_canonical(got)
+            zero = want - want
+            assert zero == AlgElem.zero(t, e) and zero.den == 1 and zero.is_zero()
 
 
 def test_product_with_empty_factor():

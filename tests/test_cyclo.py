@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic against closed forms and float cross-checks."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,23 @@ def combine(e, coeffs, vecs):
         for k, val in vec.items():
             out[k] = out.get(k, CycloNum.zero(e)) + cf * val
     return out
+
+
+def as_vec(e, vec):
+    """The reducers' input (keys, integer rows, den) of a dict key -> CycloNum."""
+    keys = sorted(vec)
+    den = math.lcm(*(f.denominator for k in keys for f in vec[k].c))
+    rows = [[int(f * den) for f in vec[k].c] for k in keys]
+    return (np.array(keys, dtype=np.intp),
+            np.array(rows, dtype=object).reshape(len(keys), len(CycloNum.zero(e).c)),
+            den)
+
+
+def as_dict(e, vec):
+    """The dict key -> CycloNum of a vector (keys, rows, den)."""
+    keys, rows, den = vec
+    return {k: CycloNum(e, [Fraction(x, den) for x in row])
+            for k, row in zip(keys.tolist(), rows.tolist())}
 
 
 def test_cyclotomic_poly_known_values():
@@ -211,7 +229,7 @@ def test_sparse_reducer_matches_dense_rank():
             vecs.append(vec)
             after = rank(CycloMatrix(e, [[v.get(j, zero) for j in range(30)]
                                          for v in vecs]))
-            assert red.feed(vec) == (after > before)
+            assert red.feed(as_vec(e, vec)) == (after > before)
             assert red.rank == after
 
 
@@ -223,19 +241,19 @@ def test_sparse_reducer_membership_and_coords():
         for i in range(4):
             vec = {i: rand_num(e, rng, top) + 1, 10 + i: rand_num(e, rng, top),
                    20 + i: rand_num(e, rng)}
-            red.feed(vec)
+            red.feed(as_vec(e, vec))
             basis.append(vec)
         # a random combination of basis rows is contained, with matching coordinates
         combo = combine(e, [rand_num(e, rng) for _ in range(4)], basis)
-        assert red.contains(combo)
-        got = red.coords_list(combo)
+        assert red.contains(as_vec(e, combo))
+        got = red.coords_list(as_vec(e, combo))
         assert got is not None
-        rows = red.basis_rows()
+        rows = [as_dict(e, row) for row in red.basis_rows()]
         assert all(row[min(row)] == CycloNum.one(e) for row in rows)
         rebuilt = combine(e, got, rows)
         for k in set(combo) | set(rebuilt):
             assert (combo.get(k, CycloNum.zero(e)) - rebuilt.get(k, CycloNum.zero(e))).is_zero()
         # something outside the span
         outside = {25: CycloNum.one(e)}
-        assert not red.contains(outside)
-        assert red.coords_list(outside) is None
+        assert not red.contains(as_vec(e, outside))
+        assert red.coords_list(as_vec(e, outside)) is None
