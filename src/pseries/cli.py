@@ -135,12 +135,8 @@ def cmd_verify(args) -> int:
 def cmd_intertwine(args) -> int:
     ring = parse_ring_spec(args.ring)
     v = Verifier(ring, args.n, args.seed, _max_cost(args))
-    chars = v.chars
-    keys = [c.key() for c in chars]
-    formula = [[v.intertwining_dim_formula(chi, sig) for sig in chars]
-               for chi in chars]
-    oracle = [[v.intertwining_dim_oracle(chi, sig) for sig in chars]
-              for chi in chars]
+    keys = [c.key() for c in v.chars]
+    formula, oracle = v.intertwining_matrices()
     agree = formula == oracle
     payload = {
         "ring": ring.canonical_str,

@@ -288,16 +288,12 @@ class GroupTable(object):
         m = self.elements[i]
         return tuple(m[k][k] for k in range(self.n))
 
-    def det_of(self, i: int):
-        return self.dets[i]
-
     def bruhat_label(self, i: int) -> PermWord:
         return self.labels[i]
 
     def conjugated(self, indices, widx: int):
-        """Indices of w^-1 h w for h in indices."""
-        winv = self.inv(widx)
-        return tuple(self.mul(self.mul(winv, h), widx) for h in indices)
+        """Indices of w^-1 h w for h in indices, as an array."""
+        return self._table[self._table[self._inv[widx], indices], widx]
 
     def __repr__(self):
         return f"GroupTable(GL_{self.n}({self.ring.canonical_str}), |G|={self.size})"

@@ -410,24 +410,12 @@ def parse_ring_spec(text: str) -> RingSpec:
 
 
 class ResidueStructure:
-    """Maximal ideals, residue fields and the entrywise reduction map.
-
-    Construction re-verifies, on every pair of elements of every local
-    factor, that reduction respects + and *.
-    """
+    """Maximal ideals, residue fields and the entrywise reduction map."""
 
     def __init__(self, ring: RingSpec):
         self.ring = ring
         self.ideals = tuple(r.ideal for r in ring.locals)
         self.residue_ring = RingSpec(tuple(r.residue_ring for r in ring.locals))
-        for r in ring.locals:
-            rr = r.residue_ring
-            for a in range(r.size):
-                for b in range(r.size):
-                    if r.reduce(r.add(a, b)) != rr.add(r.reduce(a), r.reduce(b)):
-                        raise RingError(f"reduction not additive on {r.spec_str}")
-                    if r.reduce(r.mul(a, b)) != rr.mul(r.reduce(a), r.reduce(b)):
-                        raise RingError(f"reduction not multiplicative on {r.spec_str}")
 
     def reduce(self, a):
         return tuple(r.reduce(x) for r, x in zip(self.ring.locals, a))

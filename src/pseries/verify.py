@@ -123,6 +123,22 @@ class EndAlgebra:
     structure: list             # structure constants in the chosen basis
 
 
+def _products(t, *factors):
+    """Every product f_1 ... f_k of elements of the index lists, gathered from
+    the Cayley table in nested-loop order (the last factor varies fastest)."""
+    out = np.asarray(factors[0], dtype=np.intp)
+    for f in factors[1:]:
+        out = t._table[out[:, None], np.asarray(f, dtype=np.intp)].ravel()
+    return out
+
+
+def _mask(t, idx):
+    """Boolean membership array of the given indices over G."""
+    out = np.zeros(t.size, dtype=bool)
+    out[np.asarray(idx, dtype=np.intp)] = True
+    return out
+
+
 def compositions(n: int):
     """All ordered compositions of n."""
     out = []
@@ -155,10 +171,10 @@ class Verifier:
         t, e = self.table, self.e
         self.eU = idempotent_subgroup(t, e, t.subgroup("U"))
         self.eV = idempotent_subgroup(t, e, t.subgroup("V"))
-        self.eL = idempotent_subgroup(t, e, t.subgroup("L"))
         self.c_uv = self.eU * self.eV
         self.c_vu = self.eV * self.eU
         self._halmos = None
+        self._ulv = None
         self._echi = {}
         self._E = {}
         self._module = {}
@@ -168,6 +184,15 @@ class Verifier:
         self._local_verifiers = None
 
     # -- basic cached objects ------------------------------------------------
+
+    @property
+    def ulv(self):
+        """Every product u l v, in (u, l, v) loop order."""
+        if self._ulv is None:
+            t = self.table
+            self._ulv = _products(t, t.subgroup("U"), t.subgroup("L"),
+                                  t.subgroup("V"))
+        return self._ulv
 
     def e_chi(self, chi: LeviChar) -> AlgElem:
         key = chi.key()
@@ -423,6 +448,15 @@ class Verifier:
                 f"sandwich {s}, character {c}")
         return s
 
+    def intertwining_matrices(self):
+        """(formula, oracle): dim Hom matrices over all character pairs."""
+        chars = self.chars
+        formula = [[self.intertwining_dim_formula(chi, sig) for sig in chars]
+                   for chi in chars]
+        oracle = [[self.intertwining_dim_oracle(chi, sig) for sig in chars]
+                  for chi in chars]
+        return formula, oracle
+
     # -- endomorphism algebras -------------------------------------------------
 
     def end_algebra(self, chi: LeviChar) -> EndAlgebra:
@@ -539,33 +573,28 @@ class Verifier:
 
     def check_ulv(self) -> CheckResult:
         """(a) U x L x V -> G is injective, and membership matches factor_ulv."""
-        t = self.table
-        U, L, V = t.subgroup("U"), t.subgroup("L"), t.subgroup("V")
-        seen = {}
-        for u in U:
-            for l in L:
-                ul = t.mul(u, l)
-                for v in V:
-                    g = t.mul(ul, v)
-                    if g in seen:
-                        return CheckResult("prop3.2a", "fail",
-                                           {"distinct_products": len(U) * len(L) * len(V)},
-                                           {"collision_at": g})
-                    seen[g] = (u, l, v)
+        t, ulv = self.table, self.ulv
+        seen = _mask(t, ulv)
+        if seen.sum() != len(ulv):
+            # the first product, in loop order, that repeats an earlier one
+            order = np.argsort(ulv, kind="stable")
+            repeats = order[1:][ulv[order[1:]] == ulv[order[:-1]]]
+            return CheckResult("prop3.2a", "fail", {"distinct_products": len(ulv)},
+                               {"collision_at": int(ulv[repeats.min()])})
         mismatch = 0
-        uset, lset, vset = set(U), set(L), set(V)
+        in_u, in_l, in_v = (_mask(t, t.subgroup(h)) for h in "ULV")
         for g in range(t.size):
             f = factor_ulv(self.ring, t.mat(g))
-            if (f is not None) != (g in seen):
+            if (f is not None) != seen[g]:
                 mismatch += 1
                 continue
             if f is not None:
                 ui, li, vi = (t.index[f[0]], t.index[f[1]], t.index[f[2]])
-                if (ui not in uset or li not in lset or vi not in vset
+                if (not (in_u[ui] and in_l[li] and in_v[vi])
                         or t.mul(t.mul(ui, li), vi) != g):
                     mismatch += 1
-        expected = {"distinct_products": len(U) * len(L) * len(V), "mismatches": 0}
-        actual = {"distinct_products": len(seen), "mismatches": mismatch}
+        expected = {"distinct_products": len(ulv), "mismatches": 0}
+        actual = {"distinct_products": len(ulv), "mismatches": mismatch}
         status = "pass" if expected == actual else "fail"
         return CheckResult("prop3.2a", status, expected, actual)
 
@@ -589,22 +618,14 @@ class Verifier:
     def check_kernel_orderings(self) -> CheckResult:
         """(c) all six orderings of (U_0, L_0, V_0) multiply bijectively onto G_0."""
         t = self.table
-        g0 = set(t.subgroup("G0"))
-        u0 = [i for i in t.subgroup("U") if i in g0]
-        l0 = [i for i in t.subgroup("L") if i in g0]
-        v0 = [i for i in t.subgroup("V") if i in g0]
+        g0 = t.subgroup("G0")
+        in_g0 = _mask(t, g0)
+        u0, l0, v0 = ([i for i in t.subgroup(h) if in_g0[i]] for h in "ULV")
         bad = []
         for perm in itertools.permutations(((u0, "U0"), (l0, "L0"), (v0, "V0"))):
-            (xa, _), (xb, _), (xc, _) = perm
-            prods = set()
-            for a in xa:
-                for b in xb:
-                    ab = t.mul(a, b)
-                    for c in xc:
-                        prods.add(t.mul(ab, c))
-            name = "".join(nm for _, nm in perm)
-            if len(prods) != len(u0) * len(l0) * len(v0) or prods != g0:
-                bad.append(name)
+            prods = _products(t, *(x for x, _ in perm))
+            if len(prods) != len(g0) or not _mask(t, prods)[in_g0].all():
+                bad.append("".join(nm for _, nm in perm))
         expected = {"bijective_orderings": 6, "failing": []}
         actual = {"bijective_orderings": 6 - len(bad), "failing": bad}
         return CheckResult("prop3.2c", "pass" if not bad else "fail",
@@ -613,19 +634,13 @@ class Verifier:
     def check_unipotent_splitting(self) -> CheckResult:
         """(d) (U cap U^w) x (U cap V^w) -> U is a bijection for every w."""
         t = self.table
-        uset = set(t.subgroup("U"))
-        vset = set(t.subgroup("V"))
+        U, V = np.asarray(t.subgroup("U")), t.subgroup("V")
         bad = []
         for w, widx in t.weyl_to_index.items():
-            uw = set(t.conjugated(t.subgroup("U"), widx))
-            vw = set(t.conjugated(t.subgroup("V"), widx))
-            a = sorted(uset & uw)
-            b = sorted(uset & vw)
-            prods = set()
-            for x in a:
-                for y in b:
-                    prods.add(t.mul(x, y))
-            if len(prods) != len(a) * len(b) or prods != uset:
+            a = U[_mask(t, t.conjugated(U, widx))[U]]
+            b = U[_mask(t, t.conjugated(V, widx))[U]]
+            prods = _products(t, a, b)
+            if len(prods) != len(U) or not _mask(t, prods)[U].all():
                 bad.append(repr(w))
         expected = {"failing_w": []}
         actual = {"failing_w": bad}
@@ -640,17 +655,12 @@ class Verifier:
         bad = []
         for w in t.weyl:
             widx = t.weyl_to_index[w]
-            cell = set(t.cells.get(w, ()))
-            prods = set()
-            for v in V:
-                vw = t.mul(v, widx)
-                for l in L:
-                    vwl = t.mul(vw, l)
-                    for u in U:
-                        vwlu = t.mul(vwl, u)
-                        for g0 in G0:
-                            prods.add(t.mul(vwlu, g0))
-            if prods != cell or t.bruhat_label(widx) != w:
+            # deduplicated after each factor, so no stage exceeds |G|
+            prods = V
+            for f in ((widx,), L, U, G0):
+                prods = np.flatnonzero(_mask(t, _products(t, prods, f)))
+            if (not np.array_equal(prods, t.cells.get(w, ()))
+                    or t.bruhat_label(widx) != w):
                 bad.append(repr(w))
         expected = {"covered": t.size, "failing_w": []}
         actual = {"covered": total, "failing_w": bad}
@@ -660,12 +670,7 @@ class Verifier:
     def check_cell_separation(self) -> CheckResult:
         """(f) ULV misses t^-1 U r for every ordered pair t != r, l(t) <= l(r)."""
         t = self.table
-        ulv = set()
-        for u in t.subgroup("U"):
-            for l in t.subgroup("L"):
-                ul = t.mul(u, l)
-                for v in t.subgroup("V"):
-                    ulv.add(t.mul(ul, v))
+        in_ulv = _mask(t, self.ulv)
         bad = []
         pairs = 0
         for wt in t.weyl:
@@ -675,10 +680,8 @@ class Verifier:
                 pairs += 1
                 ti = t.inv(t.weyl_to_index[wt])
                 ri = t.weyl_to_index[wr]
-                for u in t.subgroup("U"):
-                    if t.mul(t.mul(ti, u), ri) in ulv:
-                        bad.append(f"{wt!r},{wr!r}")
-                        break
+                if in_ulv[_products(t, (ti,), t.subgroup("U"), (ri,))].any():
+                    bad.append(f"{wt!r},{wr!r}")
         expected = {"pairs": pairs, "intersecting": []}
         actual = {"pairs": pairs, "intersecting": bad}
         return CheckResult("prop3.2f", "pass" if not bad else "fail", expected, actual)
@@ -791,11 +794,7 @@ class Verifier:
                            {"rank": expect}, {"rank": red.rank})
 
     def check_theorem1(self) -> CheckResult:
-        chars = self.chars
-        formula = [[self.intertwining_dim_formula(chi, sig) for sig in chars]
-                   for chi in chars]
-        oracle = [[self.intertwining_dim_oracle(chi, sig) for sig in chars]
-                  for chi in chars]
+        formula, oracle = self.intertwining_matrices()
         status = "pass" if formula == oracle else "fail"
         return CheckResult("thm1", status, {"dims": formula}, {"dims": oracle})
 
@@ -840,6 +839,7 @@ class Verifier:
             tf = lv.table
             ef = ringf.unit_exponent()
             structs = unit_structures(ringf)
+            eLf = idempotent_subgroup(tf, ef, tf.subgroup("L"))
             for chi1 in factor_chars(structs[0], ef):
                 # multiplicativity of chi1(det .) on all pairs
                 dexp = [chi1.value_exponent(tf.dets[i][0])
@@ -849,9 +849,6 @@ class Verifier:
                            for rows in row_blocks(tf.size, tf.size)):
                     failures.append(f"factor{f}:exps{chi1.exps}:multiplicative")
                     continue
-                eUf = idempotent_subgroup(tf, ef, tf.subgroup("U"))
-                eVf = idempotent_subgroup(tf, ef, tf.subgroup("V"))
-                eLf = idempotent_subgroup(tf, ef, tf.subgroup("L"))
 
                 def twist(a: AlgElem) -> AlgElem:
                     return AlgElem(tf, ef, {
@@ -859,7 +856,7 @@ class Verifier:
                         for i, c in a.coeffs.items()})
 
                 chi = LeviChar(ringf, self.n, ef, ((chi1,) * self.n,))
-                if twist(eUf) != eUf or twist(eVf) != eVf:
+                if twist(lv.eU) != lv.eU or twist(lv.eV) != lv.eV:
                     failures.append(f"factor{f}:exps{chi1.exps}:unipotent")
                 if twist(idempotent_char(tf, chi)) != eLf:
                     failures.append(f"factor{f}:exps{chi1.exps}:echi")
@@ -870,50 +867,27 @@ class Verifier:
     def check_levi_support(self) -> CheckResult:
         """Block factorizations e_U = e_U' e_U'' and the L' U'' V'' injectivity."""
         t, e, n = self.table, self.e, self.n
+        # nonzero[g, a, b]: entry (a, b) of element g is nonzero
+        nonzero = (np.array(t.elements) != np.array(self.ring.zero)).any(axis=-1)
+        U, V = np.asarray(t.subgroup("U")), np.asarray(t.subgroup("V"))
+        above = np.triu(np.ones((n, n), dtype=bool), 1)
+
+        def zero_at(idx, where):
+            return idx[~nonzero[idx][:, where].any(axis=1)]
+
         failures = []
         for comp in compositions(n):
-            block = []
-            for bi, sz in enumerate(comp):
-                block.extend([bi] * sz)
-
-            def is_zero_entry(mat, i, j):
-                return mat[i][j] == self.ring.zero
-
-            U = t.subgroup("U")
-            V = t.subgroup("V")
-            u_in = [i for i in U
-                    if all(is_zero_entry(t.mat(i), a, b)
-                           for a in range(n) for b in range(n)
-                           if a < b and block[a] != block[b])]
-            u_out = [i for i in U
-                     if all(is_zero_entry(t.mat(i), a, b)
-                            for a in range(n) for b in range(n)
-                            if a < b and block[a] == block[b])]
-            v_in = [i for i in V
-                    if all(is_zero_entry(t.mat(i), a, b)
-                           for a in range(n) for b in range(n)
-                           if a > b and block[a] != block[b])]
-            v_out = [i for i in V
-                     if all(is_zero_entry(t.mat(i), a, b)
-                            for a in range(n) for b in range(n)
-                            if a > b and block[a] == block[b])]
-            levi = [i for i in range(t.size)
-                    if all(is_zero_entry(t.mat(i), a, b)
-                           for a in range(n) for b in range(n)
-                           if block[a] != block[b])]
-            eU = self.eU
-            eV = self.eV
-            if idempotent_subgroup(t, e, u_in) * idempotent_subgroup(t, e, u_out) != eU:
+            block = np.repeat(np.arange(len(comp)), comp)
+            cross = block[:, None] != block[None, :]
+            u_in, u_out = zero_at(U, above & cross), zero_at(U, above & ~cross)
+            v_in, v_out = zero_at(V, above.T & cross), zero_at(V, above.T & ~cross)
+            levi = zero_at(np.arange(t.size), cross)
+            if idempotent_subgroup(t, e, u_in) * idempotent_subgroup(t, e, u_out) != self.eU:
                 failures.append(f"{comp}:eU")
-            if idempotent_subgroup(t, e, v_in) * idempotent_subgroup(t, e, v_out) != eV:
+            if idempotent_subgroup(t, e, v_in) * idempotent_subgroup(t, e, v_out) != self.eV:
                 failures.append(f"{comp}:eV")
-            prods = set()
-            for l in levi:
-                for u in u_out:
-                    lu = t.mul(l, u)
-                    for v in v_out:
-                        prods.add(t.mul(lu, v))
-            if len(prods) != len(levi) * len(u_out) * len(v_out):
+            prods = _products(t, levi, u_out, v_out)
+            if _mask(t, prods).sum() != len(prods):
                 failures.append(f"{comp}:injectivity")
         return CheckResult("lem3.12", "pass" if not failures else "fail",
                            {"failures": []}, {"failures": failures})

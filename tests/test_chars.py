@@ -100,6 +100,7 @@ def test_unit_char_orthogonality():
             for u in units:
                 for v in units:
                     uv = loc.mul(u, v)
+                    assert uv == loc.mul(v, u)
                     assert chi.value_exponent(uv) == (
                         chi.value_exponent(u) + chi.value_exponent(v)) % e
 

@@ -1,13 +1,16 @@
 """Verification engine internals on small groups; the acceptance file runs the gate."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
 from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
-                     idempotent_subgroup, orbit_reps, parse_ring_spec, span_rank,
-                     stabilizer, stabilizer_degrees)
+                     factor_ulv, idempotent_subgroup, orbit_reps, parse_ring_spec,
+                     span_rank, stabilizer, stabilizer_degrees)
+from pseries.algebra import AlgebraError
+from pseries.verify import compositions
 
 
 def test_halmos_identities_recomputed(vget):
@@ -217,3 +220,123 @@ def test_full_suite_small_fields(vget):
         report = vget(spec, n).run_checks()
         assert report.all_passed, report.to_text()
         assert report.summary["total"] == len(vget(spec, n).check_order())
+
+
+def loop_products(t, *factors):
+    """Products f_1 ... f_k by nested loops over t.mul, last factor fastest."""
+    out = [t.identity]
+    for f in factors:
+        out = [t.mul(a, b) for a in out for b in f]
+    return out
+
+
+def nested_loop_check(v, cid):
+    """(status, expected, actual) of a group-level check, by nested loops."""
+    t, ring, n = v.table, v.ring, v.n
+    U, L, V, G0 = (t.subgroup(h) for h in ("U", "L", "V", "G0"))
+    status = lambda bad: "fail" if bad else "pass"
+    if cid == "prop3.2a":
+        seen, size = set(), len(U) * len(L) * len(V)
+        for g in loop_products(t, U, L, V):
+            if g in seen:
+                return "fail", {"distinct_products": size}, {"collision_at": g}
+            seen.add(g)
+        mismatch = 0
+        for g in range(t.size):
+            f = factor_ulv(ring, t.mat(g))
+            if f is None:
+                mismatch += g in seen
+            else:
+                ui, li, vi = (t.index[m] for m in f)
+                mismatch += not (g in seen and ui in U and li in L and vi in V
+                                 and t.mul(t.mul(ui, li), vi) == g)
+        return (status(mismatch), {"distinct_products": size, "mismatches": 0},
+                {"distinct_products": len(seen), "mismatches": mismatch})
+    if cid == "prop3.2c":
+        parts = [([i for i in H if i in G0], nm)
+                 for H, nm in ((U, "U0"), (L, "L0"), (V, "V0"))]
+        bad = []
+        for perm in itertools.permutations(parts):
+            prods = loop_products(t, *(h for h, _ in perm))
+            if len(set(prods)) != len(prods) or set(prods) != set(G0):
+                bad.append("".join(nm for _, nm in perm))
+        return (status(bad), {"bijective_orderings": 6, "failing": []},
+                {"bijective_orderings": 6 - len(bad), "failing": bad})
+    if cid == "prop3.2d":
+        bad = []
+        for w, widx in t.weyl_to_index.items():
+            conj = lambda H: {t.mul(t.mul(t.inv(widx), h), widx) for h in H}
+            uw, vw = conj(U), conj(V)
+            prods = loop_products(t, [u for u in U if u in uw],
+                                  [u for u in U if u in vw])
+            if len(set(prods)) != len(prods) or set(prods) != set(U):
+                bad.append(repr(w))
+        return status(bad), {"failing_w": []}, {"failing_w": bad}
+    if cid == "prop3.2e":
+        bad = [repr(w) for w, widx in t.weyl_to_index.items()
+               if set(loop_products(t, V, [widx], L, U, G0)) != set(t.cells.get(w, ()))
+               or t.bruhat_label(widx) != w]
+        total = sum(len(c) for c in t.cells.values())
+        return ("fail" if bad or total != t.size else "pass",
+                {"covered": t.size, "failing_w": []},
+                {"covered": total, "failing_w": bad})
+    if cid == "prop3.2f":
+        ulv = set(loop_products(t, U, L, V))
+        pairs = [(a, b) for a in t.weyl for b in t.weyl
+                 if a != b and a.length <= b.length]
+        bad = [f"{a!r},{b!r}" for a, b in pairs
+               if ulv & set(loop_products(t, [t.inv(t.weyl_to_index[a])], U,
+                                          [t.weyl_to_index[b]]))]
+        return (status(bad), {"pairs": len(pairs), "intersecting": []},
+                {"pairs": len(pairs), "intersecting": bad})
+    assert cid == "lem3.12"
+    failures = []
+    for comp in compositions(n):
+        block = [i for i, size in enumerate(comp) for _ in range(size)]
+
+        def zero_at(H, where):
+            return [h for h in H if all(t.mat(h)[a][b] == ring.zero
+                                        for a in range(n) for b in range(n)
+                                        if where(a, b, block[a] == block[b]))]
+
+        def eprod(H, where_in, where_out):
+            return (idempotent_subgroup(t, v.e, zero_at(H, where_in))
+                    * idempotent_subgroup(t, v.e, zero_at(H, where_out)))
+
+        if eprod(U, lambda a, b, s: a < b and not s, lambda a, b, s: a < b and s) != v.eU:
+            failures.append(f"{comp}:eU")
+        if eprod(V, lambda a, b, s: a > b and not s, lambda a, b, s: a > b and s) != v.eV:
+            failures.append(f"{comp}:eV")
+        prods = loop_products(t, zero_at(range(t.size), lambda a, b, s: not s),
+                              zero_at(U, lambda a, b, s: a < b and s),
+                              zero_at(V, lambda a, b, s: a > b and s))
+        if len(set(prods)) != len(prods):
+            failures.append(f"{comp}:injectivity")
+    return status(failures), {"failures": []}, {"failures": failures}
+
+
+def test_group_checks_match_nested_loops():
+    # each swap breaks some of prop3.2 (a)-(f) or lem3.12, so the fail paths
+    # (collision_at, failing lists) are compared as well as the passes
+    ids = ["prop3.2a", "prop3.2c", "prop3.2d", "prop3.2e", "prop3.2f", "lem3.12"]
+    swaps = [None, ("V", "U"), ("G0", "L"), ("L", "U"), ("U", "N"), ("G0", "U")]
+    statuses = set()
+    for spec, n in [("GF(3,1)", 2), ("Z/4", 2), ("Z/6", 2), ("GF(2,1)", 3)]:
+        for swap in swaps:
+            v = Verifier(parse_ring_spec(spec), n)
+            if swap:
+                v.table.subgroups[swap[0]] = v.table.subgroups[swap[1]]
+            for cid in ids:
+                try:
+                    r = v._check_method(cid)()
+                    got = r.status, r.expected, r.actual
+                except AlgebraError as ex:   # a swapped U is no longer a group
+                    got = "raise", str(ex)
+                try:
+                    want = nested_loop_check(v, cid)
+                except AlgebraError as ex:
+                    want = "raise", str(ex)
+                assert got == want, (spec, n, swap, cid)
+                statuses.add((swap is None, got[0], "collision_at" in str(got)))
+    assert statuses >= {(True, "pass", False), (False, "fail", False),
+                        (False, "fail", True)}
