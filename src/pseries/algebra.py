@@ -30,36 +30,91 @@ class AlgebraError(Exception):
     pass
 
 
-def _mul_dense(a: "AlgElem", b: "AlgElem") -> "AlgElem":
-    """Exact convolution on the integer rows, a block of a's support at a time.
+# gathered entries per row block of the product kernel, twice the table
+# gathers' budget: at 2^14 per-block overhead dominates (a product of two
+# 1764-term elements of GF(7,1) n=2 took 48 ms, and 23-29 ms at 2^15-2^16)
+_MUL_BLOCK = 1 << 15
 
-    For a block of a's keys x and all of b's keys y, the targets x * y are
-    gathered from the Cayley table and the coordinates of a_x b_y come from
-    one matmul.  Targets collide across a block, so np.add.at sums them, one
-    coordinate at a time into a contiguous row of the (phi, |G|) sum, where
-    its one-dimensional form runs several times faster than its row form.
-    Sums run in int64 when the overflow bound allows it and in exact Python
-    ints (object arrays) otherwise; both dtypes take the same steps.
+
+def matmul_dtype(bound):
+    """The dtype of an exact integer matmul whose every partial sum is at most
+    `bound` in absolute value: float64 below 2^53, where BLAS runs it and
+    every partial sum is an integer that float64 holds exactly, whatever the
+    summation order; int64 below 2^62; exact Python ints (object) above."""
+    return np.float64 if bound < 2 ** 53 else exact_dtype(bound)
+
+
+def stack(vecs):
+    """Vectors (keys, rows, den) as one stack (keys, rows, den) over the union
+    of their keys and their common denominator; rows has shape
+    (k, len(keys), phi)."""
+    vecs = list(vecs)
+    # a mask, not np.unique: its first call imports numpy.ma, ~20 ms
+    keys = np.concatenate([v[0] for v in vecs])
+    present = np.zeros(int(keys.max(initial=-1)) + 1, dtype=bool)
+    present[keys] = True
+    keys = np.flatnonzero(present)
+    den = math.lcm(*(v[2] for v in vecs))
+    dtype = exact_dtype(max(max_abs(r) * (den // d) for _, r, d in vecs))
+    rows = np.zeros((len(vecs), len(keys), vecs[0][1].shape[1]), dtype=dtype)
+    for i, (k, r, d) in enumerate(vecs):
+        rows[i, np.searchsorted(keys, k)] = r.astype(dtype, copy=False) * (den // d)
+    return keys, rows, den
+
+
+def _mul_dense(a: "AlgElem", vecs):
+    """The products a * v for a stack of k vectors v that share one key array.
+
+    `vecs` is (keys, rows, den): vector i is rows[i] / den on keys, with rows
+    of shape (k, len(keys), phi), or (len(keys), phi) for a stack of one such
+    as AlgElem.vec.  Returns (arange(|G|), out, a.den * den), out an exact
+    integer array of shape (k, |G|, phi), dense over G.
+
+    (a v)(g) = sum_y a(g y^-1) v(y) = sum_x a(x) v(x^-1 g).  The kernel
+    contracts over whichever index set gathers fewer entries from the Cayley
+    table: over v's keys y it gathers a's group matrix a(g y^-1) once for all
+    k vectors (|G| len(keys) entries); over a's support x it gathers v(x^-1 g)
+    for every vector (|G| |a| k entries).  Either way it runs one matmul per
+    row block of g, in the dtype matmul_dtype picks from a bound on the sum
+    of |terms| of every output coordinate.
     """
     table, e = a.table, a.e
-    if a.is_zero() or b.is_zero():
-        return AlgElem.zero(table, e)
+    keys, rows, den = vecs
     ft, kf = fold_array(e)
-    phi = len(ft)
-    # each output coordinate sums at most min(|a|, |b|) products
-    dtype = exact_dtype(kf * max_abs(a.rows) * max_abs(b.rows)
-                        * min(len(a.keys), len(b.keys)))
-    B = b.rows.astype(dtype, copy=False)
-    # row x of a acts on b's coordinates through the folded matrix G[x]
-    G = (a.rows.astype(dtype, copy=False) @ ft.astype(dtype, copy=False)
-         ).reshape(-1, phi, phi)
-    out = np.zeros((phi, table.size), dtype=dtype)
-    for blk in row_blocks(len(a.keys), len(b.keys) * phi):
-        targets = table._table[a.keys[blk, None], b.keys].ravel()
-        values = (B @ G[blk]).reshape(-1, phi)
-        for c in range(phi):
-            np.add.at(out[c], targets, values[:, c])
-    return AlgElem.from_vec(table, e, (np.arange(table.size), out.T, a.den * b.den))
+    phi, size = len(ft), table.size
+    V = rows[None] if rows.ndim == 2 else rows
+    k, m, na = len(V), len(keys), len(a.keys)
+    bound = kf * max_abs(a.rows) * max_abs(V) * min(na, m)
+    out = np.zeros((k, size, phi), dtype=exact_dtype(bound))
+    if not bound:
+        return np.arange(size), out, a.den * den
+    dtype = matmul_dtype(bound)
+    # fold[s, (t, c)]: coordinate c of z^(s+t), symmetric in s and t
+    fold = ft.astype(dtype)
+    g_all = np.arange(size)
+    if m <= na * k:
+        A = np.zeros((size, phi), dtype=dtype)
+        A[a.keys] = a.rows
+        # W[(y, s), (i, c)] = sum_t v_i(y)_t fold[t, (s, c)]
+        W = (V.astype(dtype).reshape(-1, phi) @ fold).reshape(
+            k, m, phi, phi).transpose(1, 2, 0, 3).reshape(m * phi, k * phi)
+        cols = table._inv[keys]
+        for gs in row_blocks(size, m * phi, _MUL_BLOCK):
+            # np.take gathers whole rows several times faster than A[idx]
+            Ag = np.take(A, table._table[gs][:, cols], axis=0)
+            block = Ag.reshape(-1, m * phi) @ W
+            out[:, gs] = block.reshape(-1, k, phi).transpose(1, 0, 2)
+    else:
+        Vd = np.zeros((k, size, phi), dtype=dtype)
+        Vd[:, keys] = V
+        # Ga[(x, t), c] = sum_s a(x)_s fold[s, (t, c)]
+        Ga = (a.rows.astype(dtype) @ fold).reshape(na * phi, phi)
+        xinv = table._inv[a.keys]
+        for gs in row_blocks(size, na * k * phi, _MUL_BLOCK):
+            idx = table._table[xinv[None, :], g_all[gs, None]]
+            block = np.take(Vd, idx, axis=1).reshape(-1, na * phi) @ Ga
+            out[:, gs] = block.reshape(k, -1, phi)
+    return g_all, out, a.den * den
 
 
 def _elem(table, e, keys, rows, den) -> "AlgElem":
@@ -168,7 +223,8 @@ class AlgElem:
         if not isinstance(other, AlgElem):
             return self.scale(other)
         self._check(other)
-        return _mul_dense(self, other)
+        keys, rows, den = _mul_dense(self, other.vec)
+        return AlgElem.from_vec(self.table, self.e, (keys, rows[0], den))
 
     def __rmul__(self, other):
         if isinstance(other, AlgElem):

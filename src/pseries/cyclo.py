@@ -3,8 +3,11 @@
 Numbers are stored in the power basis 1, z, ..., z^(phi(e)-1) with rational
 coefficients, where z is a primitive e-th root of unity and phi is Euler's
 totient.  Products reduce modulo the e-th cyclotomic polynomial, so all
-arithmetic is exact; floating point appears only in to_complex(), which is
-for diagnostics and never feeds a pass/fail decision.
+arithmetic is exact.  Here floating point appears only in to_complex(), whose
+values are cross-checked exactly wherever they are used.  On these integer
+coordinates, the group-algebra product kernel (algebra._mul_dense) also runs
+exact integer matmuls in float64, but only when an a-priori bound keeps every
+partial sum below 2^53, where float64 holds every integer exactly.
 
 Linear algebra runs on one engine, SparseReducer: fraction-free elimination
 on integer power-basis coordinates in numpy arrays.  solve_affine is built on

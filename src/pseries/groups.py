@@ -123,9 +123,10 @@ def _local_gl(local, n):
 _BLOCK = 1 << 14
 
 
-def row_blocks(rows, width):
-    """Slices covering range(rows), each about _BLOCK entries of the given width."""
-    step = max(1, _BLOCK // width)
+def row_blocks(rows, width, budget=_BLOCK):
+    """Slices covering range(rows), each about `budget` entries of the given
+    width."""
+    step = max(1, budget // width)
     return (slice(r, min(r + step, rows)) for r in range(0, rows, step))
 
 

@@ -1,8 +1,10 @@
 """Verification engine for the principal-series structure of GL_n(R).
 
-Everything that decides pass/fail is exact (rational or cyclotomic); the
-only floating point is the eigenvalue splitting that guesses Wedderburn
-block sizes, and every integer it produces is cross-checked exactly.
+Everything that decides pass/fail is exact (rational or cyclotomic).
+Floating point appears in two places: the eigenvalue splitting that guesses
+Wedderburn block sizes, whose integers are cross-checked exactly, and the
+float64 matmuls of the product kernel, which run only when an a-priori bound
+keeps every partial sum an integer below 2^53 and so are exact.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgElem, idempotent_char, idempotent_subgroup
+from .algebra import (AlgElem, _mul_dense, idempotent_char,
+                      idempotent_subgroup, stack)
 from .chars import (LeviChar, all_levi_chars, conjugacy_class_count,
                     factor_chars, orbit, orbit_reps, partition_count,
                     principal_series_count, stabilizer, stabilizer_degrees,
@@ -178,8 +181,12 @@ class Verifier:
         self._echi = {}
         self._E = {}
         self._module = {}
+        self._module_stack = None
+        self._sandwich = {}
         self._pind_char = {}
         self._end = {}
+        self._conj = {}
+        self._double_labels = None
         self._phi = {}
         self._local_verifiers = None
 
@@ -387,14 +394,36 @@ class Verifier:
     def intertwining_dim_formula(self, chi: LeviChar, sigma: LeviChar) -> int:
         return sum(1 for w in self.table.weyl if chi.acted(w) == sigma)
 
+    @property
+    def module_stack(self):
+        """(stack, ends): the module_reducer bases of every character as one
+        stack, chars[i]'s vectors ending at ends[i].  Pivot arrays are
+        positive multiples of the basis vectors, so over den 1 they span the
+        same modules."""
+        if self._module_stack is None:
+            bases = [self.module_reducer(chi).basis_rows() for chi in self.chars]
+            self._module_stack = (stack((k, r, 1) for b in bases for k, r, _ in b),
+                                  np.cumsum([len(b) for b in bases]))
+        return self._module_stack
+
     def _sandwich_rank(self, chi: LeviChar, sigma: LeviChar) -> int:
-        """rank{E_sigma g E_chi : g in G} via a basis of the chi module."""
-        red = self.module_reducer(chi)
-        Esig = self.E(sigma)
-        out = SparseReducer(self.e)
-        for row in red.basis_rows():
-            out.feed((Esig * AlgElem.from_vec(self.table, self.e, row)).vec)
-        return out.rank
+        """rank{E_sigma g E_chi : g in G}, from the ranks cached per sigma.
+
+        E_sigma times a basis of the chi module spans that set.  One kernel
+        call multiplies E_sigma by the module bases of every chi, and fills
+        the cache for sigma.
+        """
+        key = sigma.key()
+        if key not in self._sandwich:
+            vecs, ends = self.module_stack
+            keys, prods, _ = _mul_dense(self.E(sigma), vecs)
+            ranks = self._sandwich[key] = {}
+            for c, lo, hi in zip(self.chars, [0, *ends], ends):
+                red = SparseReducer(self.e)
+                for row in prods[lo:hi]:
+                    red.feed((keys, row, 1))
+                ranks[c.key()] = red.rank
+        return self._sandwich[key][chi.key()]
 
     def pind_character(self, chi: LeviChar):
         """Character of the induced module: (values, den), with values an
@@ -453,9 +482,11 @@ class Verifier:
         chars = self.chars
         formula = [[self.intertwining_dim_formula(chi, sig) for sig in chars]
                    for chi in chars]
-        oracle = [[self.intertwining_dim_oracle(chi, sig) for sig in chars]
-                  for chi in chars]
-        return formula, oracle
+        # sigma-major: the first pair of each sigma fills its cached column
+        # of sandwich ranks with one kernel call
+        columns = [[self.intertwining_dim_oracle(chi, sig) for chi in chars]
+                   for sig in chars]
+        return formula, [list(row) for row in zip(*columns)]
 
     # -- endomorphism algebras -------------------------------------------------
 
@@ -464,21 +495,27 @@ class Verifier:
         if key in self._end:
             return self._end[key]
         table, e = self.table, self.e
-        E = self.E(chi)
-        mred = self.module_reducer(chi)
+        # E times the chi module is B; pivot arrays over den 1 span the module
+        keys, prods, _ = _mul_dense(self.E(chi), stack(
+            (k, r, 1) for k, r, _ in self.module_reducer(chi).basis_rows()))
         bred = SparseReducer(e)
-        for row in mred.basis_rows():
-            bred.feed((E * AlgElem.from_vec(table, e, row)).vec)
+        for row in prods:
+            bred.feed((keys, row, 1))
         k = bred.rank
-        basis = [AlgElem.from_vec(table, e, row) for row in bred.basis_rows()]
+        basis_vecs = bred.basis_rows()
+        basis = [AlgElem.from_vec(table, e, row) for row in basis_vecs]
+        basis_stack = stack(basis_vecs)
 
-        def coords(elem):
-            cl = bred.coords_list(elem.vec)
+        def coords(vec):
+            cl = bred.coords_list(vec)
             if cl is None:
                 raise VerifyAlarm("product left the endomorphism algebra")
             return cl
 
-        struct = [[coords(basis[i] * basis[j]) for j in range(k)] for i in range(k)]
+        struct = []
+        for b in basis:
+            keys, prods, den = _mul_dense(b, basis_stack)
+            struct.append([coords((keys, row, den)) for row in prods])
 
         # center: exact nullity of the commutation system
         rows = []
@@ -710,41 +747,61 @@ class Verifier:
         status = "pass" if expected == actual else "fail"
         return CheckResult("lem3.3", status, expected, actual)
 
+    def conjugates(self, w: PermWord):
+        """(e_{U^w}, e_{V^w}, V^w) for a Weyl element, built once."""
+        key = w.perms
+        if key not in self._conj:
+            t = self.table
+            widx = t.weyl_to_index[w]
+            Uw, Vw = (t.conjugated(t.subgroup(h), widx) for h in "UV")
+            self._conj[key] = (idempotent_subgroup(t, self.e, Uw),
+                               idempotent_subgroup(t, self.e, Vw), Vw)
+        return self._conj[key]
+
     def check_lemma34(self) -> CheckResult:
-        t = self.table
         bad = []
-        for w, widx in t.weyl_to_index.items():
-            euw = idempotent_subgroup(t, self.e, t.conjugated(t.subgroup("U"), widx))
-            evw = idempotent_subgroup(t, self.e, t.conjugated(t.subgroup("V"), widx))
+        for w in self.table.weyl_to_index:
+            euw, evw, _ = self.conjugates(w)
             if self.eV * euw * evw != self.eV * self.eU * evw:
                 bad.append(repr(w))
         return CheckResult("lem3.4", "pass" if not bad else "fail",
                            {"failing_w": []}, {"failing_w": bad})
+
+    def _sandwiches(self, gs):
+        """The vectors of c_uv g c_uv for g in gs, from one kernel call on the
+        left translates g c_uv."""
+        if not len(gs):
+            return []
+        keys, prods, den = _mul_dense(self.c_uv, stack(
+            self.c_uv.left_translate(int(g)).vec for g in gs))
+        return [(keys, row, den) for row in prods]
 
     def _phi_data(self, w: PermWord):
         key = w.perms
         if key in self._phi:
             return self._phi[key]
         t, e = self.table, self.e
-        widx = t.weyl_to_index[w]
-        euw = idempotent_subgroup(t, e, t.conjugated(t.subgroup("U"), widx))
-        evw = idempotent_subgroup(t, e, t.conjugated(t.subgroup("V"), widx))
+        euw, evw, Vw = self.conjugates(w)
         cw = euw * evw
         vcw = self.eV * cw
+        # c_w h = c_w for h in V^w, so c_w and e_V c_w have one right
+        # translate per coset V^w g; min(V^w g) labels it
         red_cw = SparseReducer(e)
         red_vcw = SparseReducer(e)
-        for g in range(t.size):
+        for g in np.flatnonzero(_mask(t, t._table[Vw].min(axis=0))).tolist():
             red_cw.feed(cw.right_translate(g).vec)
             red_vcw.feed(vcw.right_translate(g).vec)
         phi_red = SparseReducer(e)
-        for l in t.subgroup("L"):
-            wl = t.mul(widx, l)
-            phi_red.feed((self.c_uv.right_translate(wl) * self.c_uv).vec)
+        for vec in self._sandwiches(_products(t, (t.weyl_to_index[w],),
+                                              t.subgroup("L"))):
+            phi_red.feed(vec)
         # with every cell element inside phi_red's span, the joint span is
-        # that span, so containment alone decides span equality
-        cell_in_span = all(
-            phi_red.contains((self.c_uv.right_translate(g) * self.c_uv).vec)
-            for g in t.cells.get(w, ()))
+        # that span, so containment alone decides span equality; and
+        # c_uv (v g u) c_uv = c_uv g c_uv, so one g per double coset V g U
+        # of the cell decides it
+        cell = np.asarray(t.cells.get(w, ()), dtype=np.intp)
+        cell_in_span = all(phi_red.contains(vec) for vec in self._sandwiches(
+            np.flatnonzero(_mask(t, self.double_coset_labels[cell]))))
         data = {
             "rank_cw": red_cw.rank,
             "rank_vcw": red_vcw.rank,
@@ -753,6 +810,16 @@ class Verifier:
         }
         self._phi[key] = data
         return data
+
+    @property
+    def double_coset_labels(self):
+        """label[g] = min(V g U), the least element of g's double coset."""
+        if self._double_labels is None:
+            t = self.table
+            V, U = (np.asarray(t.subgroup(h)) for h in "VU")
+            right = t._table[V].min(axis=0)       # min(V g)
+            self._double_labels = right[t._table[:, U]].min(axis=1)
+        return self._double_labels
 
     def check_phi_w(self, w: PermWord) -> dict:
         """Sub-checks (i)-(iii) for one Weyl element."""
@@ -781,14 +848,9 @@ class Verifier:
 
     def check_lin_independence(self) -> CheckResult:
         t = self.table
-        gens = []
-        for w in t.subgroup("W"):
-            for l in t.subgroup("L"):
-                wl = t.mul(w, l)
-                gens.append(self.c_uv.right_translate(wl) * self.c_uv)
         red = SparseReducer(self.e)
-        for g in gens:
-            red.feed(g.vec)
+        for vec in self._sandwiches(_products(t, t.subgroup("W"), t.subgroup("L"))):
+            red.feed(vec)
         expect = len(t.subgroup("W")) * len(t.subgroup("L"))
         return CheckResult("prop3.7", "pass" if red.rank == expect else "fail",
                            {"rank": expect}, {"rank": red.rank})
@@ -829,7 +891,12 @@ class Verifier:
         return CheckResult("thm2", status, expected, actual)
 
     def check_scalar_twist(self) -> CheckResult:
-        """Twisting by a determinant character fixes e_U, e_V, moves e_chi to e_L."""
+        """Twisting by a determinant character fixes e_U, e_V, moves e_chi to e_L.
+
+        chi1(det .) is multiplicative on G when det is and chi1 is, so det
+        is tested once per factor on |G|^2 pairs, and each chi1 only on the
+        |R^x|^2 pairs of units.
+        """
         expected = {"failures": []}
         failures = []
         factor_verifiers = (self.local_verifiers()
@@ -840,15 +907,19 @@ class Verifier:
             ef = ringf.unit_exponent()
             structs = unit_structures(ringf)
             eLf = idempotent_subgroup(tf, ef, tf.subgroup("L"))
+            loc = ringf.locals[0]
+            unit_at = {u: i for i, u in enumerate(loc.units)}
+            umul = np.array([[unit_at[loc.mul(a, b)] for b in loc.units]
+                             for a in loc.units])
+            d = np.array([unit_at[tf.dets[i][0]] for i in range(tf.size)])
+            det_ok = all((umul[d[rows, None], d] == d[tf._table[rows]]).all()
+                         for rows in row_blocks(tf.size, tf.size))
             for chi1 in factor_chars(structs[0], ef):
-                # multiplicativity of chi1(det .) on all pairs
-                dexp = [chi1.value_exponent(tf.dets[i][0])
-                        for i in range(tf.size)]
-                d = np.array(dexp)
-                if not all(((d[rows, None] + d) % ef == d[tf._table[rows]]).all()
-                           for rows in row_blocks(tf.size, tf.size)):
+                v = np.array([chi1.value_exponent(u) for u in loc.units])
+                if not (det_ok and ((v[:, None] + v) % ef == v[umul]).all()):
                     failures.append(f"factor{f}:exps{chi1.exps}:multiplicative")
                     continue
+                dexp = v[d].tolist()
 
                 def twist(a: AlgElem) -> AlgElem:
                     return AlgElem(tf, ef, {

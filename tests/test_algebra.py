@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pseries.algebra as algebra
+from pseries.cyclo import fold_array
 from pseries import (AlgElem, CycloNum, all_levi_chars, enumerate_gl,
                      idempotent_char, idempotent_subgroup, parse_ring_spec,
                      span_rank)
@@ -62,15 +63,33 @@ def test_one_is_neutral():
         assert one * a == a == a * one
 
 
+def stacked_products(a, bs):
+    """a * b for every b, from one kernel call on the stacked bs."""
+    keys, rows, den = algebra._mul_dense(a, algebra.stack(b.vec for b in bs))
+    assert rows.shape == (len(bs), a.table.size, len(CycloNum.zero(a.e).c))
+    return [AlgElem.from_vec(a.table, a.e, (keys, r, den)) for r in rows]
+
+
+def assert_products_match_oracle(a, bs):
+    """Single products (a stack of one) and one stack of all bs with a zero
+    vector among them both equal the naive convolution."""
+    want = [naive_mul(a, b) for b in bs]
+    assert [a * b for b in bs] == want
+    zero = AlgElem.zero(a.table, a.e)
+    got = stacked_products(a, [bs[0], zero, *bs[1:]])
+    assert got == [want[0], zero, *want[1:]]
+
+
 def test_mul_matches_naive_oracle():
+    # supports from a few keys to all of G take both contraction orders
     rng = random.Random(1)
-    for spec, n, e in [("GF(2,1)", 2, 1), ("GF(3,1)", 2, 2),
+    for spec, n, e in [("GF(2,1)", 2, 1), ("GF(3,1)", 2, 3),
                        ("GF(3,1)", 2, 8), ("Z/4", 2, 4)]:
         t = table_for(spec, n)
         for support in [3, t.size // 2, t.size]:
             a = rand_elem(t, e, rng, support)
-            b = rand_elem(t, e, rng, support)
-            assert a * b == naive_mul(a, b)
+            bs = [rand_elem(t, e, rng, s) for s in (support, 2)]
+            assert_products_match_oracle(a, bs)
 
 
 def linear_oracle(a, b, sign):
@@ -95,10 +114,41 @@ def assert_canonical(a):
     assert math.gcd(*rows.ravel().tolist(), den) == 1
 
 
+def full_width_elem(table, e, rng, support, M):
+    """An element with den 1, entries uniform in [-M, M] and max |entry| M,
+    so that products of such entries use every bit below their bound."""
+    phi = len(CycloNum.zero(e).c)
+    keys = np.array(rng.sample(range(table.size), support), dtype=np.intp)
+    rows = np.array([[rng.randint(-M, M) for _ in range(phi)] for _ in keys],
+                    dtype=object)
+    rows[0, 0] = M
+    a = AlgElem.from_vec(table, e, (keys, rows, 1))
+    assert a.den == 1 and algebra.max_abs(a.rows) == M
+    return a
+
+
 def test_huge_coefficients_stay_exact():
-    # past the int64 overflow bound every operation runs on exact Python
-    # ints; at 10^12 each entry fits in int64 but their products do not
+    # the product kernel's bound is kf * max|a| * max|b| * min(|a|, |b|);
+    # scales just below and just above 2^53 and 2^62 run its float64, int64
+    # and exact object matmuls, and each must equal the naive convolution
     rng = random.Random(2)
+    dtypes = set()
+    for (spec, e), limit, side in itertools.product(
+            [("GF(2,1)", 1), ("GF(3,1)", 3), ("GF(3,1)", 4), ("Z/4", 8)],
+            [2 ** 53, 2 ** 62], [0, 1]):
+        t = table_for(spec, 2)
+        support = min(9, t.size)
+        per = fold_array(e)[1] * support
+        M = math.isqrt(limit // per) + side
+        bound = per * M * M
+        assert (bound >= limit) == bool(side)
+        dtypes.add(algebra.matmul_dtype(bound))
+        a = full_width_elem(t, e, rng, support, M)
+        bs = [full_width_elem(t, e, rng, support, M) for _ in range(2)]
+        assert_products_match_oracle(a, bs)
+    assert dtypes == {np.float64, np.int64, object}
+    # past the int64 bound every other operation runs on exact Python ints
+    # too; at 10^12 each entry fits in int64 but their products do not
     for big, (spec, e) in itertools.product(
             [10 ** 12, 10 ** 40], [("GF(2,1)", 1), ("GF(3,1)", 4), ("GF(3,1)", 8)]):
         t = table_for(spec, 2)
@@ -106,8 +156,7 @@ def test_huge_coefficients_stay_exact():
         b = rand_elem(t, e, rng, 9).scale(Fraction(big, 7))
         want = naive_mul(a, b)
         assert a * b == want
-        assert b * a == naive_mul(b, a)
-        assert want * a == naive_mul(want, a)
+        assert_products_match_oracle(want, [a, b])
         s = CycloNum.root(e, 1) * Fraction(big, 3) + Fraction(1, big)
         g = rng.randrange(t.size)
         for got, oracle in [

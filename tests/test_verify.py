@@ -9,6 +9,7 @@ import pytest
 from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
                      factor_ulv, idempotent_subgroup, orbit_reps, parse_ring_spec,
                      span_rank, stabilizer, stabilizer_degrees)
+from pseries import algebra
 from pseries.algebra import AlgebraError
 from pseries.verify import compositions
 
@@ -63,15 +64,17 @@ def test_E_is_idempotent_and_spans_like_cuv(vget):
 
 def test_sandwich_shortcut_matches_full_sweep(vget):
     # rank over module basis rows must equal the rank over all |G| translates
-    for spec, n in [("GF(2,1)", 2), ("GF(3,1)", 2)]:
+    for spec, n in [("GF(2,1)", 2), ("GF(3,1)", 2), ("GF(2,2)", 2), ("Z/4", 2)]:
         v = vget(spec, n)
         chars = all_levi_chars(v.ring, n)
         for chi in chars:
             for sigma in chars:
-                Echi, Esig = v.E(chi), v.E(sigma)
+                # E_sigma g E_chi for every g, from one stacked product
+                keys, prods, den = algebra._mul_dense(v.E(sigma), algebra.stack(
+                    v.E(chi).left_translate(g).vec for g in range(v.table.size)))
                 red = SparseReducer(v.e)
-                for g in range(v.table.size):
-                    red.feed((Esig * Echi.left_translate(g)).vec)
+                for row in prods:
+                    red.feed((keys, row, den))
                 assert v._sandwich_rank(chi, sigma) == red.rank
 
 
@@ -97,11 +100,36 @@ def test_intertwining_matrix_frozen_values(vget):
 
 
 def test_character_route_agrees_with_sandwich(vget):
-    v = vget("GF(3,1)", 2)
-    chars = all_levi_chars(v.ring, 2)
-    for chi in chars:
-        for sigma in chars:
-            assert v._character_dim(chi, sigma) == v._sandwich_rank(chi, sigma)
+    for spec in ("GF(3,1)", "GF(2,2)", "Z/4"):
+        v = vget(spec, 2)
+        chars = all_levi_chars(v.ring, 2)
+        for chi in chars:
+            for sigma in chars:
+                assert v._character_dim(chi, sigma) == v._sandwich_rank(chi, sigma)
+
+
+def test_coset_sweeps_match_full_sweeps(vget):
+    # _phi_data feeds one right translate per coset V^w g and tests one cell
+    # element per double coset V g U; sweeping all of G must agree
+    for spec, n in [("GF(2,1)", 3), ("Z/4", 2), ("Z/6", 2), ("GF(2,2)", 2)]:
+        v = vget(spec, n)
+        t, e, c_uv = v.table, v.e, v.c_uv
+        for w, widx in t.weyl_to_index.items():
+            euw, evw = (idempotent_subgroup(t, e, t.conjugated(t.subgroup(h), widx))
+                        for h in "UV")
+            cw = euw * evw
+            vcw = v.eV * cw
+            red_cw, red_vcw, phi_red = (SparseReducer(e) for _ in range(3))
+            for g in range(t.size):
+                red_cw.feed(cw.right_translate(g).vec)
+                red_vcw.feed(vcw.right_translate(g).vec)
+            for l in t.subgroup("L"):
+                phi_red.feed((c_uv.right_translate(t.mul(widx, l)) * c_uv).vec)
+            cell_in_span = all(phi_red.contains((c_uv.right_translate(g) * c_uv).vec)
+                               for g in t.cells.get(w, ()))
+            assert v._phi_data(w) == {
+                "rank_cw": red_cw.rank, "rank_vcw": red_vcw.rank,
+                "rank_phi": phi_red.rank, "cell_span_equal": cell_in_span}
 
 
 def test_pind_character_matches_definition(vget):
