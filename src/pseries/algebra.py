@@ -35,6 +35,13 @@ class AlgebraError(Exception):
 # 1764-term elements of GF(7,1) n=2 took 48 ms, and 23-29 ms at 2^15-2^16)
 _MUL_BLOCK = 1 << 15
 
+# entries of the stack-sized arrays the product kernel holds at once (16 MB
+# in float64): it multiplies a wider stack a chunk of vectors at a time, and
+# callers that multiply many vectors cut them into stacks of at most this
+# many dense (|G|, phi) entries, so neither the temporaries nor the
+# (k, |G|, phi) results grow with the number of vectors
+_STACK_BLOCK = 1 << 21
+
 
 def matmul_dtype(bound):
     """The dtype of an exact integer matmul whose every partial sum is at most
@@ -72,11 +79,15 @@ def _mul_dense(a: "AlgElem", vecs):
 
     (a v)(g) = sum_y a(g y^-1) v(y) = sum_x a(x) v(x^-1 g).  The kernel
     contracts over whichever index set gathers fewer entries from the Cayley
-    table: over v's keys y it gathers a's group matrix a(g y^-1) once for all
-    k vectors (|G| len(keys) entries); over a's support x it gathers v(x^-1 g)
-    for every vector (|G| |a| k entries).  Either way it runs one matmul per
-    row block of g, in the dtype matmul_dtype picks from a bound on the sum
-    of |terms| of every output coordinate.
+    table: over v's keys y it gathers a's group matrix a(g y^-1) once for a
+    whole chunk of vectors (|G| len(keys) entries); over a's support x it
+    gathers v(x^-1 g) for every vector (|G| |a| k entries).  Either way it
+    runs one matmul per row block of g, in the dtype matmul_dtype picks from
+    a bound on the sum of |terms| of every output coordinate.  A chunk is as
+    many vectors as keep its temporaries within _STACK_BLOCK entries (in the
+    first order, the chunk's product W with the fold table and W's transposed
+    copy; in the second, the chunk dense over G), so a wide stack takes more
+    than one chunk.
     """
     table, e = a.table, a.e
     keys, rows, den = vecs
@@ -95,25 +106,32 @@ def _mul_dense(a: "AlgElem", vecs):
     if m <= na * k:
         A = np.zeros((size, phi), dtype=dtype)
         A[a.keys] = a.rows
-        # W[(y, s), (i, c)] = sum_t v_i(y)_t fold[t, (s, c)]
-        W = (V.astype(dtype).reshape(-1, phi) @ fold).reshape(
-            k, m, phi, phi).transpose(1, 2, 0, 3).reshape(m * phi, k * phi)
         cols = table._inv[keys]
-        for gs in row_blocks(size, m * phi, _MUL_BLOCK):
-            # np.take gathers whole rows several times faster than A[idx]
-            Ag = np.take(A, table._table[gs][:, cols], axis=0)
-            block = Ag.reshape(-1, m * phi) @ W
-            out[:, gs] = block.reshape(-1, k, phi).transpose(1, 0, 2)
+        # W and its transposed copy share the budget
+        for ks in row_blocks(k, 2 * m * phi * phi, _STACK_BLOCK):
+            # W[(y, s), (i, c)] = sum_t v_i(y)_t fold[t, (s, c)]
+            W = (V[ks].astype(dtype).reshape(-1, phi) @ fold).reshape(
+                -1, m, phi, phi).transpose(1, 2, 0, 3).reshape(m * phi, -1)
+            # each block's matmul reads all of W, so a wide W takes blocks of
+            # up to 64 rows, as long as they hold no more entries than W
+            block_entries = max(_MUL_BLOCK, min(W.size, 64 * m * phi))
+            for gs in row_blocks(size, m * phi, block_entries):
+                # np.take gathers whole rows several times faster than A[idx]
+                Ag = np.take(A, table._table[gs][:, cols], axis=0)
+                block = Ag.reshape(-1, m * phi) @ W
+                out[ks, gs] = block.reshape(len(block), -1, phi).transpose(1, 0, 2)
     else:
-        Vd = np.zeros((k, size, phi), dtype=dtype)
-        Vd[:, keys] = V
         # Ga[(x, t), c] = sum_s a(x)_s fold[s, (t, c)]
         Ga = (a.rows.astype(dtype) @ fold).reshape(na * phi, phi)
         xinv = table._inv[a.keys]
-        for gs in row_blocks(size, na * k * phi, _MUL_BLOCK):
-            idx = table._table[xinv[None, :], g_all[gs, None]]
-            block = np.take(Vd, idx, axis=1).reshape(-1, na * phi) @ Ga
-            out[:, gs] = block.reshape(k, -1, phi)
+        for ks in row_blocks(k, size * phi, _STACK_BLOCK):
+            Vk = V[ks]
+            Vd = np.zeros((len(Vk), size, phi), dtype=dtype)
+            Vd[:, keys] = Vk
+            for gs in row_blocks(size, na * len(Vd) * phi, _MUL_BLOCK):
+                idx = table._table[xinv[None, :], g_all[gs, None]]
+                block = np.take(Vd, idx, axis=1).reshape(-1, na * phi) @ Ga
+                out[ks, gs] = block.reshape(len(Vd), -1, phi)
     return g_all, out, a.den * den
 
 

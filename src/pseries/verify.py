@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (AlgElem, _mul_dense, idempotent_char,
+from .algebra import (_STACK_BLOCK, AlgElem, _mul_dense, idempotent_char,
                       idempotent_subgroup, stack)
 from .chars import (LeviChar, all_levi_chars, conjugacy_class_count,
                     factor_chars, orbit, orbit_reps, partition_count,
@@ -181,7 +181,8 @@ class Verifier:
         self._echi = {}
         self._E = {}
         self._module = {}
-        self._module_stack = None
+        self._char_groups = None
+        self._group_stack = (None,)
         self._sandwich = {}
         self._pind_char = {}
         self._end = {}
@@ -395,35 +396,51 @@ class Verifier:
         return sum(1 for w in self.table.weyl if chi.acted(w) == sigma)
 
     @property
-    def module_stack(self):
-        """(stack, ends): the module_reducer bases of every character as one
-        stack, chars[i]'s vectors ending at ends[i].  Pivot arrays are
-        positive multiples of the basis vectors, so over den 1 they span the
-        same modules."""
-        if self._module_stack is None:
-            bases = [self.module_reducer(chi).basis_rows() for chi in self.chars]
-            self._module_stack = (stack((k, r, 1) for b in bases for k, r, _ in b),
-                                  np.cumsum([len(b) for b in bases]))
-        return self._module_stack
+    def char_groups(self):
+        """{chi key: chi's group}, the characters cut in order into tuples
+        whose module bases, stacked dense over G, hold at most _STACK_BLOCK
+        entries (a wider module is a group by itself)."""
+        if self._char_groups is None:
+            width = self.table.size * len(power_fold(self.e))
+            groups, rows = [[]], 0
+            for chi in self.chars:
+                r = self.module_reducer(chi).rank
+                if groups[-1] and (rows + r) * width > _STACK_BLOCK:
+                    groups, rows = groups + [[]], 0
+                groups[-1].append(chi)
+                rows += r
+            self._char_groups = {c.key(): g for g in map(tuple, groups) for c in g}
+        return self._char_groups
+
+    def _module_stack(self, chars):
+        """The module_reducer bases of chars as one stack over den 1, and the
+        end of each character's vectors in it.  Pivot arrays are positive
+        multiples of the basis vectors, so they span the same modules."""
+        bases = [self.module_reducer(c).basis_rows() for c in chars]
+        return (stack((k, r, 1) for b in bases for k, r, _ in b),
+                np.cumsum([len(b) for b in bases]))
 
     def _sandwich_rank(self, chi: LeviChar, sigma: LeviChar) -> int:
-        """rank{E_sigma g E_chi : g in G}, from the ranks cached per sigma.
+        """rank{E_sigma g E_chi : g in G}, from ranks cached per pair.
 
         E_sigma times a basis of the chi module spans that set.  One kernel
-        call multiplies E_sigma by the module bases of every chi, and fills
-        the cache for sigma.
+        call multiplies E_sigma by the stacked module bases of chi's whole
+        group and fills the group's ranks for sigma; the stack of the last
+        group is kept, so a chi-major sweep stacks each group once.
         """
-        key = sigma.key()
+        key = (chi.key(), sigma.key())
         if key not in self._sandwich:
-            vecs, ends = self.module_stack
+            group = self.char_groups[chi.key()]
+            if self._group_stack[0] is not group:
+                self._group_stack = (group, *self._module_stack(group))
+            _, vecs, ends = self._group_stack
             keys, prods, _ = _mul_dense(self.E(sigma), vecs)
-            ranks = self._sandwich[key] = {}
-            for c, lo, hi in zip(self.chars, [0, *ends], ends):
+            for c, lo, hi in zip(group, [0, *ends], ends):
                 red = SparseReducer(self.e)
                 for row in prods[lo:hi]:
                     red.feed((keys, row, 1))
-                ranks[c.key()] = red.rank
-        return self._sandwich[key][chi.key()]
+                self._sandwich[c.key(), sigma.key()] = red.rank
+        return self._sandwich[key]
 
     def pind_character(self, chi: LeviChar):
         """Character of the induced module: (values, den), with values an
@@ -482,11 +499,9 @@ class Verifier:
         chars = self.chars
         formula = [[self.intertwining_dim_formula(chi, sig) for sig in chars]
                    for chi in chars]
-        # sigma-major: the first pair of each sigma fills its cached column
-        # of sandwich ranks with one kernel call
-        columns = [[self.intertwining_dim_oracle(chi, sig) for chi in chars]
-                   for sig in chars]
-        return formula, [list(row) for row in zip(*columns)]
+        oracle = [[self.intertwining_dim_oracle(chi, sig) for sig in chars]
+                  for chi in chars]
+        return formula, oracle
 
     # -- endomorphism algebras -------------------------------------------------
 
@@ -495,9 +510,8 @@ class Verifier:
         if key in self._end:
             return self._end[key]
         table, e = self.table, self.e
-        # E times the chi module is B; pivot arrays over den 1 span the module
-        keys, prods, _ = _mul_dense(self.E(chi), stack(
-            (k, r, 1) for k, r, _ in self.module_reducer(chi).basis_rows()))
+        # E times the chi module is B
+        keys, prods, _ = _mul_dense(self.E(chi), self._module_stack([chi])[0])
         bred = SparseReducer(e)
         for row in prods:
             bred.feed((keys, row, 1))
@@ -769,12 +783,13 @@ class Verifier:
 
     def _sandwiches(self, gs):
         """The vectors of c_uv g c_uv for g in gs, from one kernel call on the
-        left translates g c_uv."""
-        if not len(gs):
-            return []
-        keys, prods, den = _mul_dense(self.c_uv, stack(
-            self.c_uv.left_translate(int(g)).vec for g in gs))
-        return [(keys, row, den) for row in prods]
+        left translates g c_uv per stack of at most _STACK_BLOCK dense
+        entries, made as they are consumed."""
+        width = self.table.size * len(power_fold(self.e))
+        for part in row_blocks(len(gs), width, _STACK_BLOCK):
+            keys, prods, den = _mul_dense(self.c_uv, stack(
+                self.c_uv.left_translate(int(g)).vec for g in gs[part]))
+            yield from ((keys, row, den) for row in prods)
 
     def _phi_data(self, w: PermWord):
         key = w.perms

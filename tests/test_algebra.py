@@ -70,26 +70,45 @@ def stacked_products(a, bs):
     return [AlgElem.from_vec(a.table, a.e, (keys, r, den)) for r in rows]
 
 
+def kernel_order(a, keys, k):
+    """The index set the product kernel contracts over for a times a stack of
+    k vectors on these keys: the keys while they number at most |a| k."""
+    return "keys" if len(keys) <= len(a.keys) * k else "support"
+
+
 def assert_products_match_oracle(a, bs):
     """Single products (a stack of one) and one stack of all bs with a zero
-    vector among them both equal the naive convolution."""
+    vector among them both equal the naive convolution.  Returns the set of
+    contraction orders these products took."""
     want = [naive_mul(a, b) for b in bs]
     assert [a * b for b in bs] == want
     zero = AlgElem.zero(a.table, a.e)
-    got = stacked_products(a, [bs[0], zero, *bs[1:]])
+    vecs = [bs[0], zero, *bs[1:]]
+    got = stacked_products(a, vecs)
     assert got == [want[0], zero, *want[1:]]
+    keys = algebra.stack(b.vec for b in vecs)[0]
+    return ({kernel_order(a, b.keys, 1) for b in bs}
+            | {kernel_order(a, keys, len(vecs))})
 
 
-def test_mul_matches_naive_oracle():
-    # supports from a few keys to all of G take both contraction orders
+def test_mul_matches_naive_oracle(monkeypatch):
+    # supports from a few keys to all of G; a right factor with more keys
+    # than the left one has (k of them in a stack of k) contracts over the
+    # left factor's support, the others over the right factor's keys.
+    # A budget of 200 entries makes the kernel take a stack of five a chunk
+    # of one or two vectors at a time
     rng = random.Random(1)
-    for spec, n, e in [("GF(2,1)", 2, 1), ("GF(3,1)", 2, 3),
-                       ("GF(3,1)", 2, 8), ("Z/4", 2, 4)]:
+    orders = set()
+    for budget, (spec, n, e) in itertools.product(
+            [algebra._STACK_BLOCK, 200],
+            [("GF(2,1)", 2, 1), ("GF(3,1)", 2, 3), ("GF(3,1)", 2, 8), ("Z/4", 2, 4)]):
+        monkeypatch.setattr(algebra, "_STACK_BLOCK", budget)
         t = table_for(spec, n)
         for support in [3, t.size // 2, t.size]:
             a = rand_elem(t, e, rng, support)
-            bs = [rand_elem(t, e, rng, s) for s in (support, 2)]
-            assert_products_match_oracle(a, bs)
+            bs = [rand_elem(t, e, rng, s) for s in (2, 5, support, t.size)]
+            orders |= assert_products_match_oracle(a, bs)
+    assert orders == {"keys", "support"}
 
 
 def linear_oracle(a, b, sign):
@@ -130,23 +149,29 @@ def full_width_elem(table, e, rng, support, M):
 def test_huge_coefficients_stay_exact():
     # the product kernel's bound is kf * max|a| * max|b| * min(|a|, |b|);
     # scales just below and just above 2^53 and 2^62 run its float64, int64
-    # and exact object matmuls, and each must equal the naive convolution
+    # and exact object matmuls, each in both contraction orders (a left
+    # factor of 9 keys and one of 2), and each must equal the naive
+    # convolution
     rng = random.Random(2)
-    dtypes = set()
+    runs = set()
     for (spec, e), limit, side in itertools.product(
             [("GF(2,1)", 1), ("GF(3,1)", 3), ("GF(3,1)", 4), ("Z/4", 8)],
             [2 ** 53, 2 ** 62], [0, 1]):
         t = table_for(spec, 2)
+        kf = fold_array(e)[1]
         support = min(9, t.size)
-        per = fold_array(e)[1] * support
-        M = math.isqrt(limit // per) + side
-        bound = per * M * M
-        assert (bound >= limit) == bool(side)
-        dtypes.add(algebra.matmul_dtype(bound))
-        a = full_width_elem(t, e, rng, support, M)
+        M = math.isqrt(limit // (kf * support)) + side
         bs = [full_width_elem(t, e, rng, support, M) for _ in range(2)]
-        assert_products_match_oracle(a, bs)
-    assert dtypes == {np.float64, np.int64, object}
+        # the 2-key factor's largest entry puts its bound on the same side
+        small = -(-limit // (kf * 2 * M)) - 1 + side
+        for a, bound in [
+                (full_width_elem(t, e, rng, support, M), kf * support * M * M),
+                (full_width_elem(t, e, rng, 2, small), kf * 2 * small * M)]:
+            assert (bound >= limit) == bool(side)
+            orders = assert_products_match_oracle(a, bs)
+            runs |= {(algebra.matmul_dtype(bound), o) for o in orders}
+    assert runs == set(itertools.product([np.float64, np.int64, object],
+                                         ["keys", "support"]))
     # past the int64 bound every other operation runs on exact Python ints
     # too; at 10^12 each entry fits in int64 but their products do not
     for big, (spec, e) in itertools.product(
@@ -157,6 +182,7 @@ def test_huge_coefficients_stay_exact():
         want = naive_mul(a, b)
         assert a * b == want
         assert_products_match_oracle(want, [a, b])
+        assert_products_match_oracle(b, [a, want])
         s = CycloNum.root(e, 1) * Fraction(big, 3) + Fraction(1, big)
         g = rng.randrange(t.size)
         for got, oracle in [

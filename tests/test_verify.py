@@ -9,7 +9,7 @@ import pytest
 from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
                      factor_ulv, idempotent_subgroup, orbit_reps, parse_ring_spec,
                      span_rank, stabilizer, stabilizer_degrees)
-from pseries import algebra
+from pseries import algebra, verify
 from pseries.algebra import AlgebraError
 from pseries.verify import compositions
 
@@ -106,6 +106,24 @@ def test_character_route_agrees_with_sandwich(vget):
         for chi in chars:
             for sigma in chars:
                 assert v._character_dim(chi, sigma) == v._sandwich_rank(chi, sigma)
+
+
+def test_stack_budget_splits_keep_results(vget, monkeypatch):
+    # a budget of one entry puts every character in a group of its own and
+    # multiplies every sandwich and stacked vector on its own; the results
+    # must be those of the default budget's single stacks
+    ref = vget("Z/4", 2)
+    ws = list(ref.table.weyl_to_index)
+    chi = ref.chars[1]
+    want = (len(set(ref.char_groups.values())), ref.intertwining_matrices(),
+            ref.check_lin_independence(), [ref._phi_data(w) for w in ws],
+            ref.end_algebra(chi).structure)
+    monkeypatch.setattr(verify, "_STACK_BLOCK", 1)
+    monkeypatch.setattr(algebra, "_STACK_BLOCK", 1)
+    v = Verifier(parse_ring_spec("Z/4"), 2)
+    assert want[0] == 1 < len(v.chars) == len(set(v.char_groups.values()))
+    assert want[1:] == (v.intertwining_matrices(), v.check_lin_independence(),
+                        [v._phi_data(w) for w in ws], v.end_algebra(chi).structure)
 
 
 def test_coset_sweeps_match_full_sweeps(vget):
