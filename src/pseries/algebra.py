@@ -52,10 +52,11 @@ def matmul_dtype(bound):
 
 
 def stack(vecs):
-    """Vectors (keys, rows, den) as one stack (keys, rows, den) over the union
-    of their keys and their common denominator; rows has shape
-    (k, len(keys), phi)."""
-    vecs = list(vecs)
+    """Vectors and stacks (keys, rows, den) as one stack (keys, rows, den)
+    over the union of their keys and their common denominator; rows has
+    shape (k, len(keys), phi), and a vector, rows (len(keys), phi), is a
+    stack of one."""
+    vecs = [(k, r[None] if r.ndim == 2 else r, d) for k, r, d in vecs]
     # a mask, not np.unique: its first call imports numpy.ma, ~20 ms
     keys = np.concatenate([v[0] for v in vecs])
     present = np.zeros(int(keys.max(initial=-1)) + 1, dtype=bool)
@@ -63,9 +64,13 @@ def stack(vecs):
     keys = np.flatnonzero(present)
     den = math.lcm(*(v[2] for v in vecs))
     dtype = exact_dtype(max(max_abs(r) * (den // d) for _, r, d in vecs))
-    rows = np.zeros((len(vecs), len(keys), vecs[0][1].shape[1]), dtype=dtype)
-    for i, (k, r, d) in enumerate(vecs):
-        rows[i, np.searchsorted(keys, k)] = r.astype(dtype, copy=False) * (den // d)
+    rows = np.zeros((sum(len(r) for _, r, _ in vecs), len(keys),
+                     vecs[0][1].shape[2]), dtype=dtype)
+    pos = 0
+    for k, r, d in vecs:
+        rows[pos:pos + len(r), np.searchsorted(keys, k)] = (
+            r.astype(dtype, copy=False) * (den // d))
+        pos += len(r)
     return keys, rows, den
 
 

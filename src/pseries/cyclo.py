@@ -10,8 +10,11 @@ exact integer matmuls in float64, but only when an a-priori bound keeps every
 partial sum below 2^53, where float64 holds every integer exactly.
 
 Linear algebra runs on one engine, SparseReducer: fraction-free elimination
-on integer power-basis coordinates in numpy arrays.  solve_affine is built on
-it; rank() is a plain CycloNum elimination kept as the reference for tests.
+on integer power-basis coordinates in numpy arrays.  It reads off the
+coordinates of a whole stack of vectors at once (coords_list), and
+solve_affine is built on it; both take and return integer arrays over
+denominators, so no CycloNum or Fraction is made.  rank() is a plain
+CycloNum elimination kept as the reference for tests.
 """
 
 from __future__ import annotations
@@ -444,25 +447,20 @@ class SparseReducer:
         self._width = 0
 
     def _vector(self, vec):
-        """Dense integer rows of the vector (keys, rows, den), den dropped."""
+        """Dense integer rows of a vector or stack (keys, rows, den), den
+        dropped: shape (width, phi), or (k, width, phi) for a stack."""
         keys, rows, _ = vec
         if len(keys) and keys.min() < 0:
             raise CycloError("reducer keys must be non-negative integers")
         width = int(keys.max()) + 1 if len(keys) else 0
-        v = np.zeros((max(self._width, width), self._phi),
+        v = np.zeros(rows.shape[:-2] + (max(self._width, width), self._phi),
                      dtype=exact_dtype(max_abs(rows)))
-        v[keys] = rows
+        v[..., keys, :] = rows
         return v
 
     def _reduce(self, v):
-        """(remainder, its lead or None, steps) for integer rows v.
-
-        The remainder is a positive rational multiple of the exact one. Each
-        step (pivot index, c, num, den) records the exact coordinate
-        c * num / den of the input v on that pivot.
-        """
-        steps = []
-        num = den = 1
+        """(remainder, its lead or None) for integer rows v; the remainder is
+        a positive rational multiple of the exact one."""
         k = _lead(v, 0)
         while k is not None:
             j = self._at.get(k)
@@ -470,7 +468,6 @@ class SparseReducer:
                 break
             R, D = self._rows[j], self._dens[j]
             c = v[k].tolist()
-            steps.append((j, c, num, den))
             mv = int(np.abs(v[k:]).max())
             dtype = exact_dtype(D * mv + self._kf * mv * self._maxes[j])
             v = v.astype(dtype, copy=False)
@@ -480,12 +477,8 @@ class SparseReducer:
             g = content(tail)
             if g > 1:
                 tail //= g
-                num *= g
-            den *= D
-            h = math.gcd(num, den)
-            num, den = num // h, den // h
             k = _lead(v, k + 1)
-        return v, k, steps
+        return v, k
 
     def _adjugate(self, a):
         """Product of the Galois conjugates of a other than a itself.
@@ -520,7 +513,7 @@ class SparseReducer:
 
     def feed(self, vec) -> bool:
         """Insert vec; True when it enlarged the span."""
-        v, k, _ = self._reduce(self._vector(vec))
+        v, k = self._reduce(self._vector(vec))
         if k is None:
             return False
         self._insert(v, k)
@@ -529,16 +522,62 @@ class SparseReducer:
     def contains(self, vec) -> bool:
         return self._reduce(self._vector(vec))[1] is None
 
-    def coords_list(self, vec):
-        """Coordinates in insertion order of pivots; None if vec is outside."""
-        _, k, steps = self._reduce(self._vector(vec))
-        if k is not None:
-            return None
-        den = vec[2]
-        out = [CycloNum.zero(self.e)] * self.rank
-        for j, c, num, d in steps:
-            out[j] = CycloNum(self.e, [Fraction(x * num, d * den) for x in c])
-        return out
+    def coords_list(self, vecs):
+        """Coordinates of a stack of vectors on the pivots, in insertion order.
+
+        vecs is (keys, rows, den) with rows of shape (k, len(keys), phi), or
+        (len(keys), phi) for a stack of one.  Returns (coords, dens, inside):
+        vector i is sum_j coords[i, j] / dens[i] times pivot row j (lead 1),
+        and inside[i] is False when it lies outside the span (its coordinates
+        then mean nothing).
+
+        One fraction-free step per pivot, in order of leads, reduces all the
+        vectors that are nonzero at the lead: v <- (D v - v[lead] R) / g, g
+        each vector's content.  Vector i then stands for p[i] / q[i] times
+        its input minus the part taken off, so its coordinate on the pivot
+        is v[i, lead] q[i] / p[i].
+        """
+        keys, rows, den = vecs
+        v = self._vector((keys, rows[None] if rows.ndim == 2 else rows, den))
+        k, phi = len(v), self._phi
+        ft, _ = fold_array(self.e)
+        p, q = np.ones(k, dtype=object), np.ones(k, dtype=object)
+        coords = np.zeros((k, self.rank, phi), dtype=object)
+        dens = np.ones((k, self.rank), dtype=object)
+        for j in np.argsort(self._leads, kind="stable"):
+            lead, R, D = self._leads[j], self._rows[j], self._dens[j]
+            act = np.flatnonzero(v[:, lead].any(axis=1))
+            if not len(act):
+                continue
+            tail = v[act, lead:]
+            mv = max_abs(tail)
+            dtype = exact_dtype(D * mv + self._kf * mv * self._maxes[j])
+            tail = tail.astype(dtype, copy=False)
+            c = tail[:, 0].copy()
+            coords[act, j], dens[act, j] = c * q[act, None], p[act]
+            tail *= D
+            # c times R in Z[zeta_e], through R's multiplication table
+            mul = (R.astype(dtype, copy=False) @ ft.astype(dtype, copy=False)
+                   ).reshape(len(R), phi, phi).transpose(1, 0, 2)
+            tail[:, :len(R)] -= (c @ mul.reshape(phi, -1)).reshape(len(act), -1, phi)
+            g = np.abs(np.gcd.reduce(tail, axis=(1, 2)))
+            g[g == 0] = 1
+            tail //= g[:, None, None]
+            if dtype is object:
+                v = v.astype(object, copy=False)
+            v[act, lead:] = tail
+            pa, qa = p[act] * D, q[act] * g.astype(object)
+            h = np.gcd(pa, qa)
+            p[act], q[act] = pa // h, qa // h
+        inside = ~v.any(axis=(1, 2))
+        # one denominator per vector, in lowest terms
+        lcm = np.lcm.reduce(dens, axis=1, initial=1)
+        coords *= (lcm[:, None] // dens)[:, :, None]
+        lcm *= den
+        g = np.gcd(np.gcd.reduce(coords, axis=(1, 2), initial=0), lcm)
+        coords //= g[:, None, None]
+        lcm //= g
+        return coords.astype(exact_dtype(max_abs(coords)), copy=False), lcm, inside
 
     @property
     def rank(self) -> int:
@@ -555,19 +594,35 @@ class SparseReducer:
 
 
 class AffineSolution:
-    """Solutions of M x = rhs: particular point plus nullspace basis."""
+    """Solutions of M x = rhs: the point particular / den plus the span of
+    the vectors nullspace[i] / null_dens[i], each an integer array (nc, phi)
+    of power-basis coordinates."""
 
-    def __init__(self, particular, nullspace):
-        self.particular = particular
-        self.nullspace = nullspace
+    def __init__(self, particular, den, nullspace, null_dens):
+        self.particular, self.den = particular, den
+        self.nullspace, self.null_dens = nullspace, null_dens
 
     @property
     def dimension(self) -> int:
         return len(self.nullspace)
 
+    def point(self, weights):
+        """(rows, den) of particular + sum_i weights[i] nullspace[i], for
+        integer weights; rows is an object array (nc, phi)."""
+        den = math.lcm(self.den, *self.null_dens)
+        out = self.particular.astype(object) * (den // self.den)
+        for w, vec, d in zip(weights, self.nullspace, self.null_dens):
+            out += vec.astype(object) * (w * (den // d))
+        return out, den
 
-def solve_affine(m: CycloMatrix, rhs) -> AffineSolution | None:
-    """Solve M x = rhs exactly; None when inconsistent.
+
+def solve_affine(e, aug) -> AffineSolution | None:
+    """Solve M x = rhs exactly over Q(zeta_e); None when inconsistent.
+
+    aug is [M | rhs] as an integer array (nr, nc + 1, phi): aug[i, j] holds
+    the power-basis coordinates of M[i, j], and aug[i, nc] those of rhs[i].
+    (Scaling a row by a nonzero integer keeps the solutions, so a rational
+    system is passed with each row over a common denominator.)
 
     The columns of [M | rhs] go left to right through one SparseReducer, each
     with a unit tag on keys after M's rows. A column whose M part reduces to
@@ -575,20 +630,15 @@ def solve_affine(m: CycloMatrix, rhs) -> AffineSolution | None:
     that relation; read off, the relations are the reduced-row-echelon
     particular solution and nullspace basis.
     """
-    e, nr, nc = m.e, m.nrows, m.ncols
-    keys, rows, _ = int_rows({(j, i): x for i, row in enumerate(m.rows)
-                              for j, x in enumerate(list(row) + [rhs[i]])})
+    nr, nc = aug.shape[0], aug.shape[1] - 1
     red = SparseReducer(e)
-    big = max((abs(x) for row in rows for x in row), default=1)
-    cols = np.zeros((nc + 1, nr + nc + 1, red._phi), dtype=exact_dtype(big))
-    for (j, i), row in zip(keys, rows):
-        cols[j, i] = row
+    cols = np.zeros((nc + 1, nr + nc + 1, red._phi),
+                    dtype=exact_dtype(max_abs(aug)))
+    cols[:, :nr] = aug.transpose(1, 0, 2)
+    cols[np.arange(nc + 1), nr + np.arange(nc + 1), 0] = 1
+    nullspace, null_dens = [], []
     for j in range(nc + 1):
-        cols[j, nr + j, 0] = 1
-    zero = CycloNum.zero(e)
-    nullspace = []
-    for j in range(nc + 1):
-        v, k, _ = red._reduce(cols[j])
+        v, k = red._reduce(cols[j])
         if k < nr:
             if j == nc:
                 return None
@@ -597,10 +647,8 @@ def solve_affine(m: CycloMatrix, rhs) -> AffineSolution | None:
         # the tags read sum_i tags[i] * column_i = 0 with tags[j] a positive
         # integer; for the rhs column, divided by -tags[j], they are the
         # particular solution
-        tags = v[nr:]
-        t = int(tags[j, 0]) if j < nc else -int(tags[j, 0])
-        relation = [CycloNum(e, [Fraction(x, t) for x in row]) if any(row)
-                    else zero for row in tags[:nc].tolist()]
+        tags, t = v[nr:nr + nc], int(v[nr + j, 0])
         if j < nc:
-            nullspace.append(relation)
-    return AffineSolution(relation, nullspace)
+            nullspace.append(tags)
+            null_dens.append(t)
+    return AffineSolution(-tags, t, nullspace, null_dens)

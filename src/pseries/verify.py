@@ -5,10 +5,15 @@ Floating point appears in two places: the eigenvalue splitting that guesses
 Wedderburn block sizes, whose integers are cross-checked exactly, and the
 float64 matmuls of the product kernel, which run only when an a-priori bound
 keeps every partial sum an integer below 2^53 and so are exact.
+
+The linear systems (the Halmos element z of Lemma 3.3, the centre of each
+endomorphism algebra) are built as integer arrays from stacked coordinates
+(SparseReducer.coords_list) and solved by the array form of solve_affine.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import itertools
@@ -17,7 +22,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,9 +31,8 @@ from .chars import (LeviChar, all_levi_chars, conjugacy_class_count,
                     factor_chars, orbit, orbit_reps, partition_count,
                     principal_series_count, stabilizer, stabilizer_degrees,
                     stabilizer_irrep_count, stabilizer_order, unit_structures)
-from .cyclo import (CycloError, CycloMatrix, CycloNum, SparseReducer,
-                    exact_dtype, fold_array, galois, max_abs, power_fold,
-                    solve_affine)
+from .cyclo import (SparseReducer, exact_dtype, fold_array, galois, max_abs,
+                    power_fold, root_coords, solve_affine)
 from .groups import PermWord, enumerate_gl, factor_ulv, row_blocks
 from .rings import RingSpec, residue_structure
 
@@ -123,7 +126,8 @@ class EndAlgebra:
     blocks: tuple               # sorted Wedderburn block sizes d_i
     attempts: int               # random central elements tried
     basis: list
-    structure: list             # structure constants in the chosen basis
+    structure: list             # structure[i][j][t] / den: coordinate t of
+    den: int                    # b_i b_j, as phi power-basis integers
 
 
 def _products(t, *factors):
@@ -140,6 +144,60 @@ def _mask(t, idx):
     out = np.zeros(t.size, dtype=bool)
     out[np.asarray(idx, dtype=np.intp)] = True
     return out
+
+
+def _coords(red, vecs, alarm):
+    """(coords, den): the coordinates of a stack of vectors on red's pivots,
+    an integer array (k, rank, phi) over one denominator; VerifyAlarm(alarm)
+    when a vector lies outside red's span."""
+    coords, dens, inside = red.coords_list(vecs)
+    if not inside.all():
+        raise VerifyAlarm(alarm)
+    den = math.lcm(*dens.tolist())
+    return coords * (den // dens)[:, None, None], den
+
+
+def _block(cols, rhs):
+    """[M | rhs] of the equations sum_i cols[i, t] x_i = rhs[t], one per t,
+    for integer arrays cols (nc, nr, phi) and rhs (nr, phi)."""
+    return np.concatenate([cols.transpose(1, 0, 2), rhs[:, None]], axis=1)
+
+
+def _times_right(vecs, x):
+    """The products v x for a stack of vectors v at conductor 1, computed as
+    (x* v*)* in one kernel call; at conductor 1, * only sends each key g to
+    g^-1."""
+    inv = x.table._inv
+    keys, rows, den = _mul_dense(x.star(), (inv[vecs[0]], *vecs[1:]))
+    return keys, rows[:, inv], den
+
+
+def _unit_solution(*gens):
+    """The unit of A, from tables (right, left, g) per generator g: right[i, t]
+    and left[i, t] are coordinate t of b_i g and g b_i, over g's denominator.
+    A is semisimple (a star-closed subalgebra in characteristic 0), so it has
+    its own unit; fixing both generators on both sides pins it down."""
+    sol = solve_affine(1, np.concatenate([
+        _block(side, g) for right, left, g in gens for side in (right, left)]))
+    if sol is None or sol.dimension != 0:
+        raise VerifyAlarm("the algebra generated by e_U, e_V has no unit")
+    return sol
+
+
+def _z_solutions(sides, star_fixed, *identities):
+    """The z in A that commute with e_U and e_V (sides = (right_u, left_u,
+    right_v, left_v)), are fixed by star (star_fixed[i, t] is coordinate t of
+    b_i* - b_i) and satisfy each identity (products, rhs), products[i, t]
+    being coordinate t of b_i (b b') and rhs that of b; all over one
+    denominator.  star is conjugate-linear, so this is a rational system."""
+    ru, lu, rv, lv = sides
+    zero = np.zeros((len(star_fixed), 1), dtype=np.int64)
+    sol = solve_affine(1, np.concatenate([
+        _block(ru - lu, zero), _block(rv - lv, zero), _block(star_fixed, zero),
+        *(_block(prods, rhs) for prods, rhs in identities)]))
+    if sol is None:
+        raise VerifyAlarm("the defining system for z has no solution")
+    return sol
 
 
 def compositions(n: int):
@@ -177,6 +235,7 @@ class Verifier:
         self.c_uv = self.eU * self.eV
         self.c_vu = self.eV * self.eU
         self._halmos = None
+        self._zc = None
         self._ulv = None
         self._echi = {}
         self._E = {}
@@ -222,107 +281,57 @@ class Verifier:
         table, e = self.table, self.e
         eU1 = idempotent_subgroup(table, 1, table.subgroup("U"))
         eV1 = idempotent_subgroup(table, 1, table.subgroup("V"))
-        cuv1 = eU1 * eV1
-        cvu1 = eV1 * eU1
+        cuv1, cvu1 = eU1 * eV1, eV1 * eU1
         red = SparseReducer(1)
-        queue = []
-
-        def feed(a):
-            if red.feed(a.vec):
-                queue.append(a)
-
-        feed(eU1)
-        feed(eV1)
-        pos = 0
-        while pos < len(queue):
-            a = queue[pos]
-            pos += 1
-            feed(a * eU1)
-            feed(a * eV1)
-        basis = [AlgElem.from_vec(table, 1, row) for row in red.basis_rows()]
+        # the words, breadth first: each generation of new words times e_U
+        # and e_V, fed as a queue would, a e_U then a e_V for each a in turn
+        new = [a.vec for a in (eU1, eV1) if red.feed(a.vec)]
+        while new:
+            words = stack(new)
+            prods = [_times_right(words, x) for x in (eU1, eV1)]
+            new = []
+            for i in range(len(words[1])):
+                for keys, rows, den in prods:
+                    vec = (keys, rows[i], den)
+                    if red.feed(vec):
+                        new.append(vec)
+        bvecs = red.basis_rows()
+        basis = [AlgElem.from_vec(table, 1, vec) for vec in bvecs]
+        bstack = stack(bvecs)
         k = len(basis)
 
-        def coords_q(elem: AlgElem):
-            cl = red.coords_list(elem.vec)
-            if cl is None:
-                raise VerifyAlarm("product left the algebra generated by e_U, e_V")
-            return [c.as_fraction() for c in cl]
+        # the coordinates of every product that the two systems need, all
+        # over den, so both systems take them as integers; centrality
+        # against the generators is centrality in all of A
+        cuv_sq, cvu_sq = cuv1 * cuv1, cvu1 * cvu1
+        outside = "product left the algebra generated by e_U, e_V"
+        coords, den = _coords(red, stack([
+            _mul_dense(eU1, bstack), _times_right(bstack, eU1),
+            _mul_dense(eV1, bstack), _times_right(bstack, eV1),
+            (table._inv[bstack[0]], *bstack[1:]),
+            _times_right(bstack, cuv_sq), _times_right(bstack, cvu_sq),
+            cuv1.vec, cvu1.vec, eU1.vec, eV1.vec]), outside)
+        lu, ru, lv, rv, star, puv, pvu = coords[:7 * k].reshape(7, k, k, 1)
+        t_uv, t_vu, c_u, c_v = coords[7 * k:]
 
-        # centrality against the generators is centrality in all of A
-        cuv_sq = cuv1 * cuv1
-        cvu_sq = cvu1 * cvu1
-        right_u = [coords_q(b * eU1) for b in basis]
-        left_u = [coords_q(eU1 * b) for b in basis]
-        right_v = [coords_q(b * eV1) for b in basis]
-        left_v = [coords_q(eV1 * b) for b in basis]
-        star = [coords_q(b.star()) for b in basis]
-        puv = [coords_q(b * cuv_sq) for b in basis]
-        pvu = [coords_q(b * cvu_sq) for b in basis]
-        t_uv = coords_q(cuv1)
-        t_vu = coords_q(cvu1)
-        c_u = coords_q(eU1)
-        c_v = coords_q(eV1)
+        def build(xs, xden):
+            # sum_i xs[i] / xden times basis element i
+            x = xs[:, 0]
+            dtype = exact_dtype(max_abs(x) * max_abs(bstack[1]) * k)
+            return AlgElem.from_vec(table, 1, (bstack[0], np.tensordot(
+                x.astype(dtype), bstack[1].astype(dtype, copy=False), 1),
+                xden * bstack[2]))
 
-        def solve_q(rows, rhs):
-            m = CycloMatrix(1, [[CycloNum.rational(1, x) for x in row]
-                                for row in rows])
-            return solve_affine(m, [CycloNum.rational(1, x) for x in rhs])
-
-        def build(xs):
-            z = AlgElem.zero(table, 1)
-            for x, b in zip(xs, basis):
-                z = z + b.scale(CycloNum.rational(1, x))
-            return z
-
-        # A is semisimple (a star-closed subalgebra in characteristic 0), so
-        # it has its own unit; find it first to certify invertibility against.
-        # Fixing both generators on both sides pins down the two-sided unit.
-        urows, urhs = [], []
-        for t in range(k):
-            for sys, target in ((right_u, c_u), (left_u, c_u),
-                                (right_v, c_v), (left_v, c_v)):
-                urows.append([sys[i][t] for i in range(k)])
-                urhs.append(target[t])
-        usol = solve_q(urows, urhs)
-        if usol is None or usol.dimension != 0:
-            raise VerifyAlarm("the algebra generated by e_U, e_V has no unit")
-        unit_coords = [c.as_fraction() for c in usol.particular]
-        unit = build(unit_coords)
+        unit_sol = _unit_solution((ru, lu, c_u), (rv, lv, c_v))
+        unit = build(unit_sol.particular, unit_sol.den)
         if unit * unit != unit or unit.star() != unit:
             raise VerifyAlarm("unit of the e_U, e_V algebra is not a projection")
-
-        # star is conjugate-linear, so solve over the rationals, where all
-        # of A's structure data lives anyway
-        rows, rhs = [], []
-        for t in range(k):
-            rows.append([right_u[i][t] - left_u[i][t] for i in range(k)])
-            rhs.append(0)
-            rows.append([right_v[i][t] - left_v[i][t] for i in range(k)])
-            rhs.append(0)
-        for t in range(k):
-            rows.append([star[i][t] - (1 if i == t else 0) for i in range(k)])
-            rhs.append(0)
-        for t in range(k):
-            rows.append([puv[i][t] for i in range(k)])
-            rhs.append(t_uv[t])
-        for t in range(k):
-            rows.append([pvu[i][t] for i in range(k)])
-            rhs.append(t_vu[t])
-
-        sol = solve_q(rows, rhs)
-        if sol is None:
-            raise VerifyAlarm("the defining system for z has no solution")
+        # coordinate t of b_i* - b_i
+        star_fixed = star - den * np.eye(k, dtype=object)[:, :, None]
+        sol = _z_solutions((ru, lu, rv, lv), star_fixed, (puv, t_uv), (pvu, t_vu))
         dim = sol.dimension
-
-        particular = [c.as_fraction() for c in sol.particular]
-        null_q = [[c.as_fraction() for c in vec] for vec in sol.nullspace]
-        candidates = [particular]
-        for _ in range(60):
-            xs = list(particular)
-            for vec in null_q:
-                w = Fraction(self.rng.randint(-5, 5))
-                xs = [x + w * v for x, v in zip(xs, vec)]
-            candidates.append(xs)
+        weights = [[self.rng.randint(-5, 5) for _ in range(dim)]
+                   for _ in range(60)]
 
         def lift(a: AlgElem) -> AlgElem:
             # a rational coordinate q at conductor 1 is (q, 0, ..., 0) at e
@@ -330,14 +339,15 @@ class Verifier:
             rows[:, :1] = a.rows
             return AlgElem.from_vec(table, e, (a.keys, rows, a.den))
 
-        for xs in candidates:
-            z = build(xs)
-            lz = [coords_q(z * b) for b in basis]
-            inv_sol = solve_q([[lz[j][t] for j in range(k)] for t in range(k)],
-                              unit_coords)
+        for w in [[0] * dim] + weights:
+            z = build(*sol.point(w))
+            # z y = unit for y in A: coordinates of z b_j, column j
+            lz, lz_den = _coords(red, _mul_dense(z, bstack), outside)
+            inv_sol = solve_affine(1, _block(
+                lz * unit_sol.den, unit_sol.particular * lz_den))
             if inv_sol is None or inv_sol.dimension > 0:
                 continue
-            z_inv = build([c.as_fraction() for c in inv_sol.particular])
+            z_inv = build(inv_sol.particular, inv_sol.den)
             if not (z * z_inv == unit and z_inv * z == unit):
                 continue
             if z.star() != z:
@@ -354,7 +364,9 @@ class Verifier:
         """The idempotent z e_U e_V e_chi, idempotency verified exactly."""
         key = chi.key()
         if key not in self._E:
-            E = self.halmos.z * self.c_uv * self.e_chi(chi)
+            if self._zc is None:
+                self._zc = self.halmos.z * self.c_uv
+            E = self._zc * self.e_chi(chi)
             if E.is_zero():
                 raise VerifyAlarm(f"z e_U e_V e_chi vanished for chi={key}")
             if E * E != E:
@@ -372,14 +384,14 @@ class Verifier:
         key = chi.key()
         if key not in self._module:
             E = self.E(chi)
-            tr = E.coeff(self.table.identity) * self.table.size
-            try:
-                trq = tr.as_fraction()
-            except CycloError:
+            # the trace is |G| times E's coefficient at the identity
+            at = np.flatnonzero(E.keys == self.table.identity)
+            tr = E.rows[at[0]].tolist() if len(at) else [0]
+            if any(tr[1:]):
                 raise VerifyAlarm(f"module trace is not rational for chi={key}")
-            if trq.denominator != 1 or trq < 0:
+            expected, r = divmod(tr[0] * self.table.size, E.den)
+            if r or expected < 0:
                 raise VerifyAlarm(f"module trace is not a dimension for chi={key}")
-            expected = int(trq)
             red = SparseReducer(self.e)
             for g in range(self.table.size):
                 red.feed(E.left_translate(g).vec)
@@ -519,46 +531,30 @@ class Verifier:
         basis_vecs = bred.basis_rows()
         basis = [AlgElem.from_vec(table, e, row) for row in basis_vecs]
         basis_stack = stack(basis_vecs)
+        # struct[i, j, t]: coordinate t of b_i b_j, over den
+        struct, den = _coords(bred, stack(_mul_dense(b, basis_stack) for b in basis),
+                              "product left the endomorphism algebra")
+        phi = struct.shape[2]
+        struct = struct.reshape(k, k, k, phi)
 
-        def coords(vec):
-            cl = bred.coords_list(vec)
-            if cl is None:
-                raise VerifyAlarm("product left the endomorphism algebra")
-            return cl
-
-        struct = []
-        for b in basis:
-            keys, prods, den = _mul_dense(b, basis_stack)
-            struct.append([coords((keys, row, den)) for row in prods])
-
-        # center: exact nullity of the commutation system
-        rows = []
-        for j in range(k):
-            for t in range(k):
-                rows.append([struct[i][j][t] - struct[j][i][t] for i in range(k)])
-        zero = CycloNum.zero(e)
-        sol = solve_affine(CycloMatrix(e, rows), [zero] * len(rows))
-        center = sol.nullspace
-        center_dim = len(center)
+        # center: exact nullity of the commutation system, one equation per
+        # (j, t): sum_i (struct[i, j, t] - struct[j, i, t]) x_i = 0
+        comm = (struct - struct.transpose(1, 0, 2, 3)).reshape(k, k * k, phi)
+        sol = solve_affine(e, _block(comm, np.zeros((k * k, phi), dtype=np.int64)))
+        center_dim = sol.dimension
+        # the complex embedding of power-basis coordinates
+        powers = np.array([cmath.exp(2j * cmath.pi * j / e) for j in range(phi)])
+        fold = fold_array(e)[0].astype(object)
 
         blocks, attempts = None, 0
         for attempt in range(5):
             attempts = attempt + 1
-            weights = [self.rng.randint(1, 100) for _ in center]
-            zeta = [zero] * k
-            for wgt, vec in zip(weights, center):
-                zeta = [a + b * wgt for a, b in zip(zeta, vec)]
-            lmat = [[zero] * k for _ in range(k)]
-            for j in range(k):
-                for i in range(k):
-                    zi = zeta[i]
-                    if zi.is_zero():
-                        continue
-                    col = struct[i][j]
-                    for t in range(k):
-                        lmat[t][j] = lmat[t][j] + zi * col[t]
-            lf = np.array([[x.to_complex() for x in row] for row in lmat],
-                          dtype=complex)
+            weights = [self.rng.randint(1, 100) for _ in range(center_dim)]
+            zeta, zden = sol.point(weights)
+            # lmat[j, t]: coordinate t of zeta b_j = sum_i zeta_i struct[i, j, t]
+            mul = (zeta @ fold).reshape(k, phi, phi)
+            lmat = np.tensordot(struct.astype(object), mul, axes=([0, 3], [0, 1]))
+            lf = (lmat.astype(float) @ powers).T / (zden * den)
             eig = sorted(np.linalg.eigvals(lf), key=lambda v: (v.real, v.imag))
             scale = max(1.0, max(abs(v) for v in eig)) if k else 1.0
             clusters = []
@@ -584,7 +580,8 @@ class Verifier:
         if blocks is None:
             raise VerifyAlarm(
                 f"eigen-splitting failed after {attempts} attempts for chi={key}")
-        out = EndAlgebra(key, k, center_dim, blocks, attempts, basis, struct)
+        out = EndAlgebra(key, k, center_dim, blocks, attempts, basis,
+                         struct.tolist(), den)
         self._end[key] = out
         return out
 
@@ -927,6 +924,11 @@ class Verifier:
             umul = np.array([[unit_at[loc.mul(a, b)] for b in loc.units]
                              for a in loc.units])
             d = np.array([unit_at[tf.dets[i][0]] for i in range(tf.size)])
+            # roots[t]: the matrix of multiplication by zeta^t on coordinate
+            # rows; a twisted entry is at most kr times the largest one
+            ft, kf = fold_array(ef)
+            roots = (root_coords(ef) @ ft).reshape(ef, len(ft), len(ft))
+            kr = kf * max_abs(root_coords(ef))
             det_ok = all((umul[d[rows, None], d] == d[tf._table[rows]]).all()
                          for rows in row_blocks(tf.size, tf.size))
             for chi1 in factor_chars(structs[0], ef):
@@ -934,12 +936,14 @@ class Verifier:
                 if not (det_ok and ((v[:, None] + v) % ef == v[umul]).all()):
                     failures.append(f"factor{f}:exps{chi1.exps}:multiplicative")
                     continue
-                dexp = v[d].tolist()
+                dexp = v[d]
 
                 def twist(a: AlgElem) -> AlgElem:
-                    return AlgElem(tf, ef, {
-                        i: c * CycloNum.root(ef, dexp[i])
-                        for i, c in a.coeffs.items()})
+                    # the coefficient at g times zeta^dexp[g]
+                    dtype = exact_dtype(kr * max_abs(a.rows))
+                    rows = (a.rows.astype(dtype)[:, None]
+                            @ roots[dexp[a.keys]].astype(dtype, copy=False))
+                    return AlgElem.from_vec(tf, ef, (a.keys, rows[:, 0], a.den))
 
                 chi = LeviChar(ringf, self.n, ef, ((chi1,) * self.n,))
                 if twist(lv.eU) != lv.eU or twist(lv.eV) != lv.eV:

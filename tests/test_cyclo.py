@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from pseries import CycloMatrix, CycloNum, SparseReducer, rank, solve_affine
-from pseries.cyclo import CycloError, cyclotomic_poly, power_fold
+from pseries.cyclo import (CycloError, cyclotomic_poly, exact_dtype, max_abs,
+                           power_fold)
 
 CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
 
@@ -177,6 +178,23 @@ def test_rank_big_random_full():
     assert rank(m) == np.linalg.matrix_rank(emb) == 50
 
 
+def as_aug(e, mat, rhs):
+    """[M | rhs] as solve_affine takes it: integer power-basis coordinates,
+    each row over its own common denominator."""
+    phi = len(CycloNum.zero(e).c)
+    out = np.zeros((len(mat), len(mat[0]) + 1 if mat else 1, phi), dtype=object)
+    for i, row in enumerate(mat):
+        row = list(row) + [rhs[i]]
+        den = math.lcm(*(f.denominator for x in row for f in x.c))
+        out[i] = [[int(f * den) for f in x.c] for x in row]
+    return out
+
+
+def as_nums(e, rows, den):
+    """CycloNums of integer coordinate rows (n, phi) over den."""
+    return [CycloNum(e, [Fraction(x, den) for x in row]) for row in rows.tolist()]
+
+
 def test_solve_affine_consistent():
     rng = random.Random(7)
     for e, top in [(1, 4), (3, 4), (4, 4), (8, 4), (1, HUGE), (3, HUGE)]:
@@ -188,27 +206,41 @@ def test_solve_affine_consistent():
                     for j in range(n)] for i in range(m)]
             x0 = [rand_num(e, rng) for _ in range(n)]
             rhs = [sum((mat[i][j] * x0[j] for j in range(n)), zero) for i in range(m)]
-            sol = solve_affine(CycloMatrix(e, mat), rhs)
+            sol = solve_affine(e, as_aug(e, mat, rhs))
             assert sol is not None
             # the particular point solves the system
+            point = as_nums(e, sol.particular, sol.den)
             for i in range(m):
-                assert sum((mat[i][j] * sol.particular[j] for j in range(n)), zero) == rhs[i]
-            # each nullspace vector maps to zero
-            for v in sol.nullspace:
+                assert sum((mat[i][j] * point[j] for j in range(n)), zero) == rhs[i]
+            # each nullspace vector maps to zero, and has a unit entry last
+            for vec, d in zip(sol.nullspace, sol.null_dens):
+                v = as_nums(e, vec, d)
+                assert [x for x in v if not x.is_zero()][-1] == CycloNum.one(e)
                 for i in range(m):
                     assert sum((mat[i][j] * v[j] for j in range(n)), zero).is_zero()
             assert sol.dimension == n - rank(CycloMatrix(e, mat))
+            # point() combines the particular point and the nullspace
+            w = [rng.randint(-5, 5) for _ in range(sol.dimension)]
+            rows, den = sol.point(w)
+            want = point
+            for wi, vec, d in zip(w, sol.nullspace, sol.null_dens):
+                want = [a + b * wi for a, b in zip(want, as_nums(e, vec, d))]
+            assert as_nums(e, rows, den) == want
 
 
 def test_solve_affine_inconsistent():
     e = 4
     zero, one = CycloNum.zero(e), CycloNum.one(e)
     # 0 * x = 1 has no solution
-    assert solve_affine(CycloMatrix(e, [[zero]]), [one]) is None
+    assert solve_affine(e, as_aug(e, [[zero]], [one])) is None
     # duplicate row with different rhs
-    mat = CycloMatrix(e, [[one, one], [one, one]])
-    assert solve_affine(mat, [one, zero]) is None
-    assert solve_affine(mat, [one, one]) is not None
+    mat = [[one, one], [one, one]]
+    assert solve_affine(e, as_aug(e, mat, [one, zero])) is None
+    sol = solve_affine(e, as_aug(e, mat, [one, one]))
+    assert sol is not None and sol.dimension == 1
+    # x = 1, y = 0, and the nullspace vector (-1, 1)
+    assert as_nums(e, sol.particular, sol.den) == [one, zero]
+    assert as_nums(e, sol.nullspace[0], sol.null_dens[0]) == [-one, one]
 
 
 def test_sparse_reducer_matches_dense_rank():
@@ -246,8 +278,9 @@ def test_sparse_reducer_membership_and_coords():
         # a random combination of basis rows is contained, with matching coordinates
         combo = combine(e, [rand_num(e, rng) for _ in range(4)], basis)
         assert red.contains(as_vec(e, combo))
-        got = red.coords_list(as_vec(e, combo))
-        assert got is not None
+        coords, dens, inside = red.coords_list(as_vec(e, combo))
+        assert inside.tolist() == [True]
+        got = as_nums(e, coords[0], dens[0])
         rows = [as_dict(e, row) for row in red.basis_rows()]
         assert all(row[min(row)] == CycloNum.one(e) for row in rows)
         rebuilt = combine(e, got, rows)
@@ -256,4 +289,58 @@ def test_sparse_reducer_membership_and_coords():
         # something outside the span
         outside = {25: CycloNum.one(e)}
         assert not red.contains(as_vec(e, outside))
-        assert red.coords_list(as_vec(e, outside)) is None
+        assert red.coords_list(as_vec(e, outside))[2].tolist() == [False]
+
+
+def test_coords_list_stacks_match_single_vectors():
+    # stacks mixing in-span rows, an all-zero row and rows outside the span,
+    # with int64 entries and with entries past the int64 range
+    rng = random.Random(23)
+    width = 16
+    for e in (1, 3, 4, 8):
+        phi = len(CycloNum.zero(e).c)
+        zero = CycloNum.zero(e)
+        for top in (4, HUGE):
+            red = SparseReducer(e)
+            gens = []
+            for _ in range(4):
+                vec = {rng.randrange(width): rand_num(e, rng, top)
+                       for _ in range(3)}
+                red.feed(as_vec(e, vec))
+                gens.append(vec)
+            vecs = [combine(e, [rand_num(e, rng) for _ in gens], gens)
+                    for _ in range(4)]
+            vecs.insert(2, {})
+            vecs += [{rng.randrange(width): rand_num(e, rng, top)
+                      for _ in range(3)} for _ in range(3)]
+            den = math.lcm(*(f.denominator for v in vecs for c in v.values()
+                             for f in c.c))
+            rows = np.zeros((len(vecs), width, phi), dtype=object)
+            for i, vec in enumerate(vecs):
+                for k, c in vec.items():
+                    rows[i, k] = [int(f * den) for f in c.c]
+            rows = rows.astype(exact_dtype(max_abs(rows)))
+            assert (rows.dtype == object) == (top == HUGE)
+            keys = np.arange(width)
+
+            coords, dens, inside = red.coords_list((keys, rows, den))
+            assert coords.shape == (len(vecs), red.rank, phi)
+            basis = [as_dict(e, row) for row in red.basis_rows()]
+            ref = rank(CycloMatrix(e, [[g.get(j, zero) for j in range(width)]
+                                       for g in gens]))
+            for i, vec in enumerate(vecs):
+                grown = rank(CycloMatrix(e, [[g.get(j, zero) for j in range(width)]
+                                             for g in gens + [vec]]))
+                assert bool(inside[i]) == (grown == ref)
+                one = red.coords_list((keys, rows[i], den))
+                assert one[2].tolist() == [inside[i]]
+                if not inside[i]:
+                    continue
+                got = as_nums(e, coords[i], dens[i])
+                rebuilt = combine(e, got, basis)
+                for k in set(vec) | set(rebuilt):
+                    assert vec.get(k, zero) == rebuilt.get(k, zero)
+                assert (one[0][0].tolist(), one[1][0]) == (coords[i].tolist(), dens[i])
+            # the all-zero row has zero coordinates
+            assert inside[2] and not coords[2].any()
+            assert not inside[-3:].all()

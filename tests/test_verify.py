@@ -1,5 +1,6 @@
 """Verification engine internals on small groups; the acceptance file runs the gate."""
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
                      factor_ulv, idempotent_subgroup, orbit_reps, parse_ring_spec,
                      span_rank, stabilizer, stabilizer_degrees)
-from pseries import algebra, verify
+from pseries import algebra, cli, verify
 from pseries.algebra import AlgebraError
 from pseries.verify import compositions
 
@@ -43,6 +44,59 @@ def test_halmos_solution_dims(vget):
     assert vget("GF(2,1)", 2).halmos.solution_dim == 0
     assert vget("GF(3,1)", 2).halmos.solution_dim == 0
     assert vget("Z/4", 2).halmos.solution_dim == 2
+
+
+# z, z_inv and the unit of A for Z/4 n=2 at seed 0, as (keys, coordinates,
+# den); there solution_dim is 2, so the candidate order and the rng stream
+# decide z
+HALMOS_Z4 = {
+    "z": ([0, 5, 6, 7, 8, 9, 10, 11, 12, 18, 20, 22, 24, 27, 29, 30, 32, 35, 36,
+           39, 40, 42, 45, 47, 49, 51, 52, 54, 56, 58, 61, 63, 67, 69, 71, 75,
+           76, 78, 82, 85, 86, 90, 92, 95],
+          [96, 1, -15, 1, 1, 1, -15, 1, 1, 33, 34, 33, 32, -15, -14, -15, 32,
+           -15, -30, -15, 32, -15, -14, -15, -15, 1, 1, 1, 1, 1, -15, 1, 1, 2,
+           1, 1, -14, 1, -15, 2, -15, 1, -14, 1], 48),
+    "z_inv": ([0, 5, 7, 8, 9, 11, 12, 18, 20, 22, 24, 29, 32, 35, 36, 39, 40,
+               45, 51, 52, 54, 56, 58, 63, 65, 67, 69, 71, 73, 75, 76, 78, 81,
+               82, 85, 86, 89, 90, 92, 95],
+              [493, 80, 80, 80, 80, 80, 80, 205, 237, 205, 208, 32, 243, 35,
+               -13, 35, 208, 32, 80, 80, 80, 80, 80, 80, 13, 45, 77, 45, 48,
+               80, 32, 80, 83, 35, 147, 35, 48, 80, 32, 80], 3840),
+    "unit": ([0, 5, 6, 7, 8, 9, 10, 11, 12, 18, 20, 22, 24, 27, 29, 30, 32, 35,
+              36, 39, 40, 42, 45, 47, 49, 51, 52, 54, 56, 58, 61, 63, 65, 69,
+              75, 76, 78, 81, 82, 85, 86, 90, 92, 95],
+             [23, 1, -3, 1, 1, 1, -3, 1, 1, 8, 9, 8, 8, -3, -2, -3, 9, -2, -5,
+              -2, 8, -3, -2, -3, -3, 1, 1, 1, 1, 1, -3, 1, -1, 1, 1, -2, 1, 1,
+              -2, 3, -2, 1, -2, 1], 48),
+}
+
+
+def test_halmos_pinned_z4():
+    h = Verifier(parse_ring_spec("Z/4"), 2, seed=0).halmos
+    for name, (keys, coords, den) in HALMOS_Z4.items():
+        a = getattr(h, name)
+        assert (a.keys.tolist(), a.rows[:, 0].tolist(), a.den) == (keys, coords, den)
+        assert not a.rows[:, 1:].any()
+
+
+# sha256 of `--format json --seed 7` reports; the JSON bytes of a fixed seed
+# are part of the output contract
+PINNED_REPORTS = [
+    ("verify --ring Z/4 -n 2",
+     "0cf26b1e1ede78f4bf90d93ab5dfaaf244370a8fc58b2a1ab409a08fed7fe89c"),
+    ("verify --ring Z/2xZ/2 -n 2",
+     "ce4483901b04d339f5e949a8717e3d8490c022528a56c4f90ef719e2fe88e207"),
+    ("count --ring GF(2,2) -n 2",
+     "7c28ebe6beb89a4c3682e871804ccac654052526eed55346f9abb4636fd2f961"),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_REPORTS)
+def test_pinned_report_digests(args, digest, capsys):
+    code = cli.main(args.split() + ["--format", "json", "--seed", "7"])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_E_is_idempotent_and_spans_like_cuv(vget):
