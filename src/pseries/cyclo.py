@@ -10,11 +10,11 @@ exact integer matmuls in float64, but only when an a-priori bound keeps every
 partial sum below 2^53, where float64 holds every integer exactly.
 
 Linear algebra runs on one engine, SparseReducer: fraction-free elimination
-on integer power-basis coordinates in numpy arrays.  It reads off the
-coordinates of a whole stack of vectors at once (coords_list), and
-solve_affine is built on it; both take and return integer arrays over
-denominators, so no CycloNum or Fraction is made.  rank() is a plain
-CycloNum elimination kept as the reference for tests.
+on integer power-basis coordinates in numpy arrays, in one sweep that reduces
+a whole stack of vectors at once.  Feeding, span tests, coordinates
+(coords_list) and solve_affine all run on that sweep; they take and return
+integer arrays over denominators, so no CycloNum or Fraction is made.  rank()
+is a plain CycloNum elimination kept as the reference for tests.
 """
 
 from __future__ import annotations
@@ -113,10 +113,11 @@ def galois(e: int, t: int):
 
 
 def times(rows, c, e, dtype):
-    """rows * c in Z[zeta_e]: integer rows (k, phi) times integer coordinates c."""
+    """rows * c in Z[zeta_e]: integer rows (k, phi) times integer coordinates
+    c (phi,), or times each of a stack c (m, phi), giving (m, k, phi)."""
     ft, _ = fold_array(e)
-    m = np.array(c, dtype=dtype) @ ft.astype(dtype, copy=False)
-    return rows.astype(dtype, copy=False) @ m.reshape(len(ft), -1)
+    m = np.asarray(c, dtype=dtype) @ ft.astype(dtype, copy=False)
+    return rows.astype(dtype, copy=False) @ m.reshape(*m.shape[:-1], len(ft), -1)
 
 
 _ZERO = Fraction(0)
@@ -409,30 +410,28 @@ def max_abs(a):
     return int(np.abs(a).max()) if a.size else 0
 
 
-def _lead(v, start):
-    """Index of the first nonzero row of v at or after start; None if none."""
-    nz = np.flatnonzero(v[start:].any(axis=1))
-    return start + int(nz[0]) if nz.size else None
-
-
 class SparseReducer:
     """Incremental exact row reduction of sparse vectors over Q(zeta_e).
 
     A vector is (keys, rows, den), the form AlgElem.vec gives: an integer
     array of distinct non-negative keys, an integer array with one row of phi
     power-basis coordinates per key, and a positive denominator; it stands
-    for rows[i] / den at keys[i]. Pivot rows are normalized to leading
-    coefficient 1 and keyed by their least index; every key in a pivot row
-    other than its lead is strictly larger than the lead, so reduction of any
-    vector terminates with a remainder that is zero exactly when the vector
-    lies in the span.
+    for rows[i] / den at keys[i]. A stack of k vectors on one key array has
+    rows of shape (k, len(keys), phi); every method takes a vector or a
+    stack. Pivot rows are normalized to leading coefficient 1 and keyed by
+    their least index; every key in a pivot row other than its lead is
+    strictly larger than the lead, so reduction of any vector terminates with
+    a remainder that is zero exactly when the vector lies in the span.
 
     Elimination is fraction-free on integer power-basis coordinates, one row
     of phi integers per key. A pivot is an integer array R with R[lead] = D,
-    a positive integer, and stands for R / D. A vector v is reduced by
-    v <- (D v - v[lead] R) / g, g the gcd of the result's entries, so it stays
-    a positive rational multiple of the exact remainder. Each step takes
-    int64 or exact Python ints from a bound on its entries (exact_dtype).
+    a positive integer, and stands for R / D. One sweep (_sweep) reduces a
+    whole stack: each step takes the least key at which some vector starts
+    and which is a pivot's lead, and reduces every vector that starts there
+    by v <- (D v - v[lead] R) / g, g the gcd of its entries, so each stays a
+    positive rational multiple of its exact remainder, and meets the pivots
+    in the order it would alone. Each step takes int64 or exact Python ints
+    from a bound on its entries (exact_dtype).
     """
 
     def __init__(self, e):
@@ -443,42 +442,69 @@ class SparseReducer:
         self._dens = []
         self._maxes = []   # largest |entry| of each pivot array
         self._leads = []   # in insertion order
-        self._at = {}      # lead key -> pivot index
         self._width = 0
 
     def _vector(self, vec):
-        """Dense integer rows of a vector or stack (keys, rows, den), den
-        dropped: shape (width, phi), or (k, width, phi) for a stack."""
+        """Dense integer rows (k, width, phi) of a vector or stack (keys,
+        rows, den), den dropped; a vector is a stack of one."""
         keys, rows, _ = vec
         if len(keys) and keys.min() < 0:
             raise CycloError("reducer keys must be non-negative integers")
-        width = int(keys.max()) + 1 if len(keys) else 0
-        v = np.zeros(rows.shape[:-2] + (max(self._width, width), self._phi),
+        rows = rows[None] if rows.ndim == 2 else rows
+        # at least one key wide, so that every vector has a first key
+        width = int(keys.max()) + 1 if len(keys) else 1
+        v = np.zeros((len(rows), max(self._width, width), self._phi),
                      dtype=exact_dtype(max_abs(rows)))
-        v[..., keys, :] = rows
+        v[:, keys] = rows
         return v
 
-    def _reduce(self, v):
-        """(remainder, its lead or None) for integer rows v; the remainder is
-        a positive rational multiple of the exact one."""
-        k = _lead(v, 0)
-        while k is not None:
-            j = self._at.get(k)
-            if j is None:
-                break
+    def _sweep(self, v, grow=0):
+        """Reduce the stack v (k, width, phi) on the pivots.
+
+        When no vector starts at a pivot's lead, the lowest-index vector that
+        starts before key `grow` becomes a pivot, and the sweep goes on; this
+        gives the pivots of feeding the vectors one at a time, in order, as a
+        vector left over meets the new pivots where it stopped.  Returns (v,
+        lead, grown, steps): the remainders, each one's lead (width when it
+        is zero or became a pivot), the positions that became pivots, and per
+        step (pivot index, vectors, their lead coordinates, their contents g).
+        """
+        k, width, _ = v.shape
+        at = np.full(width + 1, -1, dtype=np.intp)   # key -> pivot index
+        at[self._leads] = np.arange(self.rank)
+        lead = np.empty(k, dtype=np.intp)
+        act, key, tail = np.arange(k), 0, v
+        grown, steps = [], []
+        while True:
+            nz = (tail != 0).any(axis=2)
+            lead[act] = np.where(nz.any(axis=1), key + nz.argmax(axis=1), width)
+            piv = at[lead]
+            while (piv < 0).all():
+                new = np.flatnonzero(lead < grow)
+                if not len(new):
+                    return v, lead, grown, steps
+                i = int(new[0])
+                self._insert(v[i], int(lead[i]))
+                at[lead[i]], lead[i] = self.rank - 1, width
+                grown.append(i)
+                piv = at[lead]
+            key = int(lead[piv >= 0].min())
+            act, j = np.flatnonzero(lead == key), int(at[key])
             R, D = self._rows[j], self._dens[j]
-            c = v[k].tolist()
-            mv = int(np.abs(v[k:]).max())
+            tail = v[act, key:]
+            mv = max_abs(tail)
             dtype = exact_dtype(D * mv + self._kf * mv * self._maxes[j])
-            v = v.astype(dtype, copy=False)
-            tail = v[k:]
+            tail = tail.astype(dtype, copy=False)
+            c = tail[:, 0].copy()
             tail *= D
-            tail[:len(R)] -= times(R, c, self.e, dtype)
-            g = content(tail)
-            if g > 1:
-                tail //= g
-            k = _lead(v, k + 1)
-        return v, k
+            tail[:, :len(R)] -= times(R, c, self.e, dtype)
+            g = np.abs(np.gcd.reduce(tail, axis=(1, 2)))
+            g[g == 0] = 1
+            tail //= g[:, None, None]
+            if dtype is object:
+                v = v.astype(object, copy=False)
+            v[act, key:] = tail
+            steps.append((j, act, c, g))
 
     def _adjugate(self, a):
         """Product of the Galois conjugates of a other than a itself.
@@ -504,23 +530,22 @@ class SparseReducer:
         R //= g
         big = int(np.abs(R).max())
         R = R.astype(exact_dtype(big), copy=False)
-        self._at[k] = len(self._rows)
         self._rows.append(R)
         self._dens.append(int(R[0, 0]))
         self._maxes.append(big)
         self._leads.append(k)
         self._width = max(self._width, k + len(R))
 
-    def feed(self, vec) -> bool:
-        """Insert vec; True when it enlarged the span."""
-        v, k = self._reduce(self._vector(vec))
-        if k is None:
-            return False
-        self._insert(v, k)
-        return True
+    def feed(self, vecs) -> list:
+        """Insert a vector or a stack; the positions in the stack of the
+        vectors that enlarged the span (empty when none did)."""
+        v = self._vector(vecs)
+        return self._sweep(v, grow=v.shape[1])[2]
 
-    def contains(self, vec) -> bool:
-        return self._reduce(self._vector(vec))[1] is None
+    def contains(self, vecs) -> bool:
+        """True when every vector of a vector or stack lies in the span."""
+        v, lead, _, _ = self._sweep(self._vector(vecs))
+        return bool((lead == v.shape[1]).all())
 
     def coords_list(self, vecs):
         """Coordinates of a stack of vectors on the pivots, in insertion order.
@@ -531,49 +556,25 @@ class SparseReducer:
         and inside[i] is False when it lies outside the span (its coordinates
         then mean nothing).
 
-        One fraction-free step per pivot, in order of leads, reduces all the
-        vectors that are nonzero at the lead: v <- (D v - v[lead] R) / g, g
-        each vector's content.  Vector i then stands for p[i] / q[i] times
-        its input minus the part taken off, so its coordinate on the pivot
-        is v[i, lead] q[i] / p[i].
+        After each step of the sweep, a vector it reduced stands for p[i] /
+        q[i] times its input minus the part taken off, so its coordinate on
+        the step's pivot is v[i, lead] q[i] / p[i].
         """
-        keys, rows, den = vecs
-        v = self._vector((keys, rows[None] if rows.ndim == 2 else rows, den))
-        k, phi = len(v), self._phi
-        ft, _ = fold_array(self.e)
+        v, lead, _, steps = self._sweep(self._vector(vecs))
+        k = len(v)
         p, q = np.ones(k, dtype=object), np.ones(k, dtype=object)
-        coords = np.zeros((k, self.rank, phi), dtype=object)
+        coords = np.zeros((k, self.rank, self._phi), dtype=object)
         dens = np.ones((k, self.rank), dtype=object)
-        for j in np.argsort(self._leads, kind="stable"):
-            lead, R, D = self._leads[j], self._rows[j], self._dens[j]
-            act = np.flatnonzero(v[:, lead].any(axis=1))
-            if not len(act):
-                continue
-            tail = v[act, lead:]
-            mv = max_abs(tail)
-            dtype = exact_dtype(D * mv + self._kf * mv * self._maxes[j])
-            tail = tail.astype(dtype, copy=False)
-            c = tail[:, 0].copy()
+        for j, act, c, g in steps:
             coords[act, j], dens[act, j] = c * q[act, None], p[act]
-            tail *= D
-            # c times R in Z[zeta_e], through R's multiplication table
-            mul = (R.astype(dtype, copy=False) @ ft.astype(dtype, copy=False)
-                   ).reshape(len(R), phi, phi).transpose(1, 0, 2)
-            tail[:, :len(R)] -= (c @ mul.reshape(phi, -1)).reshape(len(act), -1, phi)
-            g = np.abs(np.gcd.reduce(tail, axis=(1, 2)))
-            g[g == 0] = 1
-            tail //= g[:, None, None]
-            if dtype is object:
-                v = v.astype(object, copy=False)
-            v[act, lead:] = tail
-            pa, qa = p[act] * D, q[act] * g.astype(object)
+            pa, qa = p[act] * self._dens[j], q[act] * g.astype(object)
             h = np.gcd(pa, qa)
             p[act], q[act] = pa // h, qa // h
-        inside = ~v.any(axis=(1, 2))
+        inside = lead == v.shape[1]
         # one denominator per vector, in lowest terms
         lcm = np.lcm.reduce(dens, axis=1, initial=1)
         coords *= (lcm[:, None] // dens)[:, :, None]
-        lcm *= den
+        lcm *= vecs[2]
         g = np.gcd(np.gcd.reduce(coords, axis=(1, 2), initial=0), lcm)
         coords //= g[:, None, None]
         lcm //= g
@@ -624,11 +625,13 @@ def solve_affine(e, aug) -> AffineSolution | None:
     (Scaling a row by a nonzero integer keeps the solutions, so a rational
     system is passed with each row over a common denominator.)
 
-    The columns of [M | rhs] go left to right through one SparseReducer, each
-    with a unit tag on keys after M's rows. A column whose M part reduces to
-    zero is a combination of the pivot columns before it, and its tags hold
-    that relation; read off, the relations are the reduced-row-echelon
-    particular solution and nullspace basis.
+    The columns of [M | rhs], each with a unit tag on keys after M's rows, go
+    through one SparseReducer in one sweep, which makes pivots only of
+    remainders that start inside M's rows, lowest column first, as if the
+    columns were fed left to right. A column whose M part reduces to zero is
+    a combination of the pivot columns before it, and its tags hold that
+    relation; read off, the relations are the reduced-row-echelon particular
+    solution and nullspace basis.
     """
     nr, nc = aug.shape[0], aug.shape[1] - 1
     red = SparseReducer(e)
@@ -636,19 +639,13 @@ def solve_affine(e, aug) -> AffineSolution | None:
                     dtype=exact_dtype(max_abs(aug)))
     cols[:, :nr] = aug.transpose(1, 0, 2)
     cols[np.arange(nc + 1), nr + np.arange(nc + 1), 0] = 1
-    nullspace, null_dens = [], []
-    for j in range(nc + 1):
-        v, k = red._reduce(cols[j])
-        if k < nr:
-            if j == nc:
-                return None
-            red._insert(v, k)
-            continue
-        # the tags read sum_i tags[i] * column_i = 0 with tags[j] a positive
-        # integer; for the rhs column, divided by -tags[j], they are the
-        # particular solution
-        tags, t = v[nr:nr + nc], int(v[nr + j, 0])
-        if j < nc:
-            nullspace.append(tags)
-            null_dens.append(t)
-    return AffineSolution(-tags, t, nullspace, null_dens)
+    v, _, grown, _ = red._sweep(cols, grow=nr)
+    if nc in grown:
+        return None
+    # the tags of a column that is not a pivot read sum_i tags[i] * column_i
+    # = 0 with tags[j] a positive integer; for the rhs column, divided by
+    # -tags[j], they are the particular solution
+    null = [j for j in range(nc) if j not in grown]
+    return AffineSolution(-v[nc, nr:nr + nc], int(v[nc, nr + nc, 0]),
+                          [v[j, nr:nr + nc] for j in null],
+                          [int(v[j, nr + j, 0]) for j in null])

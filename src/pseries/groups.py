@@ -11,6 +11,7 @@ element.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -130,19 +131,19 @@ def row_blocks(rows, width, budget=_BLOCK):
     return (slice(r, min(r + step, rows)) for r in range(0, rows, step))
 
 
-def _local_table(local, mats, n):
+def _local_table(local, A):
     """Cayley table of one local factor's matrices, gathered from its ring tables.
 
-    Each product is summed entry by entry through the ring's addition and
-    multiplication tables, encoded by its row-major base-q entry codes and
-    mapped back to an index through a code -> index array of q^(n^2)
-    entries (_local_gl has already walked every one of those codes).  A
-    product that is not among mats raises.
+    A holds the matrices' entry codes, shape (size, n, n).  Each product is
+    summed entry by entry through the ring's addition and multiplication
+    tables, encoded by its row-major base-q entry codes and mapped back to an
+    index through a code -> index array of q^(n^2) entries (_local_gl has
+    already walked every one of those codes).  A product that is not among
+    the matrices raises.
     """
-    q, size = local.size, len(mats)
+    (size, n, _), q = A.shape, local.size
     mul = np.array(local._mul, dtype=np.int32)
     add = np.array(local._add, dtype=np.int32)
-    A = np.array(mats, dtype=np.int32).reshape(size, n, n)
 
     def encode(x):
         """Codes of matrices whose n*n row-major entries run along axis 1."""
@@ -167,6 +168,30 @@ def _local_table(local, mats, n):
             raise GroupError("a product of invertible matrices is not in the group")
         table[rows] = pos
     return table
+
+
+def _local_subgroups(loc, A):
+    """Local indices of the standard subgroups U, V, L, N and G0, read off as
+    boolean masks over one factor's matrices, A their (size, n, n) entry
+    codes.  Every matrix in A is invertible, so N (one nonzero entry per
+    column) has unit entries."""
+    n = A.shape[1]
+    off = ~np.eye(n, dtype=bool)
+    below = np.tril(off)
+    diag, nonzero = A[:, ~off], A != loc.zero
+    ideal = np.zeros(loc.size, dtype=bool)
+    ideal[list(loc.ideal)] = True
+    one_plus = np.zeros(loc.size, dtype=bool)
+    one_plus[[loc.add(loc.one, t) for t in loc.ideal]] = True
+    unipotent = (diag == loc.one).all(axis=1)
+    masks = {
+        "U": unipotent & ~nonzero[:, below].any(axis=1),
+        "V": unipotent & ~nonzero[:, below.T].any(axis=1),
+        "L": ~nonzero[:, off].any(axis=1),
+        "N": (nonzero.sum(axis=1) == 1).all(axis=1),
+        "G0": ideal[A[:, off]].all(axis=1) & one_plus[diag].all(axis=1),
+    }
+    return {name: np.flatnonzero(mask) for name, mask in masks.items()}
 
 
 def _mono_perm(field, mat):
@@ -314,20 +339,14 @@ def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
             f"candidate count {ring.size}^{n * n} = {candidates} exceeds bound {max_cost}")
     locs = ring.locals
     m = len(locs)
-    local_mats, local_dets, local_index = [], [], []
-    for loc in locs:
-        mats, dets = _local_gl(loc, n)
-        local_mats.append(mats)
-        local_dets.append(dets)
-        local_index.append({mt: i for i, mt in enumerate(mats)})
+    local_mats, local_dets = zip(*(_local_gl(loc, n) for loc in locs))
     sizes = [len(ms) for ms in local_mats]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = math.prod(sizes)
     if total * total > max_cost:
         raise SizeGuardError(
             f"group order {total} gives table size {total}^2 > bound {max_cost}")
-    local_tables = [_local_table(loc, local_mats[f], n) for f, loc in enumerate(locs)]
+    codes = [np.array(ms, dtype=np.int32).reshape(-1, n, n) for ms in local_mats]
+    local_tables = [_local_table(loc, A) for loc, A in zip(locs, codes)]
 
     # combined elements, identity first then lexicographic in entry codes
     identity = tuple(tuple(ring.one if i == j else ring.zero for j in range(n))
@@ -358,87 +377,13 @@ def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
     dets = [tuple(local_dets[f][dec[f][i]] for f in range(m)) for i in range(total)]
 
     # standard subgroups, assembled per factor and combined through enc
-    def combine(local_lists):
-        grid = enc[np.ix_(*[np.asarray(v, dtype=np.int32) for v in local_lists])]
-        return grid.ravel()
-
-    def local_subgroup_lists(build):
-        return [build(f) for f in range(m)]
-
-    def upper(f):
-        loc = locs[f]
-        out = []
-        above = [(i, j) for i in range(n) for j in range(n) if i < j]
-        for vals in itertools.product(range(loc.size), repeat=len(above)):
-            mat = [[loc.one if i == j else loc.zero for j in range(n)] for i in range(n)]
-            for (i, j), v in zip(above, vals):
-                mat[i][j] = v
-            out.append(local_index[f][tuple(tuple(r) for r in mat)])
-        return out
-
-    def lower(f):
-        loc = locs[f]
-        out = []
-        below = [(i, j) for i in range(n) for j in range(n) if i > j]
-        for vals in itertools.product(range(loc.size), repeat=len(below)):
-            mat = [[loc.one if i == j else loc.zero for j in range(n)] for i in range(n)]
-            for (i, j), v in zip(below, vals):
-                mat[i][j] = v
-            out.append(local_index[f][tuple(tuple(r) for r in mat)])
-        return out
-
-    def torus(f):
-        loc = locs[f]
-        out = []
-        for diag in itertools.product(loc.units, repeat=n):
-            mat = tuple(tuple(diag[i] if i == j else loc.zero for j in range(n))
-                        for i in range(n))
-            out.append(local_index[f][mat])
-        return out
-
-    def monomial(f):
-        loc = locs[f]
-        out = []
-        for perm in itertools.permutations(range(n)):
-            for diag in itertools.product(loc.units, repeat=n):
-                mat = [[loc.zero] * n for _ in range(n)]
-                for j in range(n):
-                    mat[perm[j]][j] = diag[j]
-                out.append(local_index[f][tuple(tuple(r) for r in mat)])
-        return out
-
-    def perm_mats(f):
-        loc = locs[f]
-        out = []
-        for perm in itertools.permutations(range(n)):
-            mat = [[loc.zero] * n for _ in range(n)]
-            for j in range(n):
-                mat[perm[j]][j] = loc.one
-            out.append(local_index[f][tuple(tuple(r) for r in mat)])
-        return out
-
-    def congruence_kernel(f):
-        loc = locs[f]
-        diag_vals = [loc.add(loc.one, t) for t in loc.ideal]
-        out = []
-        positions = [(i, j) for i in range(n) for j in range(n)]
-        choices = [diag_vals if i == j else list(loc.ideal) for (i, j) in positions]
-        for vals in itertools.product(*choices):
-            mat = [[loc.zero] * n for _ in range(n)]
-            for (i, j), v in zip(positions, vals):
-                mat[i][j] = v
-            out.append(local_index[f][tuple(tuple(r) for r in mat)])
-        return out
-
+    local_subgroups = [_local_subgroups(loc, A) for loc, A in zip(locs, codes)]
     subgroups = {}
-    for name, build in (("U", upper), ("V", lower), ("L", torus),
-                        ("N", monomial), ("G0", congruence_kernel)):
-        subgroups[name] = tuple(sorted(int(x) for x in combine(local_subgroup_lists(build))))
-
-    perm_lists = local_subgroup_lists(perm_mats)
+    for name in ("U", "V", "L", "N", "G0"):
+        grid = enc[np.ix_(*(sub[name] for sub in local_subgroups))]
+        subgroups[name] = tuple(sorted(grid.ravel().tolist()))
     weyl = weyl_elements(m, n)
-    w_indices = combine(perm_lists)  # same product order as weyl_elements
-    weyl_to_index = {w: int(i) for w, i in zip(weyl, w_indices)}
+    weyl_to_index = {w: index[weyl_matrix(ring, w)] for w in weyl}
     subgroups["W"] = tuple(sorted(weyl_to_index.values()))
 
     # Bruhat label of every element, computed per factor over the residue field

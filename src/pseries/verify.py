@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (_STACK_BLOCK, AlgElem, _mul_dense, idempotent_char,
-                      idempotent_subgroup, stack)
+                      idempotent_subgroup, stack, translates)
 from .chars import (LeviChar, all_levi_chars, conjugacy_class_count,
                     factor_chars, orbit, orbit_reps, partition_count,
                     principal_series_count, stabilizer, stabilizer_degrees,
@@ -200,6 +200,30 @@ def _z_solutions(sides, star_fixed, *identities):
     return sol
 
 
+# check id -> Verifier method, in report order; lem3.1 runs on product
+# rings only
+_CHECKS = (
+    ("prop3.2a", "check_ulv"),
+    ("prop3.2b", "check_residue_surjective"),
+    ("prop3.2c", "check_kernel_orderings"),
+    ("prop3.2d", "check_unipotent_splitting"),
+    ("prop3.2e", "check_cells"),
+    ("prop3.2f", "check_cell_separation"),
+    ("lem3.3", "check_lemma33"),
+    ("lem3.4", "check_lemma34"),
+    ("lem3.5", "check_lemma35"),
+    ("prop3.6", "check_prop36"),
+    ("prop3.7", "check_lin_independence"),
+    ("thm1", "check_theorem1"),
+    ("thm2", "check_theorem2"),
+    ("lem3.10", "check_scalar_twist"),
+    ("lem3.12", "check_levi_support"),
+    ("cor2.3", "check_corollary"),
+    ("intro", "check_intro_example"),
+    ("lem3.1", "check_local_product"),
+)
+
+
 def compositions(n: int):
     """All ordered compositions of n."""
     out = []
@@ -284,17 +308,15 @@ class Verifier:
         cuv1, cvu1 = eU1 * eV1, eV1 * eU1
         red = SparseReducer(1)
         # the words, breadth first: each generation of new words times e_U
-        # and e_V, fed as a queue would, a e_U then a e_V for each a in turn
-        new = [a.vec for a in (eU1, eV1) if red.feed(a.vec)]
-        while new:
-            words = stack(new)
-            prods = [_times_right(words, x) for x in (eU1, eV1)]
-            new = []
-            for i in range(len(words[1])):
-                for keys, rows, den in prods:
-                    vec = (keys, rows[i], den)
-                    if red.feed(vec):
-                        new.append(vec)
+        # and e_V, fed in one stack as a queue would take them, a e_U then
+        # a e_V for each a in turn
+        keys, rows, den = stack([eU1.vec, eV1.vec])
+        while True:
+            words = keys, rows[red.feed((keys, rows, den))], den
+            if not len(words[1]):
+                break
+            keys, rows, den = stack([_times_right(words, x) for x in (eU1, eV1)])
+            rows = rows[np.arange(len(rows)).reshape(2, -1).T.ravel()]
         bvecs = red.basis_rows()
         basis = [AlgElem.from_vec(table, 1, vec) for vec in bvecs]
         bstack = stack(bvecs)
@@ -379,7 +401,9 @@ class Verifier:
 
         The trace of right multiplication by a verified idempotent equals the
         dimension of its image, so feeding stops once the rank reaches it;
-        a shortfall after all translates would be an alarm.
+        a shortfall after all translates would be an alarm.  u E = E for u in
+        U (z commutes with e_U), so one translate per left coset gU is fed,
+        min(gU) in increasing order, each feed as many as the rank lacks.
         """
         key = chi.key()
         if key not in self._module:
@@ -392,11 +416,14 @@ class Verifier:
             expected, r = divmod(tr[0] * self.table.size, E.den)
             if r or expected < 0:
                 raise VerifyAlarm(f"module trace is not a dimension for chi={key}")
-            red = SparseReducer(self.e)
-            for g in range(self.table.size):
-                red.feed(E.left_translate(g).vec)
-                if red.rank == expected:
-                    break
+            t, red = self.table, SparseReducer(self.e)
+            reps = np.flatnonzero(t._table[:, t.subgroup("U")].min(axis=1)
+                                  == np.arange(t.size))
+            most = max(1, _STACK_BLOCK // (t.size * E.rows.shape[1]))
+            while red.rank < expected and len(reps):
+                take = min(expected - red.rank, most)
+                red.feed(translates(E, reps[:take]))
+                reps = reps[take:]
             if red.rank != expected:
                 raise VerifyAlarm(f"module dimension disagrees with trace for chi={key}")
             self._module[key] = red
@@ -449,8 +476,7 @@ class Verifier:
             keys, prods, _ = _mul_dense(self.E(sigma), vecs)
             for c, lo, hi in zip(group, [0, *ends], ends):
                 red = SparseReducer(self.e)
-                for row in prods[lo:hi]:
-                    red.feed((keys, row, 1))
+                red.feed((keys, prods[lo:hi], 1))
                 self._sandwich[c.key(), sigma.key()] = red.rank
         return self._sandwich[key]
 
@@ -525,8 +551,7 @@ class Verifier:
         # E times the chi module is B
         keys, prods, _ = _mul_dense(self.E(chi), self._module_stack([chi])[0])
         bred = SparseReducer(e)
-        for row in prods:
-            bred.feed((keys, row, 1))
+        bred.feed((keys, prods, 1))
         k = bred.rank
         basis_vecs = bred.basis_rows()
         basis = [AlgElem.from_vec(table, e, row) for row in basis_vecs]
@@ -779,14 +804,12 @@ class Verifier:
                            {"failing_w": []}, {"failing_w": bad})
 
     def _sandwiches(self, gs):
-        """The vectors of c_uv g c_uv for g in gs, from one kernel call on the
-        left translates g c_uv per stack of at most _STACK_BLOCK dense
-        entries, made as they are consumed."""
+        """Stacks of c_uv g c_uv for g in gs, each from one kernel call on the
+        left translates g c_uv, of at most _STACK_BLOCK dense entries, made
+        as they are consumed."""
         width = self.table.size * len(power_fold(self.e))
         for part in row_blocks(len(gs), width, _STACK_BLOCK):
-            keys, prods, den = _mul_dense(self.c_uv, stack(
-                self.c_uv.left_translate(int(g)).vec for g in gs[part]))
-            yield from ((keys, row, den) for row in prods)
+            yield _mul_dense(self.c_uv, translates(self.c_uv, gs[part]))
 
     def _phi_data(self, w: PermWord):
         key = w.perms
@@ -800,19 +823,20 @@ class Verifier:
         # translate per coset V^w g; min(V^w g) labels it
         red_cw = SparseReducer(e)
         red_vcw = SparseReducer(e)
-        for g in np.flatnonzero(_mask(t, t._table[Vw].min(axis=0))).tolist():
-            red_cw.feed(cw.right_translate(g).vec)
-            red_vcw.feed(vcw.right_translate(g).vec)
+        reps = np.flatnonzero(_mask(t, t._table[Vw].min(axis=0)))
+        for part in row_blocks(len(reps), t.size * len(power_fold(e)), _STACK_BLOCK):
+            red_cw.feed(translates(cw, reps[part], right=True))
+            red_vcw.feed(translates(vcw, reps[part], right=True))
         phi_red = SparseReducer(e)
-        for vec in self._sandwiches(_products(t, (t.weyl_to_index[w],),
-                                              t.subgroup("L"))):
-            phi_red.feed(vec)
+        for vecs in self._sandwiches(_products(t, (t.weyl_to_index[w],),
+                                               t.subgroup("L"))):
+            phi_red.feed(vecs)
         # with every cell element inside phi_red's span, the joint span is
         # that span, so containment alone decides span equality; and
         # c_uv (v g u) c_uv = c_uv g c_uv, so one g per double coset V g U
         # of the cell decides it
         cell = np.asarray(t.cells.get(w, ()), dtype=np.intp)
-        cell_in_span = all(phi_red.contains(vec) for vec in self._sandwiches(
+        cell_in_span = all(phi_red.contains(vecs) for vecs in self._sandwiches(
             np.flatnonzero(_mask(t, self.double_coset_labels[cell]))))
         data = {
             "rank_cw": red_cw.rank,
@@ -861,8 +885,8 @@ class Verifier:
     def check_lin_independence(self) -> CheckResult:
         t = self.table
         red = SparseReducer(self.e)
-        for vec in self._sandwiches(_products(t, t.subgroup("W"), t.subgroup("L"))):
-            red.feed(vec)
+        for vecs in self._sandwiches(_products(t, t.subgroup("W"), t.subgroup("L"))):
+            red.feed(vecs)
         expect = len(t.subgroup("W")) * len(t.subgroup("L"))
         return CheckResult("prop3.7", "pass" if red.rank == expect else "fail",
                            {"rank": expect}, {"rank": red.rank})
@@ -1007,34 +1031,11 @@ class Verifier:
     # -- the runner ---------------------------------------------------------------
 
     def check_order(self):
-        ids = ["prop3.2a", "prop3.2b", "prop3.2c", "prop3.2d", "prop3.2e",
-               "prop3.2f", "lem3.3", "lem3.4", "lem3.5", "prop3.6", "prop3.7",
-               "thm1", "thm2", "lem3.10", "lem3.12", "cor2.3", "intro"]
-        if len(self.ring.locals) > 1:
-            ids.append("lem3.1")
-        return ids
+        return [cid for cid, _ in _CHECKS
+                if cid != "lem3.1" or len(self.ring.locals) > 1]
 
     def _check_method(self, check_id: str):
-        return {
-            "prop3.2a": self.check_ulv,
-            "prop3.2b": self.check_residue_surjective,
-            "prop3.2c": self.check_kernel_orderings,
-            "prop3.2d": self.check_unipotent_splitting,
-            "prop3.2e": self.check_cells,
-            "prop3.2f": self.check_cell_separation,
-            "lem3.3": self.check_lemma33,
-            "lem3.4": self.check_lemma34,
-            "lem3.5": self.check_lemma35,
-            "prop3.6": self.check_prop36,
-            "prop3.7": self.check_lin_independence,
-            "thm1": self.check_theorem1,
-            "thm2": self.check_theorem2,
-            "lem3.10": self.check_scalar_twist,
-            "lem3.12": self.check_levi_support,
-            "cor2.3": self.check_corollary,
-            "intro": self.check_intro_example,
-            "lem3.1": self.check_local_product,
-        }[check_id]
+        return getattr(self, dict(_CHECKS)[check_id])
 
     def run_checks(self, only=None, skip=None) -> VerifyReport:
         ids = self.check_order()

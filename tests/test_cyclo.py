@@ -1,6 +1,7 @@
 """Exact cyclotomic arithmetic against closed forms and float cross-checks."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -261,7 +262,7 @@ def test_sparse_reducer_matches_dense_rank():
             vecs.append(vec)
             after = rank(CycloMatrix(e, [[v.get(j, zero) for j in range(30)]
                                          for v in vecs]))
-            assert red.feed(as_vec(e, vec)) == (after > before)
+            assert red.feed(as_vec(e, vec)) == ([0] if after > before else [])
             assert red.rank == after
 
 
@@ -344,3 +345,59 @@ def test_coords_list_stacks_match_single_vectors():
             # the all-zero row has zero coordinates
             assert inside[2] and not coords[2].any()
             assert not inside[-3:].all()
+
+
+def test_stacked_feed_matches_single_feeds():
+    # a stack of random, zero and dependent rows, fed at once, must give the
+    # pivots and grown positions of its rows fed one at a time, into a fresh
+    # reducer and into one that already holds vectors; contains and in-span
+    # coords_list must not depend on stacking either
+    rng = random.Random(29)
+    width = 14
+    for e in (1, 3, 4, 8):
+        phi = len(CycloNum.zero(e).c)
+        for top, seeded in itertools.product((4, HUGE), (False, True)):
+            vecs = []
+            for i in range(9):
+                if i in (2, 6):
+                    vecs.append({})
+                elif i > 3 and rng.random() < 0.4:
+                    vecs.append(combine(e, [rand_num(e, rng) for _ in vecs], vecs))
+                else:
+                    vecs.append({rng.randrange(width): rand_num(e, rng, top)
+                                 for _ in range(rng.randint(1, 3))})
+            den = math.lcm(*(f.denominator for v in vecs for c in v.values()
+                             for f in c.c))
+            rows = np.zeros((len(vecs), width, phi), dtype=object)
+            for i, vec in enumerate(vecs):
+                for k, c in vec.items():
+                    rows[i, k] = [int(f * den) for f in c.c]
+            rows = rows.astype(exact_dtype(max_abs(rows)))
+            keys = np.arange(width)
+            one, many = SparseReducer(e), SparseReducer(e)
+            if seeded:
+                seed = {rng.randrange(width): rand_num(e, rng, top) for _ in range(3)}
+                one.feed(as_vec(e, seed))
+                many.feed(as_vec(e, seed))
+            grown = [i for i, row in enumerate(rows) if one.feed((keys, row, den))]
+            assert many.feed((keys, rows, den)) == grown
+            assert isinstance(grown, list) and grown
+            assert ([(k.tolist(), r.tolist(), d) for k, r, d in many.basis_rows()]
+                     == [(k.tolist(), r.tolist(), d) for k, r, d in one.basis_rows()])
+            # in the span: the fed rows and combinations of them
+            probe = rows[[0, 2, len(rows) - 1]]
+            assert many.contains((keys, probe, den))
+            coords, dens, inside = many.coords_list((keys, probe, den))
+            assert inside.all()
+            for i, row in enumerate(probe):
+                assert one.contains((keys, row, den))
+                c1, d1, in1 = one.coords_list((keys, row, den))
+                assert in1.tolist() == [True]
+                assert (c1[0].tolist(), d1[0]) == (coords[i].tolist(), dens[i])
+            # a stack with one row outside the span is not contained
+            wide = np.zeros((4, width + 1, phi), dtype=rows.dtype)
+            wide[:3, :width] = probe
+            wide[3, width, 0] = 1
+            assert not many.contains((np.arange(width + 1), wide, den))
+            assert many.coords_list((np.arange(width + 1), wide, den))[2].tolist() == [
+                True, True, True, False]

@@ -162,6 +162,11 @@ def test_character_route_agrees_with_sandwich(vget):
                 assert v._character_dim(chi, sigma) == v._sandwich_rank(chi, sigma)
 
 
+def basis_lists(red):
+    """A reducer's pivot vectors as nested lists, comparable with ==."""
+    return [(k.tolist(), r.tolist(), d) for k, r, d in red.basis_rows()]
+
+
 def test_stack_budget_splits_keep_results(vget, monkeypatch):
     # a budget of one entry puts every character in a group of its own and
     # multiplies every sandwich and stacked vector on its own; the results
@@ -171,13 +176,31 @@ def test_stack_budget_splits_keep_results(vget, monkeypatch):
     chi = ref.chars[1]
     want = (len(set(ref.char_groups.values())), ref.intertwining_matrices(),
             ref.check_lin_independence(), [ref._phi_data(w) for w in ws],
-            ref.end_algebra(chi).structure)
+            ref.end_algebra(chi).structure,
+            [basis_lists(ref.module_reducer(c)) for c in ref.chars])
     monkeypatch.setattr(verify, "_STACK_BLOCK", 1)
     monkeypatch.setattr(algebra, "_STACK_BLOCK", 1)
     v = Verifier(parse_ring_spec("Z/4"), 2)
     assert want[0] == 1 < len(v.chars) == len(set(v.char_groups.values()))
+    # here module_reducer and _phi_data feed one translate per call
     assert want[1:] == (v.intertwining_matrices(), v.check_lin_independence(),
-                        [v._phi_data(w) for w in ws], v.end_algebra(chi).structure)
+                        [v._phi_data(w) for w in ws], v.end_algebra(chi).structure,
+                        [basis_lists(v.module_reducer(c)) for c in v.chars])
+
+
+def test_module_reducer_matches_single_translates(vget):
+    # one translate per coset gU, fed in stacks, must give the pivots of
+    # feeding g E for g = 0, 1, 2, ... one at a time up to the trace
+    for spec, n in [("Z/4", 2), ("Z/6", 2), ("GF(2,2)", 2), ("GF(2,1)", 3)]:
+        v = vget(spec, n)
+        for chi in v.chars:
+            red = v.module_reducer(chi)
+            one = SparseReducer(v.e)
+            for g in range(v.table.size):
+                if one.rank == red.rank:
+                    break
+                one.feed(v.E(chi).left_translate(g).vec)
+            assert basis_lists(red) == basis_lists(one)
 
 
 def test_coset_sweeps_match_full_sweeps(vget):
