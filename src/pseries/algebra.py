@@ -334,10 +334,11 @@ def idempotent_subgroup(table: GroupTable, e: int, indices) -> AlgElem:
 def idempotent_char(table: GroupTable, chi) -> AlgElem:
     """e_chi = |L|^-1 sum_l chi(l)^-1 l over the diagonal torus."""
     e = chi.e
-    L = table.subgroup("L")
-    ts = [-chi.value_exponent_on_diag(table.diag(i)) % e for i in L]
-    return AlgElem.from_vec(table, e, (np.array(L, dtype=np.intp),
-                                       root_coords(e)[ts], len(L)))
+    L = np.array(table.subgroup("L"), dtype=np.intp)
+    diag = np.arange(table.n)
+    ts = [-chi.value_exponent_on_diag(d) % e
+          for d in table.codes[L][:, diag, diag].tolist()]
+    return AlgElem.from_vec(table, e, (L, root_coords(e)[ts], len(L)))
 
 
 def span_rank(elems) -> int:

@@ -1,15 +1,18 @@
 """GL_n over a finite commutative ring: enumeration, subgroups, Bruhat labels.
 
-Matrices are tuples of tuples of ring elements (which are themselves tuples
-of local codes, see rings.py).  A GroupTable fixes an indexing of the whole
-group, with the identity at index 0 and all other elements in lexicographic
-order of their entry codes, and stores the full index-level multiplication
-table, inverse table, the standard subgroups, and the Bruhat label of every
-element.
+A matrix is held as an integer code array of shape (n, n, m): entry (i, j)
+in local factor f at [i, j, f] (see rings.py for the codes).  Its public
+form, tuples of tuples of ring elements, is built from that on demand.  A
+GroupTable fixes an indexing of the whole group, with the identity at index
+0 and all other elements in lexicographic order of their (row, column,
+factor) codes.  It holds one array per element field (codes, determinant
+codes, Bruhat label), the index-level multiplication and inverse tables,
+and the standard subgroups.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -93,35 +96,41 @@ def _perms_with_signs(n):
     return out
 
 
-def _local_gl(local, n):
-    """All invertible n x n matrices over one local factor, with determinants.
+@functools.lru_cache(maxsize=None)
+def ring_arrays(local):
+    """(add, mul, neg, inv, unit) of one local ring as integer arrays indexed
+    by codes; inv is the zero code off the units, where unit is False.  Every
+    caller shares them, so they are read-only."""
+    unit = np.zeros(local.size, dtype=bool)
+    unit[list(local.units)] = True
+    inv = np.full(local.size, local.zero, dtype=np.int32)
+    inv[unit] = [local.inv(a) for a in local.units]
+    out = (np.array(local._add, dtype=np.int32), np.array(local._mul, dtype=np.int32),
+           np.array(local._neg, dtype=np.int32), inv, unit)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
-    Iteration is lexicographic in the row-major entry codes, so the returned
-    list is deterministic.
-    """
-    perms_signs = _perms_with_signs(n)
-    mats, dets = [], []
-    mul, add, neg, is_unit = local.mul, local.add, local.neg, local.is_unit
-    one, zero = local.one, local.zero
-    for flat in itertools.product(range(local.size), repeat=n * n):
-        det = zero
-        for perm, sign in perms_signs:
-            term = one
-            for i in range(n):
-                term = mul(term, flat[i * n + perm[i]])
-                if term == zero:
-                    break
-            if sign < 0:
-                term = neg(term)
-            det = add(det, term)
-        if is_unit(det):
-            mats.append(tuple(flat[i * n:(i + 1) * n] for i in range(n)))
-            dets.append(det)
-    return mats, dets
+
+def _encode(entries, q):
+    """Base-q codes of matrices whose n*n row-major entry codes run along the
+    first axis of `entries`."""
+    code = entries[0].astype(np.int64)
+    for x in entries[1:]:
+        code = code * q + x
+    return code
+
+
+def _as_mat(codes):
+    """The tuple form of one matrix from its (n, n, m) code array."""
+    return tuple(tuple(map(tuple, row)) for row in codes.tolist())
 
 
 # entries per row block of a vectorised table gather: keeps temporaries small
 _BLOCK = 1 << 14
+# a table fill takes at most this many blocks (of rows or columns), so the
+# blocks of a large group grow with it instead of shrinking to one row
+_TABLE_BLOCKS = 128
 
 
 def row_blocks(rows, width, budget=_BLOCK):
@@ -131,42 +140,86 @@ def row_blocks(rows, width, budget=_BLOCK):
     return (slice(r, min(r + step, rows)) for r in range(0, rows, step))
 
 
-def _local_table(local, A):
+def _table_blocks(rows, width):
+    """row_blocks of _BLOCK entries, or of 1/_TABLE_BLOCKS of the rows when
+    that is more."""
+    return row_blocks(rows, width, max(_BLOCK, -(-rows // _TABLE_BLOCKS) * width))
+
+
+def _local_gl(local, n):
+    """The invertible n x n matrices over one local factor: (A, dets, lookup).
+
+    A holds their row-major entry codes, shape (size, n, n): the identity
+    first, then the rest in increasing order of their base-q codes.  dets
+    holds their determinants, and lookup maps a base-q code to the matrix's
+    position in A, -1 for a singular matrix.  The q^(n^2) candidates are
+    walked in blocks, each determinant summed over permutations through the
+    ring's tables.
+    """
+    add, mul, neg, _, unit = ring_arrays(local)
+    q, nn = local.size, n * n
+    place = q ** np.arange(nn - 1, -1, -1, dtype=np.int64)
+    perms = _perms_with_signs(n)
+    kept, mats, dets = [], [], []
+    for block in row_blocks(q ** nn, nn, _BLOCK << 4):
+        codes = np.arange(block.start, block.stop, dtype=np.int64)
+        flat = (codes[:, None] // place % q).astype(np.int32)
+        det = np.full(len(codes), local.zero, dtype=np.int32)
+        for perm, sign in perms:
+            term = flat[:, perm[0]]
+            for i in range(1, n):
+                term = mul[term, flat[:, i * n + perm[i]]]
+            det = add[det, neg[term] if sign < 0 else term]
+        keep = unit[det]
+        kept.append(codes[keep])
+        mats.append(flat[keep])
+        dets.append(det[keep])
+    kept, A, dets = (np.concatenate(x) for x in (kept, mats, dets))
+    ident = np.where(np.eye(n, dtype=bool), local.one, local.zero).reshape(nn, 1)
+    at = int(np.flatnonzero(kept == _encode(ident, q)[0])[0])
+    order = np.concatenate(([at], np.arange(at), np.arange(at + 1, len(kept))))
+    lookup = np.full(q ** nn, -1, dtype=np.int32)
+    lookup[kept[order]] = np.arange(len(kept), dtype=np.int32)
+    return A[order].reshape(-1, n, n), dets[order], lookup
+
+
+def _local_table(local, A, lookup):
     """Cayley table of one local factor's matrices, gathered from its ring tables.
 
-    A holds the matrices' entry codes, shape (size, n, n).  Each product is
-    summed entry by entry through the ring's addition and multiplication
-    tables, encoded by its row-major base-q entry codes and mapped back to an
-    index through a code -> index array of q^(n^2) entries (_local_gl has
-    already walked every one of those codes).  A product that is not among
-    the matrices raises.
+    A holds the matrices' entry codes, shape (size, n, n).  Row i of a b is
+    row i of a times b, so each distinct row vector v of the matrices is
+    multiplied by a block of right factors b once, entry by entry through
+    the ring's addition and multiplication tables, and kept as base-q row
+    codes.  A product's base-q code (see _local_gl) is then read off its
+    rows' codes and mapped back to an index through `lookup`.  A product
+    that is not among the matrices raises.
     """
     (size, n, _), q = A.shape, local.size
-    mul = np.array(local._mul, dtype=np.int32)
-    add = np.array(local._add, dtype=np.int32)
-
-    def encode(x):
-        """Codes of matrices whose n*n row-major entries run along axis 1."""
-        code = x[:, 0].astype(np.int64)
-        for t in range(1, n * n):
-            code = code * q + x[:, t]
-        return code
-
-    lookup = np.full(q ** (n * n), -1, dtype=np.int32)
-    lookup[encode(A.reshape(size, n * n))] = np.arange(size, dtype=np.int32)
-    # M[x, k, j, b] = x * A[b, k, j]: row k of every right factor, scaled by x
-    M = mul[:, A.transpose(1, 2, 0)]
+    add, mul = ring_arrays(local)[:2]
+    add = add.ravel()
+    # the distinct rows V, and row_of[a, i] = the position of row i of a in V
+    rows = _encode(A.transpose(2, 0, 1), q)
+    seen = np.zeros(q ** n, dtype=bool)
+    seen[rows] = True
+    row_of = (np.cumsum(seen) - 1)[rows]
+    V = np.flatnonzero(seen)[:, None] // q ** np.arange(n - 1, -1, -1) % q
     table = np.empty((size, size), dtype=np.int32)
-    for rows in row_blocks(size, size * n * n):
-        a = A[rows]
-        # acc[r, i, j, b] = sum_k a[r, i, k] * A[b, k, j] in the ring
-        acc = M[a[:, :, 0], 0]
+    for cols in _table_blocks(size, size * n * n):
+        # M[x, k, j, b] = x * A[b, k, j]: row k of each right factor, scaled by x
+        M = mul[:, A[cols].transpose(1, 2, 0)]
+        # vb[v, j, b] = entry j of V[v] A[b] = sum_k V[v, k] A[b, k, j]
+        vb = M[V[:, 0], 0]
         for k in range(1, n):
-            acc = add[acc, M[a[:, :, k], k]]
-        pos = lookup[encode(acc.reshape(len(a), n * n, size))]
+            vb = add[vb * q + M[V[:, k], k]]
+        vb = _encode(vb.transpose(1, 0, 2), q)
+        code = vb[row_of[:, 0]]
+        for i in range(1, n):
+            code *= q ** n
+            code += vb[row_of[:, i]]
+        pos = lookup[code]
         if pos.min() < 0:
             raise GroupError("a product of invertible matrices is not in the group")
-        table[rows] = pos
+        table[:, cols] = pos
     return table
 
 
@@ -194,94 +247,132 @@ def _local_subgroups(loc, A):
     return {name: np.flatnonzero(mask) for name, mask in masks.items()}
 
 
-def _mono_perm(field, mat):
-    """Permutation part of an invertible matrix over a residue field.
+def _local_labels(loc, A):
+    """Permutation part of every matrix of one local factor over its residue
+    field, A their (size, n, n) entry codes, as its rank among the
+    lexicographically ordered permutations.
 
     Columns are processed left to right; the pivot of a column is the
     topmost not-yet-assigned row with a nonzero entry, and entries below the
     pivot in unassigned rows are cleared by adding multiples of the pivot
-    row downwards (a lower-unipotent operation).  Returns p with p[j] = the
-    pivot row of column j.
+    row downwards (a lower-unipotent operation).  The permutation p has
+    p[j] = the pivot row of column j.
     """
-    n = len(mat)
-    a = [list(row) for row in mat]
-    taken = [False] * n
-    assigned = [0] * n
+    field = loc.residue_ring
+    add, mul, neg, inv, _ = ring_arrays(field)
+    a = np.array([loc.reduce(x) for x in range(loc.size)], dtype=np.int32)[A]
+    size, n = A.shape[:2]
+    rows, below = np.arange(size), np.arange(n) > np.arange(n)[:, None]
+    taken = np.zeros((size, n), dtype=bool)
+    perm = np.empty((size, n), dtype=np.intp)
     for j in range(n):
-        piv = None
-        for i in range(n):
-            if not taken[i] and a[i][j] != field.zero:
-                piv = i
-                break
-        if piv is None:
+        live = ~taken & (a[:, :, j] != field.zero)
+        if not live.any(axis=1).all():
             raise GroupError("matrix is singular over the residue field")
-        taken[piv] = True
-        assigned[j] = piv
-        pinv = field.inv(a[piv][j])
-        for i in range(piv + 1, n):
-            if not taken[i] and a[i][j] != field.zero:
-                f = field.mul(a[i][j], pinv)
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[piv])]
-    return tuple(assigned)
+        piv = live.argmax(axis=1)
+        taken[rows, piv] = True
+        perm[:, j] = piv
+        prow = a[rows, piv]
+        f = mul[a[:, :, j], inv[prow[:, j]][:, None]]
+        clear = live & below[piv]
+        a = np.where(clear[:, :, None], add[a, neg[mul[f[:, :, None], prow[:, None]]]], a)
+    # the lexicographic rank: sum over j of (n-1-j)! times the number of
+    # later entries below p[j]
+    return sum((perm[:, j + 1:] < perm[:, j, None]).sum(axis=1) * math.factorial(n - 1 - j)
+               for j in range(n))
+
+
+def _local_ulv(loc, A):
+    """Factor every matrix of one local factor as u diag(l) v, with u upper-
+    and v lower-unipotent; A holds their (k, n, n) entry codes.
+
+    Peels the trailing corner: the residual (c, c) entry must be a unit at
+    every step.  Returns (ok, u, l, v), code arrays of A's shape (l
+    diagonal); ok[i] is False exactly when matrix i is outside U L V, and
+    then its u, l, v are meaningless.
+    """
+    add, mul, neg, inv, unit = ring_arrays(loc)
+    n = A.shape[1]
+    eye = np.eye(n, dtype=bool)
+    work = A.copy()
+    u = np.empty_like(A)
+    u[:] = np.where(eye, loc.one, loc.zero)
+    v = u.copy()
+    ell = np.empty(A.shape[:2], dtype=A.dtype)
+    ok = np.ones(len(A), dtype=bool)
+    for c in range(n - 1, -1, -1):
+        d = work[:, c, c]
+        ok &= unit[d]
+        dinv = inv[d][:, None]
+        ell[:, c] = d
+        u[:, :c, c] = mul[work[:, :c, c], dinv]
+        v[:, c, :c] = mul[dinv, work[:, c, :c]]
+        ud = mul[u[:, :c, c], d[:, None]]
+        work[:, :c, :c] = add[work[:, :c, :c], neg[mul[ud[:, :, None], v[:, None, c, :c]]]]
+    lmat = np.full_like(A, loc.zero)
+    lmat[:, eye] = ell
+    return ok, u, lmat, v
+
+
+def factor_ulv_codes(ring: RingSpec, codes):
+    """_local_ulv over a code array of shape (k, n, n, m), the last axis
+    running over the ring's local factors: (ok, u, l, v) in the same
+    layout.  A matrix factors exactly when it factors in every factor."""
+    parts = [_local_ulv(loc, codes[..., f]) for f, loc in enumerate(ring.locals)]
+    ok = np.logical_and.reduce([p[0] for p in parts])
+    return (ok, *(np.stack([p[i] for p in parts], axis=-1) for i in (1, 2, 3)))
 
 
 def factor_ulv(ring: RingSpec, mat):
     """Factor mat = u * diag(l) * v with u upper-unipotent, v lower-unipotent.
 
-    Peels the trailing corner: the residual (k, k) entry must be a unit at
-    every step; returns None exactly when mat is outside the set U L V.
+    Returns None exactly when mat is outside the set U L V; one matrix
+    through factor_ulv_codes.
     """
-    n = len(mat)
-    work = [list(row) for row in mat]
-    u = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-    v = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-    ell = [ring.zero] * n
-    for k in range(n - 1, -1, -1):
-        d = work[k][k]
-        if not ring.is_unit(d):
-            return None
-        dinv = ring.inv(d)
-        ell[k] = d
-        for i in range(k):
-            u[i][k] = ring.mul(work[i][k], dinv)
-        for j in range(k):
-            v[k][j] = ring.mul(dinv, work[k][j])
-        for i in range(k):
-            uik_d = ring.mul(u[i][k], d)
-            for j in range(k):
-                work[i][j] = ring.sub(work[i][j], ring.mul(uik_d, v[k][j]))
-    lmat = tuple(tuple(ell[i] if i == j else ring.zero for j in range(n))
-                 for i in range(n))
-    return (tuple(tuple(r) for r in u), lmat, tuple(tuple(r) for r in v))
+    ok, *ulv = factor_ulv_codes(ring, np.array(mat, dtype=np.int32)[None])
+    return tuple(_as_mat(x[0]) for x in ulv) if ok[0] else None
 
 
-def _mat_sort_key(mat, identity):
-    flat = tuple(code for row in mat for entry in row for code in entry)
-    return (0 if mat == identity else 1, flat)
+def gl_order(ring: RingSpec, n: int) -> int:
+    """|GL_n(ring)| by the order formula: a local factor of size q whose
+    residue field has r elements contributes (q/r)^(n^2) prod_{i<n} (r^n - r^i)."""
+    out = 1
+    for loc in ring.locals:
+        r = loc.size if loc.kind == "gf" else loc.p
+        out *= (loc.size // r) ** (n * n) * math.prod(r ** n - r ** i for i in range(n))
+    return out
 
 
 class GroupTable(object):
-    """Fully tabulated GL_n(R) for one ring; built by enumerate_gl."""
+    """Fully tabulated GL_n(R) for one ring; built by enumerate_gl.
 
-    def __init__(self, ring, n, elements, index, table, inv, dets, subgroups,
-                 weyl, weyl_to_index, labels):
+    Each element field is one integer array over G: codes[g], shape
+    (n, n, m), holds the entry codes of element g (entry (i, j) in local
+    factor f at [i, j, f]), det_codes[g], shape (m,), those of its
+    determinant, and label_index[g] the position of its Bruhat label in
+    weyl.  mat, diag and bruhat_label build one element's tuple form from
+    them on demand.
+    """
+
+    def __init__(self, ring, n, codes, det_codes, label_index, table, inv,
+                 subgroups, weyl, lookups, enc):
         self.ring = ring
         self.n = n
-        self.size = len(elements)
-        self.elements = elements
-        self.index = index
+        self.size = len(codes)
+        self.codes = codes
+        self.det_codes = det_codes
+        self.label_index = label_index
         self._table = table
         self._inv = inv
-        self.dets = dets
-        self.subgroups = subgroups
         self.weyl = weyl
-        self.weyl_to_index = weyl_to_index
-        self.labels = labels
+        self._lookups = lookups
+        self._enc = enc
         self._pyrows = None
-        cells = {}
-        for i, w in enumerate(labels):
-            cells.setdefault(w, []).append(i)
-        self.cells = {w: tuple(v) for w, v in cells.items()}
+        wcodes = np.array([weyl_matrix(ring, w) for w in weyl], dtype=np.int32)
+        self.weyl_to_index = dict(zip(weyl, self.index_of(wcodes).tolist()))
+        self.subgroups = dict(subgroups, W=tuple(sorted(self.weyl_to_index.values())))
+        cells = ((w, np.flatnonzero(label_index == k)) for k, w in enumerate(weyl))
+        self.cells = {w: tuple(c.tolist()) for w, c in cells if len(c)}
 
     identity = 0
 
@@ -292,7 +383,24 @@ class GroupTable(object):
         return int(self._inv[i])
 
     def mat(self, i: int):
-        return self.elements[i]
+        return _as_mat(self.codes[i])
+
+    def index_of(self, codes):
+        """Index of every matrix in a code array of shape (..., n, n, m), -1
+        where the matrix is not in the group; looked up factor by factor
+        through each factor's base-q code and combined."""
+        codes = np.asarray(codes)
+        m, nn = len(self.ring.locals), self.n * self.n
+        flat = codes.reshape(-1, nn, m)
+        ok = np.ones(len(flat), dtype=bool)
+        local = []
+        for f, (loc, lookup) in enumerate(zip(self.ring.locals, self._lookups)):
+            x = flat[:, :, f]
+            ok &= ((x >= 0) & (x < loc.size)).all(axis=1)
+            pos = lookup[_encode(np.where(ok[:, None], x, 0).T, loc.size)]
+            ok &= pos >= 0
+            local.append(np.where(ok, pos, 0))
+        return np.where(ok, self._enc[tuple(local)], -1).reshape(codes.shape[:-3])
 
     def py_rows(self):
         """Multiplication table as nested Python-int lists.
@@ -311,11 +419,10 @@ class GroupTable(object):
             raise GroupError(f"unknown subgroup {name!r}") from None
 
     def diag(self, i: int):
-        m = self.elements[i]
-        return tuple(m[k][k] for k in range(self.n))
+        return tuple(map(tuple, self.codes[i, range(self.n), range(self.n)].tolist()))
 
     def bruhat_label(self, i: int) -> PermWord:
-        return self.labels[i]
+        return self.weyl[self.label_index[i]]
 
     def conjugated(self, indices, widx: int):
         """Indices of w^-1 h w for h in indices, as an array."""
@@ -329,7 +436,8 @@ def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
     """Enumerate GL_n(ring) and tabulate everything the rest of the code needs.
 
     Refuses (SizeGuardError) when the candidate count |R|^(n^2) or the
-    multiplication table size |G|^2 exceeds max_cost.
+    multiplication table size |G|^2 exceeds max_cost; |G| is taken from the
+    order formula, so a refusal enumerates nothing.
     """
     if n < 1:
         raise GroupError(f"matrix size must be >= 1, got {n}")
@@ -337,44 +445,47 @@ def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
     if candidates > max_cost:
         raise SizeGuardError(
             f"candidate count {ring.size}^{n * n} = {candidates} exceeds bound {max_cost}")
-    locs = ring.locals
-    m = len(locs)
-    local_mats, local_dets = zip(*(_local_gl(loc, n) for loc in locs))
-    sizes = [len(ms) for ms in local_mats]
-    total = math.prod(sizes)
+    total = gl_order(ring, n)
     if total * total > max_cost:
         raise SizeGuardError(
             f"group order {total} gives table size {total}^2 > bound {max_cost}")
-    codes = [np.array(ms, dtype=np.int32).reshape(-1, n, n) for ms in local_mats]
-    local_tables = [_local_table(loc, A) for loc, A in zip(locs, codes)]
+    locs = ring.locals
+    m = len(locs)
+    codes, local_dets, lookups = zip(*(_local_gl(loc, n) for loc in locs))
+    sizes = [len(A) for A in codes]
+    if math.prod(sizes) != total:
+        raise GroupError(f"enumerated {math.prod(sizes)} elements, not {total}")
 
-    # combined elements, identity first then lexicographic in entry codes
-    identity = tuple(tuple(ring.one if i == j else ring.zero for j in range(n))
-                     for i in range(n))
-    raw = []
-    for combo in itertools.product(*(range(s) for s in sizes)):
-        mat = tuple(tuple(tuple(local_mats[f][combo[f]][i][j] for f in range(m))
-                          for j in range(n))
-                    for i in range(n))
-        raw.append((mat, combo))
-    raw.sort(key=lambda mc: _mat_sort_key(mc[0], identity))
-    elements = [mc[0] for mc in raw]
-    index = {mt: i for i, mt in enumerate(elements)}
-    dec = [np.fromiter((mc[1][f] for mc in raw), dtype=np.int32, count=total)
-           for f in range(m)]
-
+    # every combination of local matrices; the identity (local index 0 in
+    # every factor) first, then lexicographic in the (row, column, factor)
+    # entry codes
+    combos = np.indices(sizes, dtype=np.int32).reshape(m, total)
+    elems = np.stack([A[c] for A, c in zip(codes, combos)], axis=-1)
+    flat = elems.reshape(total, n * n * m)
+    order = np.lexsort((*flat.T[::-1], combos.any(axis=0)))
+    dec = combos[:, order]
+    elems = elems[order]
     enc = np.empty(tuple(sizes), dtype=np.int32)
     enc[tuple(dec)] = np.arange(total, dtype=np.int32)
 
-    table = np.empty((total, total), dtype=np.int32)
-    for rows in row_blocks(total, total):
-        table[rows] = enc[tuple(local_tables[f][dec[f][rows, None], dec[f][None, :]]
-                                for f in range(m))]
-    # inverses factor by factor; element 0, the identity, holds each local one
-    inv = enc[tuple(np.argmax(local_tables[f] == dec[f][0], axis=1)[dec[f]]
-                    for f in range(m))]
-
-    dets = [tuple(local_dets[f][dec[f][i]] for f in range(m)) for i in range(total)]
+    local_tables = [_local_table(loc, A, lookup)
+                    for loc, A, lookup in zip(locs, codes, lookups)]
+    if m == 1:
+        table = local_tables[0]   # one factor's order is already G's
+    else:
+        # a row block of each local table, its columns put in G's order,
+        # combined into a position in enc
+        table = np.empty((total, total), dtype=np.int32)
+        for rows in _table_blocks(total, total):
+            pos = local_tables[0][dec[0][rows]][:, dec[0]]
+            for T, d, size in zip(local_tables[1:], dec[1:], sizes[1:]):
+                pos *= size
+                pos += T[d[rows]][:, d]
+            table[rows] = np.take(enc, pos)
+    # inverses factor by factor: a table row is a permutation, so its least
+    # entry is the local identity 0
+    inv = enc[tuple(np.argmin(T, axis=1)[d] for T, d in zip(local_tables, dec))]
+    det_codes = np.stack([d[dec[f]] for f, d in enumerate(local_dets)], axis=1)
 
     # standard subgroups, assembled per factor and combined through enc
     local_subgroups = [_local_subgroups(loc, A) for loc, A in zip(locs, codes)]
@@ -382,25 +493,15 @@ def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
     for name in ("U", "V", "L", "N", "G0"):
         grid = enc[np.ix_(*(sub[name] for sub in local_subgroups))]
         subgroups[name] = tuple(sorted(grid.ravel().tolist()))
-    weyl = weyl_elements(m, n)
-    weyl_to_index = {w: index[weyl_matrix(ring, w)] for w in weyl}
-    subgroups["W"] = tuple(sorted(weyl_to_index.values()))
 
-    # Bruhat label of every element, computed per factor over the residue field
-    local_labels = []
-    for f in range(m):
-        loc = locs[f]
-        field = loc.residue_ring
-        lab = []
-        for mt in local_mats[f]:
-            red = tuple(tuple(loc.reduce(x) for x in row) for row in mt)
-            lab.append(_mono_perm(field, red))
-        local_labels.append(lab)
-    labels = [PermWord(tuple(local_labels[f][dec[f][i]] for f in range(m)))
-              for i in range(total)]
+    # Bruhat labels per factor over the residue field, combined as the
+    # position in weyl_elements' order (the first factor most significant)
+    label_index = np.zeros(total, dtype=np.intp)
+    for f, (loc, A) in enumerate(zip(locs, codes)):
+        label_index = label_index * math.factorial(n) + _local_labels(loc, A)[dec[f]]
 
-    return GroupTable(ring, n, elements, index, table, inv, dets, subgroups,
-                      weyl, weyl_to_index, labels)
+    return GroupTable(ring, n, elems, det_codes, label_index, table, inv,
+                      subgroups, weyl_elements(m, n), lookups, enc)
 
 
 def weyl_matrix(ring: RingSpec, w: PermWord):

@@ -33,7 +33,8 @@ from .chars import (LeviChar, all_levi_chars, conjugacy_class_count,
                     stabilizer_irrep_count, stabilizer_order, unit_structures)
 from .cyclo import (SparseReducer, exact_dtype, fold_array, galois, max_abs,
                     power_fold, root_coords, solve_affine)
-from .groups import PermWord, enumerate_gl, factor_ulv, row_blocks
+from .groups import (PermWord, enumerate_gl, factor_ulv_codes, ring_arrays,
+                     row_blocks)
 from .rings import RingSpec, residue_structure
 
 
@@ -637,9 +638,13 @@ class Verifier:
     def local_verifiers(self):
         """One Verifier per local factor (for product-ring cross-checks)."""
         if self._local_verifiers is None:
-            self._local_verifiers = [
-                Verifier(RingSpec([loc]), self.n, self.seed, self.max_cost)
-                for loc in self.ring.locals]
+            # equal local rings share one Verifier (same seed, same results)
+            made = {}
+            for loc in self.ring.locals:
+                if loc not in made:
+                    made[loc] = Verifier(RingSpec([loc]), self.n, self.seed,
+                                         self.max_cost)
+            self._local_verifiers = [made[loc] for loc in self.ring.locals]
         return self._local_verifiers
 
     # -- named checks -----------------------------------------------------------
@@ -654,18 +659,15 @@ class Verifier:
             repeats = order[1:][ulv[order[1:]] == ulv[order[:-1]]]
             return CheckResult("prop3.2a", "fail", {"distinct_products": len(ulv)},
                                {"collision_at": int(ulv[repeats.min()])})
-        mismatch = 0
         in_u, in_l, in_v = (_mask(t, t.subgroup(h)) for h in "ULV")
-        for g in range(t.size):
-            f = factor_ulv(self.ring, t.mat(g))
-            if (f is not None) != seen[g]:
-                mismatch += 1
-                continue
-            if f is not None:
-                ui, li, vi = (t.index[f[0]], t.index[f[1]], t.index[f[2]])
-                if (not (in_u[ui] and in_l[li] and in_v[vi])
-                        or t.mul(t.mul(ui, li), vi) != g):
-                    mismatch += 1
+        ok, *factors = factor_ulv_codes(self.ring, t.codes)
+        # a g that factors and is a product u l v must have its factors in
+        # U, L and V, multiplying back to g
+        both = np.flatnonzero(ok & seen)
+        ui, li, vi = (t.index_of(x[both]) for x in factors)
+        good = ((ui >= 0) & (li >= 0) & (vi >= 0) & in_u[ui] & in_l[li] & in_v[vi]
+                & (t._table[t._table[ui, li], vi] == both))
+        mismatch = int((ok != seen).sum() + (~good).sum())
         expected = {"distinct_products": len(ulv), "mismatches": 0}
         actual = {"distinct_products": len(ulv), "mismatches": mismatch}
         status = "pass" if expected == actual else "fail"
@@ -678,13 +680,14 @@ class Verifier:
             rtab = self.table
         else:
             rtab = enumerate_gl(rs.residue_ring, self.n, self.max_cost)
-        images = set()
-        for i in range(self.table.size):
-            red = tuple(tuple(rs.reduce(x) for x in row)
-                        for row in self.table.mat(i))
-            images.add(rtab.index[red])
+        codes = self.table.codes
+        red = np.stack([np.array([loc.reduce(x) for x in range(loc.size)])[codes[..., f]]
+                        for f, loc in enumerate(self.ring.locals)], axis=-1)
+        images = rtab.index_of(red)
+        if images.min() < 0:
+            raise VerifyAlarm("a reduction of an element of G is not invertible")
         expected = {"image_size": rtab.size}
-        actual = {"image_size": len(images)}
+        actual = {"image_size": int(_mask(rtab, images).sum())}
         return CheckResult("prop3.2b", "pass" if expected == actual else "fail",
                            expected, actual)
 
@@ -944,10 +947,11 @@ class Verifier:
             structs = unit_structures(ringf)
             eLf = idempotent_subgroup(tf, ef, tf.subgroup("L"))
             loc = ringf.locals[0]
-            unit_at = {u: i for i, u in enumerate(loc.units)}
-            umul = np.array([[unit_at[loc.mul(a, b)] for b in loc.units]
-                             for a in loc.units])
-            d = np.array([unit_at[tf.dets[i][0]] for i in range(tf.size)])
+            units = np.array(loc.units)
+            unit_at = np.full(loc.size, -1)
+            unit_at[units] = np.arange(len(units))
+            umul = unit_at[ring_arrays(loc)[1][np.ix_(units, units)]]
+            d = unit_at[tf.det_codes[:, 0]]
             # roots[t]: the matrix of multiplication by zeta^t on coordinate
             # rows; a twisted entry is at most kr times the largest one
             ft, kf = fold_array(ef)
@@ -982,7 +986,7 @@ class Verifier:
         """Block factorizations e_U = e_U' e_U'' and the L' U'' V'' injectivity."""
         t, e, n = self.table, self.e, self.n
         # nonzero[g, a, b]: entry (a, b) of element g is nonzero
-        nonzero = (np.array(t.elements) != np.array(self.ring.zero)).any(axis=-1)
+        nonzero = (t.codes != np.array(self.ring.zero)).any(axis=-1)
         U, V = np.asarray(t.subgroup("U")), np.asarray(t.subgroup("V"))
         above = np.triu(np.ones((n, n), dtype=bool), 1)
 

@@ -3,10 +3,14 @@
 import itertools
 from functools import reduce
 
+import numpy as np
 import pytest
 
+from conftest import STANDARD_PAIRS
 from pseries import (PermWord, SizeGuardError, enumerate_gl, factor_ulv,
                      parse_ring_spec, weyl_matrix)
+from pseries import groups
+from pseries.groups import factor_ulv_codes, gl_order
 
 
 def mat_mul(ring, a, b):
@@ -83,14 +87,26 @@ def test_table_matches_matrix_product():
             assert mat_mul(ring, t.mat(t.inv(i)), t.mat(i)) == ident
 
 
+def test_elements_are_identity_then_lexicographic():
+    # the order GroupTable promises: identity at 0, then lexicographic in the
+    # (row, column, factor) entry codes
+    for spec, n in [("Z/6", 1), ("GF(2,1)", 3), ("Z/2xGF(2,2)", 2)]:
+        ring = parse_ring_spec(spec)
+        t = enumerate_gl(ring, n)
+        assert t.mat(0) == weyl_matrix(ring, PermWord.identity(len(ring.locals), n))
+        flat = [tuple(t.codes[i].ravel().tolist()) for i in range(1, t.size)]
+        assert flat == sorted(flat)
+
+
 def test_dets_are_multiplicative():
     ring = parse_ring_spec("Z/4")
     t = enumerate_gl(ring, 2)
+    dets = [tuple(d) for d in t.det_codes.tolist()]
     for i in range(t.size):
-        assert t.dets[i] == det2(ring, t.mat(i))
+        assert dets[i] == det2(ring, t.mat(i))
     for i in range(0, t.size, 5):
         for j in range(0, t.size, 3):
-            assert t.dets[t.mul(i, j)] == ring.mul(t.dets[i], t.dets[j])
+            assert dets[t.mul(i, j)] == ring.mul(dets[i], dets[j])
 
 
 def test_subgroup_shapes_and_closure():
@@ -156,6 +172,56 @@ def test_factor_ulv_round_trip():
                 assert got == products[g]
             else:
                 assert got is None
+
+
+def test_factor_ulv_codes_match_scalar_call_and_table():
+    for spec, n in [("Z/4", 2), ("Z/6", 2), ("GF(2,1)", 3), ("Z/2xGF(2,2)", 2)]:
+        ring = parse_ring_spec(spec)
+        t = enumerate_gl(ring, n)
+        ok, *ulv = factor_ulv_codes(ring, t.codes)
+        ui, li, vi = (t.index_of(x) for x in ulv)
+        U, L, V = (t.subgroup(h) for h in "ULV")
+        assert ok.sum() == len(U) * len(L) * len(V) < t.size
+        assert set(ui[ok]) <= set(U) and set(li[ok]) <= set(L) and set(vi[ok]) <= set(V)
+        for g in range(t.size):
+            got = factor_ulv(ring, t.mat(g))
+            if ok[g]:
+                assert got == (t.mat(ui[g]), t.mat(li[g]), t.mat(vi[g]))
+                assert t.mul(t.mul(ui[g], li[g]), vi[g]) == g
+            else:
+                assert got is None
+
+
+def test_index_of_round_trips_every_element():
+    for spec, n in [("GF(2,1)", 1), ("Z/4", 2), ("GF(2,1)", 3), ("Z/2xGF(2,2)", 2)]:
+        ring = parse_ring_spec(spec)
+        t = enumerate_gl(ring, n)
+        mats = np.array([t.mat(i) for i in range(t.size)])
+        assert (t.index_of(mats) == np.arange(t.size)).all()
+        assert t.index_of(mats[-1]) == t.size - 1
+        # the zero matrix, a code outside the ring, and (over two factors)
+        # the identity with one factor zeroed are not in the group
+        outside = np.zeros((3, *mats.shape[1:]), dtype=mats.dtype)
+        outside[1] = outside[2] = mats[0]
+        outside[1, 0, 0, 0] = ring.locals[0].size
+        outside[2, :, :, -1] = 0
+        assert t.index_of(outside).tolist() == [-1, -1, -1]
+
+
+def test_order_formula_matches_enumeration():
+    for spec, n in STANDARD_PAIRS + [("Z/2xGF(2,2)", 2), ("Z/9", 1)]:
+        ring = parse_ring_spec(spec)
+        assert gl_order(ring, n) == enumerate_gl(ring, n).size
+
+
+def test_guard_refuses_on_the_order_formula(monkeypatch):
+    # Z/81 n=2 passes the candidate bound (81^4 < 10^8), and enumerating its
+    # 4.3e7 candidates is what the order formula spares
+    def fail(*args):
+        raise AssertionError("enumerated a group the guard refuses")
+    monkeypatch.setattr(groups, "_local_gl", fail)
+    with pytest.raises(SizeGuardError, match="group order 25509168 gives table size"):
+        enumerate_gl(parse_ring_spec("Z/81"), 2)
 
 
 def test_perm_word_algebra():

@@ -287,6 +287,12 @@ def test_local_product_count(vget):
     assert combined == prod == 10
 
 
+def test_equal_local_rings_share_one_verifier(vget):
+    first, second = vget("Z/2xZ/2", 2).local_verifiers()
+    assert first is second
+    assert [lv.ring.canonical_str for lv in vget("Z/6", 2).local_verifiers()] == ["Z/2", "Z/3"]
+
+
 def test_intro_example_counts(vget):
     assert vget("Z/4", 2).count_pind_trivial_constituents() == 2
     assert vget("Z/6", 2).count_pind_trivial_constituents() == 4
@@ -370,7 +376,7 @@ def nested_loop_check(v, cid):
             if f is None:
                 mismatch += g in seen
             else:
-                ui, li, vi = (t.index[m] for m in f)
+                ui, li, vi = (int(t.index_of(m)) for m in f)
                 mismatch += not (g in seen and ui in U and li in L and vi in V
                                  and t.mul(t.mul(ui, li), vi) == g)
         return (status(mismatch), {"distinct_products": size, "mismatches": 0},
