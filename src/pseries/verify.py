@@ -272,6 +272,7 @@ class Verifier:
         self._end = {}
         self._conj = {}
         self._double_labels = None
+        self._borel_reps = None
         self._phi = {}
         self._local_verifiers = None
 
@@ -384,16 +385,23 @@ class Verifier:
         raise VerifyAlarm("no invertible solution for z found")
 
     def E(self, chi: LeviChar) -> AlgElem:
-        """The idempotent z e_U e_V e_chi, idempotency verified exactly."""
+        """The idempotent E = zc e_chi, zc = z e_U e_V: zc^2 = zc once, and per
+        chi e_chi^2 = e_chi and e_chi zc = E, certify E^2 = E."""
         key = chi.key()
         if key not in self._E:
             if self._zc is None:
-                self._zc = self.halmos.z * self.c_uv
-            E = self._zc * self.e_chi(chi)
+                zc = self.halmos.z * self.c_uv
+                if zc * zc != zc:
+                    raise VerifyAlarm("z e_U e_V not idempotent")
+                self._zc = zc
+            ec = self.e_chi(chi)
+            E = self._zc * ec
             if E.is_zero():
                 raise VerifyAlarm(f"z e_U e_V e_chi vanished for chi={key}")
-            if E * E != E:
-                raise VerifyAlarm(f"z e_U e_V e_chi not idempotent for chi={key}")
+            if ec * self._zc != E:
+                raise VerifyAlarm(f"e_chi does not commute with z e_U e_V for chi={key}")
+            if ec * ec != ec:
+                raise VerifyAlarm(f"e_chi not idempotent for chi={key}")
             self._E[key] = E
         return self._E[key]
 
@@ -402,9 +410,10 @@ class Verifier:
 
         The trace of right multiplication by a verified idempotent equals the
         dimension of its image, so feeding stops once the rank reaches it;
-        a shortfall after all translates would be an alarm.  u E = E for u in
-        U (z commutes with e_U), so one translate per left coset gU is fed,
-        min(gU) in increasing order, each feed as many as the rank lacks.
+        a shortfall after all translates would be an alarm.  u E = E and
+        l E = chi(l) E for u in U, l in L, so one translate per left coset gB,
+        B = U L, is fed, min(gB) in increasing order, each feed as many as
+        the rank lacks.
         """
         key = chi.key()
         if key not in self._module:
@@ -418,8 +427,7 @@ class Verifier:
             if r or expected < 0:
                 raise VerifyAlarm(f"module trace is not a dimension for chi={key}")
             t, red = self.table, SparseReducer(self.e)
-            reps = np.flatnonzero(t._table[:, t.subgroup("U")].min(axis=1)
-                                  == np.arange(t.size))
+            reps = self.borel_coset_reps
             most = max(1, _STACK_BLOCK // (t.size * E.rows.shape[1]))
             while red.rank < expected and len(reps):
                 take = min(expected - red.rank, most)
@@ -859,6 +867,16 @@ class Verifier:
             right = t._table[V].min(axis=0)       # min(V g)
             self._double_labels = right[t._table[:, U]].min(axis=1)
         return self._double_labels
+
+    @property
+    def borel_coset_reps(self):
+        """min(gB) for each left coset gB = g L U of B, in increasing order."""
+        if self._borel_reps is None:
+            t = self.table
+            right = t._table[:, t.subgroup("U")].min(axis=1)      # min(gU)
+            label = right[t._table[:, t.subgroup("L")]].min(axis=1)
+            self._borel_reps = np.flatnonzero(label == np.arange(t.size))
+        return self._borel_reps
 
     def check_phi_w(self, w: PermWord) -> dict:
         """Sub-checks (i)-(iii) for one Weyl element."""

@@ -3,16 +3,18 @@
 import hashlib
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
+from conftest import STANDARD_PAIRS
 from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
                      factor_ulv, idempotent_subgroup, orbit_reps, parse_ring_spec,
                      span_rank, stabilizer, stabilizer_degrees)
 from pseries import algebra, cli, verify
 from pseries.algebra import AlgebraError
-from pseries.verify import compositions
+from pseries.verify import HalmosElement, VerifyAlarm, compositions
 
 
 def test_halmos_identities_recomputed(vget):
@@ -116,6 +118,51 @@ def test_E_is_idempotent_and_spans_like_cuv(vget):
                 assert red_e.contains(row)
 
 
+def test_E_squares_to_itself(vget):
+    # the full product, the oracle for E's certificate (zc^2 = zc once,
+    # e_chi^2 = e_chi and e_chi zc = E per chi)
+    for spec, n in STANDARD_PAIRS + [("GF(2,2)", 2)]:
+        v = vget(spec, n)
+        for chi in v.chars:
+            assert v.E(chi) * v.E(chi) == v.E(chi)
+
+
+def test_E_is_borel_equivariant(vget):
+    # u E = E and l E = chi(l) E, a root of unity times E: the translates of
+    # a coset gB are multiples of one another, so module_reducer feeds one
+    for spec, n in [("Z/4", 2), ("GF(2,2)", 2), ("Z/2xZ/2", 2)]:
+        v = vget(spec, n)
+        t, e = v.table, v.e
+        roots = [CycloNum.root(e, j) for j in range(e)]
+        for chi in v.chars:
+            E = v.E(chi)
+            keys, rows, den = algebra.translates(E, t.subgroup("U"))
+            assert all(AlgElem.from_vec(t, e, (keys, r, den)) == E for r in rows)
+            keys, rows, den = algebra.translates(E, t.subgroup("L"))
+            multiples = [E.scale(c) for c in roots]
+            assert all(AlgElem.from_vec(t, e, (keys, r, den)) in multiples
+                       for r in rows)
+
+
+def test_E_alarms_when_zc_is_not_idempotent(monkeypatch):
+    v = Verifier(parse_ring_spec("GF(3,1)"), 2)
+    h = v.halmos
+    monkeypatch.setattr(v, "_halmos", HalmosElement(
+        h.z.scale(2), h.z_inv, h.unit, h.basis, h.solution_dim))
+    with pytest.raises(VerifyAlarm, match="z e_U e_V not idempotent"):
+        v.E(v.chars[0])
+
+
+def test_E_alarms_when_e_chi_does_not_commute(monkeypatch):
+    # e_V is the idempotent of a non-normal subgroup: zc e_V = zc is nonzero,
+    # but e_V zc != zc
+    v = Verifier(parse_ring_spec("GF(3,1)"), 2)
+    chi = v.chars[1]
+    monkeypatch.setattr(v, "e_chi", lambda c: v.eV)
+    with pytest.raises(VerifyAlarm, match=f"does not commute .* chi={re.escape(chi.key())}$"):
+        v.E(chi)
+
+
 def test_sandwich_shortcut_matches_full_sweep(vget):
     # rank over module basis rows must equal the rank over all |G| translates
     for spec, n in [("GF(2,1)", 2), ("GF(3,1)", 2), ("GF(2,2)", 2), ("Z/4", 2)]:
@@ -189,7 +236,7 @@ def test_stack_budget_splits_keep_results(vget, monkeypatch):
 
 
 def test_module_reducer_matches_single_translates(vget):
-    # one translate per coset gU, fed in stacks, must give the pivots of
+    # one translate per coset gB, fed in stacks, must give the pivots of
     # feeding g E for g = 0, 1, 2, ... one at a time up to the trace
     for spec, n in [("Z/4", 2), ("Z/6", 2), ("GF(2,2)", 2), ("GF(2,1)", 3)]:
         v = vget(spec, n)
