@@ -368,6 +368,7 @@ class GroupTable(object):
         self._lookups = lookups
         self._enc = enc
         self._pyrows = None
+        self._factors = None
         wcodes = np.array([weyl_matrix(ring, w) for w in weyl], dtype=np.int32)
         self.weyl_to_index = dict(zip(weyl, self.index_of(wcodes).tolist()))
         self.subgroups = dict(subgroups, W=tuple(sorted(self.weyl_to_index.values())))
@@ -375,6 +376,12 @@ class GroupTable(object):
         self.cells = {w: tuple(c.tolist()) for w, c in cells if len(c)}
 
     identity = 0
+
+    @property
+    def factors(self):
+        """One one-factor GroupTable per local factor (GL_n of a product ring
+        is the product of its factors' groups); [self] for a local ring."""
+        return self._factors or [self]
 
     def mul(self, i: int, j: int) -> int:
         return int(self._table[i, j])
@@ -432,12 +439,28 @@ class GroupTable(object):
         return f"GroupTable(GL_{self.n}({self.ring.canonical_str}), |G|={self.size})"
 
 
+def _factor_table(ring: RingSpec, n: int) -> GroupTable:
+    """GL_n of a one-factor ring as a GroupTable, in _local_gl's order (the
+    identity, then increasing base-q codes), which is already a GroupTable's
+    order."""
+    loc = ring.locals[0]
+    A, dets, lookup = _local_gl(loc, n)
+    table = _local_table(loc, A, lookup)
+    # a table row is a permutation, so its least entry is the identity 0
+    inv = np.argmin(table, axis=1).astype(np.int32)
+    subgroups = {name: tuple(s.tolist()) for name, s in _local_subgroups(loc, A).items()}
+    return GroupTable(ring, n, A[..., None], dets[:, None],
+                      _local_labels(loc, A), table, inv, subgroups,
+                      weyl_elements(1, n), (lookup,), np.arange(len(A), dtype=np.int32))
+
+
 def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
     """Enumerate GL_n(ring) and tabulate everything the rest of the code needs.
 
     Refuses (SizeGuardError) when the candidate count |R|^(n^2) or the
     multiplication table size |G|^2 exceeds max_cost; |G| is taken from the
-    order formula, so a refusal enumerates nothing.
+    order formula, so a refusal enumerates nothing.  Each local factor's
+    group is built as a one-factor GroupTable and kept on `factors`.
     """
     if n < 1:
         raise GroupError(f"matrix size must be >= 1, got {n}")
@@ -450,17 +473,20 @@ def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
         raise SizeGuardError(
             f"group order {total} gives table size {total}^2 > bound {max_cost}")
     locs = ring.locals
-    m = len(locs)
-    codes, local_dets, lookups = zip(*(_local_gl(loc, n) for loc in locs))
-    sizes = [len(A) for A in codes]
+    rings = [ring] if len(locs) == 1 else [RingSpec([loc]) for loc in locs]
+    factors = [_factor_table(r, n) for r in rings]
+    sizes = [f.size for f in factors]
     if math.prod(sizes) != total:
         raise GroupError(f"enumerated {math.prod(sizes)} elements, not {total}")
+    if len(factors) == 1:
+        return factors[0]
+    m = len(factors)
 
     # every combination of local matrices; the identity (local index 0 in
     # every factor) first, then lexicographic in the (row, column, factor)
     # entry codes
     combos = np.indices(sizes, dtype=np.int32).reshape(m, total)
-    elems = np.stack([A[c] for A, c in zip(codes, combos)], axis=-1)
+    elems = np.concatenate([f.codes[c] for f, c in zip(factors, combos)], axis=-1)
     flat = elems.reshape(total, n * n * m)
     order = np.lexsort((*flat.T[::-1], combos.any(axis=0)))
     dec = combos[:, order]
@@ -468,40 +494,35 @@ def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
     enc = np.empty(tuple(sizes), dtype=np.int32)
     enc[tuple(dec)] = np.arange(total, dtype=np.int32)
 
-    local_tables = [_local_table(loc, A, lookup)
-                    for loc, A, lookup in zip(locs, codes, lookups)]
-    if m == 1:
-        table = local_tables[0]   # one factor's order is already G's
-    else:
-        # a row block of each local table, its columns put in G's order,
-        # combined into a position in enc
-        table = np.empty((total, total), dtype=np.int32)
-        for rows in _table_blocks(total, total):
-            pos = local_tables[0][dec[0][rows]][:, dec[0]]
-            for T, d, size in zip(local_tables[1:], dec[1:], sizes[1:]):
-                pos *= size
-                pos += T[d[rows]][:, d]
-            table[rows] = np.take(enc, pos)
-    # inverses factor by factor: a table row is a permutation, so its least
-    # entry is the local identity 0
-    inv = enc[tuple(np.argmin(T, axis=1)[d] for T, d in zip(local_tables, dec))]
-    det_codes = np.stack([d[dec[f]] for f, d in enumerate(local_dets)], axis=1)
+    # a row block of each local table, its columns put in G's order,
+    # combined into a position in enc
+    local_tables = [f._table for f in factors]
+    table = np.empty((total, total), dtype=np.int32)
+    for rows in _table_blocks(total, total):
+        pos = local_tables[0][dec[0][rows]][:, dec[0]]
+        for T, d, size in zip(local_tables[1:], dec[1:], sizes[1:]):
+            pos *= size
+            pos += T[d[rows]][:, d]
+        table[rows] = np.take(enc, pos)
+    inv = enc[tuple(f._inv[d] for f, d in zip(factors, dec))]
+    det_codes = np.concatenate([f.det_codes[d] for f, d in zip(factors, dec)], axis=1)
 
-    # standard subgroups, assembled per factor and combined through enc
-    local_subgroups = [_local_subgroups(loc, A) for loc, A in zip(locs, codes)]
+    # standard subgroups, combined through enc
     subgroups = {}
     for name in ("U", "V", "L", "N", "G0"):
-        grid = enc[np.ix_(*(sub[name] for sub in local_subgroups))]
+        grid = enc[np.ix_(*(f.subgroups[name] for f in factors))]
         subgroups[name] = tuple(sorted(grid.ravel().tolist()))
 
-    # Bruhat labels per factor over the residue field, combined as the
-    # position in weyl_elements' order (the first factor most significant)
+    # Bruhat labels combined as the position in weyl_elements' order (the
+    # first factor most significant)
     label_index = np.zeros(total, dtype=np.intp)
-    for f, (loc, A) in enumerate(zip(locs, codes)):
-        label_index = label_index * math.factorial(n) + _local_labels(loc, A)[dec[f]]
+    for f, d in zip(factors, dec):
+        label_index = label_index * math.factorial(n) + f.label_index[d]
 
-    return GroupTable(ring, n, elems, det_codes, label_index, table, inv,
-                      subgroups, weyl_elements(m, n), lookups, enc)
+    out = GroupTable(ring, n, elems, det_codes, label_index, table, inv, subgroups,
+                     weyl_elements(m, n), tuple(f._lookups[0] for f in factors), enc)
+    out._factors = factors
+    return out
 
 
 def weyl_matrix(ring: RingSpec, w: PermWord):

@@ -147,6 +147,32 @@ def _mask(t, idx):
     return out
 
 
+def _multiplicative_on_generators(t, d, mul):
+    """Whether d(g h) = mul[d(g), d(h)] for all g, h in G, for an integer
+    array d over G and a multiplication table mul of its values.
+
+    S = U | L | V contains the identity.  Walking out from {1} by right
+    multiplication by S, each front is gathered once, so every g in G is
+    tested against every s in S, |G| |S| products, and the walk certifies
+    that S generates G.  d(g s) = d(g) d(s) for all g and s in S then gives
+    d(1) = 1 and, by induction on word length, d(g h) = d(g) d(h).  A walk
+    that does not reach all of G fails.
+    """
+    S = np.flatnonzero(_mask(t, t.subgroup("U") + t.subgroup("L") + t.subgroup("V")))
+    reached = _mask(t, [t.identity])
+    front, ok = np.array([t.identity]), True
+    while len(front):
+        grown = np.zeros(t.size, dtype=bool)
+        for rows in row_blocks(len(front), len(S)):
+            g = front[rows]
+            prods = t._table[np.ix_(g, S)]
+            ok &= bool((mul[d[g, None], d[S]] == d[prods]).all())
+            grown[prods] = True
+        front = np.flatnonzero(grown & ~reached)
+        reached |= grown
+    return ok and bool(reached.all())
+
+
 def _coords(red, vecs, alarm):
     """(coords, den): the coordinates of a stack of vectors on red's pivots,
     an integer array (k, rank, phi) over one denominator; VerifyAlarm(alarm)
@@ -246,15 +272,24 @@ class Verifier:
 
     def __init__(self, ring: RingSpec, n: int, seed: int = 0,
                  max_cost: int = 10 ** 8):
-        self.ring = ring
-        self.n = n
+        self._setup(enumerate_gl(ring, n, max_cost), seed, max_cost)
+
+    @classmethod
+    def _on_table(cls, table, seed, max_cost):
+        """A Verifier on an already tabulated group."""
+        out = cls.__new__(cls)
+        out._setup(table, seed, max_cost)
+        return out
+
+    def _setup(self, table, seed, max_cost):
+        self.ring = ring = table.ring
+        self.n = table.n
         self.seed = seed
         self.max_cost = max_cost
-        self.table = enumerate_gl(ring, n, max_cost)
-        self.e = ring.unit_exponent()
+        self.table = t = table
+        self.e = e = ring.unit_exponent()
         self.rng = random.Random(seed)
-        self.chars = all_levi_chars(ring, n)
-        t, e = self.table, self.e
+        self.chars = all_levi_chars(ring, self.n)
         self.eU = idempotent_subgroup(t, e, t.subgroup("U"))
         self.eV = idempotent_subgroup(t, e, t.subgroup("V"))
         self.c_uv = self.eU * self.eV
@@ -644,14 +679,14 @@ class Verifier:
         return self.end_algebra(trivial).center_dim
 
     def local_verifiers(self):
-        """One Verifier per local factor (for product-ring cross-checks)."""
+        """One Verifier per local factor (for product-ring cross-checks), each
+        on the factor's group that enumerate_gl kept."""
         if self._local_verifiers is None:
             # equal local rings share one Verifier (same seed, same results)
             made = {}
-            for loc in self.ring.locals:
+            for loc, factor in zip(self.ring.locals, self.table.factors):
                 if loc not in made:
-                    made[loc] = Verifier(RingSpec([loc]), self.n, self.seed,
-                                         self.max_cost)
+                    made[loc] = Verifier._on_table(factor, self.seed, self.max_cost)
             self._local_verifiers = [made[loc] for loc in self.ring.locals]
         return self._local_verifiers
 
@@ -806,10 +841,12 @@ class Verifier:
         return self._conj[key]
 
     def check_lemma34(self) -> CheckResult:
+        """e_V e_{U^w} e_{V^w} = e_V e_U e_{V^w} for every w; where
+        e_{U^w} = e_U the two sides are one product, so w passes."""
         bad = []
         for w in self.table.weyl_to_index:
             euw, evw, _ = self.conjugates(w)
-            if self.eV * euw * evw != self.eV * self.eU * evw:
+            if euw != self.eU and self.eV * euw * evw != self.c_vu * evw:
                 bad.append(repr(w))
         return CheckResult("lem3.4", "pass" if not bad else "fail",
                            {"failing_w": []}, {"failing_w": bad})
@@ -951,8 +988,9 @@ class Verifier:
         """Twisting by a determinant character fixes e_U, e_V, moves e_chi to e_L.
 
         chi1(det .) is multiplicative on G when det is and chi1 is, so det
-        is tested once per factor on |G|^2 pairs, and each chi1 only on the
-        |R^x|^2 pairs of units.
+        is tested once per factor, on G x S for a generating set S
+        (_multiplicative_on_generators), and each chi1 only on the |R^x|^2
+        pairs of units.
         """
         expected = {"failures": []}
         failures = []
@@ -975,8 +1013,7 @@ class Verifier:
             ft, kf = fold_array(ef)
             roots = (root_coords(ef) @ ft).reshape(ef, len(ft), len(ft))
             kr = kf * max_abs(root_coords(ef))
-            det_ok = all((umul[d[rows, None], d] == d[tf._table[rows]]).all()
-                         for rows in row_blocks(tf.size, tf.size))
+            det_ok = _multiplicative_on_generators(tf, d, umul)
             for chi1 in factor_chars(structs[0], ef):
                 v = np.array([chi1.value_exponent(u) for u in loc.units])
                 if not (det_ok and ((v[:, None] + v) % ef == v[umul]).all()):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import STANDARD_PAIRS
-from pseries import (PermWord, SizeGuardError, enumerate_gl, factor_ulv,
+from pseries import (PermWord, RingSpec, SizeGuardError, enumerate_gl, factor_ulv,
                      parse_ring_spec, weyl_matrix)
 from pseries import groups
 from pseries.groups import factor_ulv_codes, gl_order
@@ -289,3 +289,50 @@ def test_size_guard():
         enumerate_gl(parse_ring_spec("Z/4"), 2, max_cost=10)
     with pytest.raises(SizeGuardError):
         enumerate_gl(parse_ring_spec("Z/6"), 3)  # default guard rejects |G|^2
+
+
+FACTOR_FIELDS = ("codes", "det_codes", "label_index", "_table", "_inv", "_lookups",
+                 "_enc", "subgroups", "weyl_to_index", "cells")
+
+
+def test_factor_tables_match_fresh_enumeration():
+    # enumerate_gl keeps each factor's group; it must be the group a fresh
+    # enumeration of the local ring gives, field by field
+    for spec in ("Z/2xZ/2", "Z/2xZ/3", "Z/2xGF(2,2)", "Z/4xZ/2"):
+        ring = parse_ring_spec(spec)
+        t = enumerate_gl(ring, 2)
+        assert len(t.factors) == len(ring.locals) == 2
+        for factor, loc in zip(t.factors, ring.locals):
+            fresh = enumerate_gl(RingSpec([loc]), 2)
+            assert factor.ring == fresh.ring and factor.factors == [factor]
+            for name in FACTOR_FIELDS:
+                got, want = getattr(factor, name), getattr(fresh, name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (spec, name)
+                elif name == "_lookups":
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want)), spec
+                else:
+                    assert got == want, (spec, name)
+
+
+def test_local_ring_is_its_own_factor():
+    t = enumerate_gl(parse_ring_spec("Z/4"), 2)
+    assert t.factors == [t]
+
+
+def test_local_verifiers_enumerate_nothing(monkeypatch):
+    from pseries import verify
+    calls = []
+    inner = verify.enumerate_gl
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(verify, "enumerate_gl", counted)
+    monkeypatch.setattr(groups, "enumerate_gl", counted)
+    v = verify.Verifier(parse_ring_spec("Z/2xGF(2,2)"), 2)
+    assert len(calls) == 1
+    locals_ = v.local_verifiers()
+    assert [lv.table for lv in locals_] == v.table.factors
+    assert v.check_scalar_twist().passed
+    assert len(calls) == 1

@@ -6,6 +6,7 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import STANDARD_PAIRS
@@ -14,6 +15,7 @@ from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
                      span_rank, stabilizer, stabilizer_degrees)
 from pseries import algebra, cli, verify
 from pseries.algebra import AlgebraError
+from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
 
 
@@ -338,6 +340,84 @@ def test_equal_local_rings_share_one_verifier(vget):
     first, second = vget("Z/2xZ/2", 2).local_verifiers()
     assert first is second
     assert [lv.ring.canonical_str for lv in vget("Z/6", 2).local_verifiers()] == ["Z/2", "Z/3"]
+
+
+def _det_units(t):
+    """(d, umul): each element's determinant as a position among the units of
+    a one-factor table's ring, and the units' multiplication table."""
+    loc = t.ring.locals[0]
+    unit_at = np.full(loc.size, -1)
+    unit_at[list(loc.units)] = np.arange(len(loc.units))
+    units = np.array(loc.units)
+    return unit_at[t.det_codes[:, 0]], unit_at[ring_arrays(loc)[1][np.ix_(units, units)]]
+
+
+def _det_all_pairs(t):
+    # the oracle: det(g h) = det(g) det(h) on all |G|^2 pairs
+    d, umul = _det_units(t)
+    return bool((umul[d[:, None], d] == d[t._table]).all())
+
+
+def test_det_generator_test_matches_all_pairs(vget):
+    for spec, n in STANDARD_PAIRS + [("GF(5,1)", 2), ("Z/2xGF(2,2)", 2)]:
+        v = vget(spec, n)
+        for t in v.table.factors:
+            gen = verify._multiplicative_on_generators(t, *_det_units(t))
+            assert (gen, _det_all_pairs(t)) == (True, True), spec
+        assert v.check_scalar_twist().passed, spec
+
+
+def test_scalar_twist_fails_on_a_moved_det():
+    v = Verifier(parse_ring_spec("Z/2xGF(2,2)"), 2)
+    t = v.table.factors[1]
+    units = list(t.ring.locals[0].units)
+    g = t.size // 2
+    t.det_codes[g, 0] = units[(units.index(t.det_codes[g, 0]) + 1) % len(units)]
+    assert not _det_all_pairs(t)
+    assert not verify._multiplicative_on_generators(t, *_det_units(t))
+    r = v.check_scalar_twist()
+    assert not r.passed
+    assert all(f.startswith("factor1:") and f.endswith(":multiplicative")
+               for f in r.actual["failures"])
+
+
+def test_scalar_twist_fails_when_S_does_not_generate():
+    # with V = {1}, S = U L is the Borel subgroup: det is still multiplicative
+    # (the all-pairs oracle passes), but the test on S would be partial
+    v = Verifier(parse_ring_spec("GF(3,1)"), 2)
+    v.table.subgroups["V"] = (v.table.identity,)
+    assert _det_all_pairs(v.table)
+    r = v.check_scalar_twist()
+    assert not r.passed and r.actual["failures"]
+    assert all(f.endswith(":multiplicative") for f in r.actual["failures"])
+
+
+def test_lemma34_matches_four_product_comparison(vget):
+    # the oracle: e_V e_{U^w} e_{V^w} against e_V e_U e_{V^w}, four products
+    # for every w, identity included
+    for spec, n in STANDARD_PAIRS + [("Z/2xGF(2,2)", 2)]:
+        v = vget(spec, n)
+        want = [repr(w) for w in v.table.weyl_to_index
+                if v.eV * v.conjugates(w)[0] * v.conjugates(w)[1]
+                != v.eV * v.eU * v.conjugates(w)[1]]
+        r = v.check_lemma34()
+        assert r.actual == {"failing_w": want} and r.passed, spec
+
+
+def test_lemma34_fails_on_a_wrong_conjugate(monkeypatch):
+    # at the swap w, e_V in place of e_{V^w} = e_U: e_V e_V e_V = e_V is not
+    # e_V e_U e_V, so the four-product comparison fails too
+    v = Verifier(parse_ring_spec("GF(3,1)"), 2)
+    swap = next(w for w in v.table.weyl if not w.is_identity())
+    true = v.conjugates
+
+    def wrong(w):
+        euw, evw, Vw = true(w)
+        return (euw, v.eV, Vw) if w == swap else (euw, evw, Vw)
+    monkeypatch.setattr(v, "conjugates", wrong)
+    euw, evw, _ = v.conjugates(swap)
+    assert v.eV * euw * evw != v.eV * v.eU * evw
+    assert v.check_lemma34().actual == {"failing_w": [repr(swap)]}
 
 
 def test_intro_example_counts(vget):
