@@ -209,6 +209,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "n", 1) < 1:
         ap.error("n must be at least 1")
+    if args.max_group is not None and args.max_group < 1:
+        ap.error("--max-group must be at least 1")
     handler = {"ring-info": cmd_ring_info, "verify": cmd_verify,
                "intertwine": cmd_intertwine, "count": cmd_count}[args.command]
     try:

@@ -133,6 +133,16 @@ _BLOCK = 1 << 14
 _TABLE_BLOCKS = 128
 
 
+# the largest group whose indices 0 .. |G|-1 fit in int16
+_INT16_GROUP = 1 << 15
+
+
+def _index_dtype(size):
+    """The narrowest signed dtype of a Cayley table over a group of the given
+    order: int16 up to _INT16_GROUP elements, int32 above."""
+    return np.int16 if size <= _INT16_GROUP else np.int32
+
+
 def row_blocks(rows, width, budget=_BLOCK):
     """Slices covering range(rows), each about `budget` entries of the given
     width."""
@@ -203,7 +213,7 @@ def _local_table(local, A, lookup):
     seen[rows] = True
     row_of = (np.cumsum(seen) - 1)[rows]
     V = np.flatnonzero(seen)[:, None] // q ** np.arange(n - 1, -1, -1) % q
-    table = np.empty((size, size), dtype=np.int32)
+    table = np.empty((size, size), dtype=_index_dtype(size))
     for cols in _table_blocks(size, size * n * n):
         # M[x, k, j, b] = x * A[b, k, j]: row k of each right factor, scaled by x
         M = mul[:, A[cols].transpose(1, 2, 0)]
@@ -351,7 +361,8 @@ class GroupTable(object):
     factor f at [i, j, f]), det_codes[g], shape (m,), those of its
     determinant, and label_index[g] the position of its Bruhat label in
     weyl.  mat, diag and bruhat_label build one element's tuple form from
-    them on demand.
+    them on demand.  The Cayley table _table is in _index_dtype(|G|), so
+    everything gathered from it is int16 up to 2^15 elements.
     """
 
     def __init__(self, ring, n, codes, det_codes, label_index, table, inv,
@@ -495,11 +506,12 @@ def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
     enc[tuple(dec)] = np.arange(total, dtype=np.int32)
 
     # a row block of each local table, its columns put in G's order,
-    # combined into a position in enc
+    # combined into a position in enc; the local tables may be int16 even
+    # when G's is not, so the position is widened before it is scaled
     local_tables = [f._table for f in factors]
-    table = np.empty((total, total), dtype=np.int32)
+    table = np.empty((total, total), dtype=_index_dtype(total))
     for rows in _table_blocks(total, total):
-        pos = local_tables[0][dec[0][rows]][:, dec[0]]
+        pos = local_tables[0][dec[0][rows]][:, dec[0]].astype(np.int32)
         for T, d, size in zip(local_tables[1:], dec[1:], sizes[1:]):
             pos *= size
             pos += T[d[rows]][:, d]

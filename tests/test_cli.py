@@ -99,6 +99,15 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_max_group_below_one_is_a_usage_error(capsys):
+    # squared, -100 would admit every group up to |G| = 100, and 0 none
+    for bad in ("0", "-100"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--ring", "Z/4", "-n", "2", "--max-group", bad])
+        assert err.value.code == 2
+        assert "--max-group must be at least 1" in capsys.readouterr().err
+
+
 def test_size_guard_exit_3(capsys):
     code, _, err = run(capsys, "verify", "--ring", "Z/6", "-n", "3")
     assert code == 3

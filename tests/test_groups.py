@@ -336,3 +336,27 @@ def test_local_verifiers_enumerate_nothing(monkeypatch):
     assert [lv.table for lv in locals_] == v.table.factors
     assert v.check_scalar_twist().passed
     assert len(calls) == 1
+
+
+def test_table_dtype_is_int16_below_the_limit():
+    for spec, n in STANDARD_PAIRS + [("GF(5,1)", 2), ("Z/2xGF(2,2)", 2)]:
+        t = enumerate_gl(parse_ring_spec(spec), n)
+        assert t._table.dtype == np.int16, spec
+        assert all(f._table.dtype == np.int16 for f in t.factors), spec
+
+
+@pytest.mark.parametrize("spec", ["GF(5,1)", "Z/2xZ/2", "Z/2xGF(2,2)", "Z/4xZ/2"])
+def test_int32_table_matches_int16_table(monkeypatch, spec):
+    ring = parse_ring_spec(spec)
+    narrow = enumerate_gl(ring, 2)
+    # a limit of 1 makes every table int32; on a product ring, one at the
+    # largest factor keeps the factor tables int16 under an int32 table, the
+    # mix enumerate_gl combines through its widened positions
+    largest = max(f.size for f in narrow.factors)
+    for limit in [1] + [largest] * (largest < narrow.size):
+        monkeypatch.setattr(groups, "_INT16_GROUP", limit)
+        wide = enumerate_gl(ring, 2)
+        assert wide._table.dtype == np.int32
+        assert all(f._table.dtype == (np.int16 if f.size <= limit else np.int32)
+                   for f in wide.factors)
+        assert np.array_equal(wide._table, narrow._table), (spec, limit)
