@@ -74,11 +74,11 @@ def stack(vecs):
     return keys, rows, den
 
 
-def translates(a: "AlgElem", gs, right=False):
-    """The stack of g a for g in gs, or of a g when right, over the union of
-    their keys: one gather from the Cayley table, one scatter of a's rows."""
+def translates(a: "AlgElem", gs):
+    """The stack of g a for g in gs, over the union of their keys: one gather
+    from the Cayley table, one scatter of a's rows."""
     t, gs = a.table, np.asarray(gs, dtype=np.intp)
-    at = t._table[np.ix_(a.keys, gs)].T if right else t._table[np.ix_(gs, a.keys)]
+    at = t._table[np.ix_(gs, a.keys)]
     present = np.zeros(t.size, dtype=bool)
     present[at] = True
     rows = np.zeros((len(gs), int(present.sum()), a.rows.shape[1]), dtype=a.rows.dtype)

@@ -1,6 +1,7 @@
 """Verification engine for the principal-series structure of GL_n(R).
 
-Everything that decides pass/fail is exact (rational or cyclotomic).
+Everything that decides pass/fail is exact (rational or cyclotomic); a rank
+read mod a prime counts only where it is certified exact (_certified_rank).
 Floating point appears in two places: the eigenvalue splitting that guesses
 Wedderburn block sizes, whose integers are cross-checked exactly, and the
 float64 matmuls of the product kernel, which run only when an a-priori bound
@@ -35,7 +36,7 @@ from .cyclo import (SparseReducer, exact_dtype, fold_array, galois, max_abs,
                     power_fold, root_coords, solve_affine)
 from .groups import (PermWord, enumerate_gl, factor_ulv_codes, ring_arrays,
                      row_blocks)
-from .rings import RingSpec, residue_structure
+from .rings import RingSpec
 
 
 class VerifyAlarm(Exception):
@@ -173,6 +174,80 @@ def _multiplicative_on_generators(t, d, mul):
     return ok and bool(reached.all())
 
 
+def _labels(t, X, Y=()):
+    """label[g] = min(X g), or min(X g Y) when Y is given: the least element
+    of g's coset or double coset, one gather and a min per side."""
+    out = t._table[np.asarray(X, dtype=np.intp)].min(axis=0)
+    if len(Y):
+        out = out[t._table[:, np.asarray(Y, dtype=np.intp)]].min(axis=1)
+    return out
+
+
+def _counts(t, label, left, xs, right):
+    """The int64 matrix M[i, j] = #{(a, b) in left x right : a xs[i] b lies
+    in class j}, the classes numbered in increasing order of their least
+    elements, label[g] being that of g's class; one gather, one bincount."""
+    index = np.cumsum(label == np.arange(t.size)) - 1
+    k, xs = int(index[-1]) + 1, np.asarray(xs, dtype=np.intp)
+    ax = t._table[np.ix_(np.asarray(left, dtype=np.intp), xs)]
+    cls = index[label[t._table[ax[..., None], np.asarray(right, dtype=np.intp)]]]
+    flat = cls + (np.arange(len(xs)) * k)[:, None]
+    return np.bincount(flat.ravel(), minlength=len(xs) * k).reshape(len(xs), k)
+
+
+def _rows(M):
+    """The rows of an integer matrix as a SparseReducer stack."""
+    return np.arange(M.shape[1]), M[:, :, None], 1
+
+
+# a prime whose residues multiply in int64
+_P = 2 ** 31 - 1
+
+
+def _rank_mod_p(M):
+    """The rank mod _P of an integer matrix, by elimination that updates only
+    the trailing block right of each pivot, and in it only the rows below
+    the pivot that are nonzero in its column (count matrices stay sparse)."""
+    A = (M % _P).astype(np.int64)
+    rank = 0
+    for c in range(A.shape[1]):
+        if rank == len(A):
+            break
+        nz = np.flatnonzero(A[rank:, c])
+        if not len(nz):
+            continue
+        A[[rank, rank + nz[0]]] = A[[rank + nz[0], rank]]
+        A[rank, c + 1:] = A[rank, c + 1:] * pow(int(A[rank, c]), _P - 2, _P) % _P
+        rows = rank + 1 + np.flatnonzero(A[rank + 1:, c])
+        # residues below p: each entry stays above -p^2 > -2^63 before the mod
+        A[rows, c + 1:] = (A[rows, c + 1:] - A[rows, c, None] * A[rank, c + 1:]) % _P
+        rank += 1
+    return rank
+
+
+def _certified_rank(M, upper=None):
+    """The rank over Q of an integer matrix M: its rank mod _P where that is
+    certified, else an exact sweep over its rows.
+
+    rank mod p <= rank over Q <= upper (min(M.shape) when None), so a rank
+    mod p that reaches upper is exact.  So is any rank mod p when the k =
+    min(M.shape) largest squared row norms, each taken as at least 1,
+    multiply to less than p^2: by Hadamard's bound every minor is then
+    smaller than p in absolute value, so none that is nonzero vanishes mod p.
+    """
+    k = min(M.shape)
+    rank = _rank_mod_p(M)
+    if rank == (k if upper is None else upper):
+        return rank
+    M2 = M.astype(exact_dtype(max_abs(M) ** 2 * M.shape[1]))
+    norms = sorted(np.maximum((M2 * M2).sum(axis=1), 1).tolist(), reverse=True)
+    if math.prod(norms[:k]) < _P * _P:
+        return rank
+    red = SparseReducer(1)
+    red.feed(_rows(M))
+    return red.rank
+
+
 def _coords(red, vecs, alarm):
     """(coords, den): the coordinates of a stack of vectors on red's pivots,
     an integer array (k, rank, phi) over one denominator; VerifyAlarm(alarm)
@@ -306,7 +381,6 @@ class Verifier:
         self._pind_char = {}
         self._end = {}
         self._conj = {}
-        self._double_labels = None
         self._borel_reps = None
         self._phi = {}
         self._local_verifiers = None
@@ -717,20 +791,28 @@ class Verifier:
         return CheckResult("prop3.2a", status, expected, actual)
 
     def check_residue_surjective(self) -> CheckResult:
-        """(b) entrywise reduction hits all of GL_n over the residue ring."""
-        rs = residue_structure(self.ring)
-        if rs.residue_ring == self.ring:
-            rtab = self.table
-        else:
-            rtab = enumerate_gl(rs.residue_ring, self.n, self.max_cost)
-        codes = self.table.codes
-        red = np.stack([np.array([loc.reduce(x) for x in range(loc.size)])[codes[..., f]]
-                        for f, loc in enumerate(self.ring.locals)], axis=-1)
-        images = rtab.index_of(red)
-        if images.min() < 0:
-            raise VerifyAlarm("a reduction of an element of G is not invertible")
-        expected = {"image_size": rtab.size}
-        actual = {"image_size": int(_mask(rtab, images).sum())}
+        """(b) entrywise reduction hits all of GL_n over the residue ring.
+
+        GL_n of a product ring is the product of its factors' GL_n, and
+        reduction acts factor by factor, so each factor group is reduced onto
+        GL_n of its residue field; a field factor's group is its own target
+        and serves any factor with that residue field.  Image and target
+        sizes are products over the factors.
+        """
+        tabs = {loc: ft for loc, ft in zip(self.ring.locals, self.table.factors)
+                if loc.residue_ring == loc}
+        expected, actual = {"image_size": 1}, {"image_size": 1}
+        for loc, ft in zip(self.ring.locals, self.table.factors):
+            res = loc.residue_ring
+            if res not in tabs:
+                tabs[res] = enumerate_gl(RingSpec([res]), self.n, self.max_cost)
+            rtab = tabs[res]
+            reduce = np.array([loc.reduce(x) for x in range(loc.size)])
+            images = rtab.index_of(reduce[ft.codes])
+            if images.min() < 0:
+                raise VerifyAlarm("a reduction of an element of G is not invertible")
+            expected["image_size"] *= rtab.size
+            actual["image_size"] *= int(_mask(rtab, images).sum())
         return CheckResult("prop3.2b", "pass" if expected == actual else "fail",
                            expected, actual)
 
@@ -830,14 +912,13 @@ class Verifier:
         return CheckResult("lem3.3", status, expected, actual)
 
     def conjugates(self, w: PermWord):
-        """(e_{U^w}, e_{V^w}, V^w) for a Weyl element, built once."""
+        """(e_{U^w}, e_{V^w}) for a Weyl element, built once."""
         key = w.perms
         if key not in self._conj:
             t = self.table
             widx = t.weyl_to_index[w]
-            Uw, Vw = (t.conjugated(t.subgroup(h), widx) for h in "UV")
-            self._conj[key] = (idempotent_subgroup(t, self.e, Uw),
-                               idempotent_subgroup(t, self.e, Vw), Vw)
+            self._conj[key] = tuple(idempotent_subgroup(
+                t, self.e, t.conjugated(t.subgroup(h), widx)) for h in "UV")
         return self._conj[key]
 
     def check_lemma34(self) -> CheckResult:
@@ -845,65 +926,61 @@ class Verifier:
         e_{U^w} = e_U the two sides are one product, so w passes."""
         bad = []
         for w in self.table.weyl_to_index:
-            euw, evw, _ = self.conjugates(w)
+            euw, evw = self.conjugates(w)
             if euw != self.eU and self.eV * euw * evw != self.c_vu * evw:
                 bad.append(repr(w))
         return CheckResult("lem3.4", "pass" if not bad else "fail",
                            {"failing_w": []}, {"failing_w": bad})
 
-    def _sandwiches(self, gs):
-        """Stacks of c_uv g c_uv for g in gs, each from one kernel call on the
-        left translates g c_uv, of at most _STACK_BLOCK dense entries, made
-        as they are consumed."""
-        width = self.table.size * len(power_fold(self.e))
-        for part in row_blocks(len(gs), width, _STACK_BLOCK):
-            yield _mul_dense(self.c_uv, translates(self.c_uv, gs[part]))
+    def _sandwich_counts(self, xs):
+        """n[i, D] = #{(v, u) in V x U : v xs[i] u lies in D}, D over U\\G/V.
+
+        c_uv x c_uv = sum_D n_D(x) e_U y_D e_V / (|U| |V|), y_D in D, and the
+        e_U y_D e_V have disjoint supports, so ranks and spans of these
+        sandwiches are those of their count rows.
+        """
+        t = self.table
+        U, V = t.subgroup("U"), t.subgroup("V")
+        return _counts(t, _labels(t, U, V), V, xs, U)
 
     def _phi_data(self, w: PermWord):
+        """The ranks and the span test behind lem3.5 and prop3.6 for one w, on
+        integer coordinates over bases with disjoint supports.
+
+        e_H x = e_H min(H x), so c_w g = e_{U^w} e_{V^w} g has the coordinates
+        #{v in V^w : min(U^w v g) = h} / |V| on the basis e_{U^w} h, and
+        e_V c_w g has #{(u, v) in U^w x V^w : min(V u v g) = h'} / (|U| |V|)
+        on the basis e_V h'; c_w v = c_w for v in V^w, so one g per coset
+        V^w g.  phi's span is that of the sandwich counts of w L.
+        """
         key = w.perms
         if key in self._phi:
             return self._phi[key]
-        t, e = self.table, self.e
-        euw, evw, Vw = self.conjugates(w)
-        cw = euw * evw
-        vcw = self.eV * cw
-        # c_w h = c_w for h in V^w, so c_w and e_V c_w have one right
-        # translate per coset V^w g; min(V^w g) labels it
-        red_cw = SparseReducer(e)
-        red_vcw = SparseReducer(e)
-        reps = np.flatnonzero(_mask(t, t._table[Vw].min(axis=0)))
-        for part in row_blocks(len(reps), t.size * len(power_fold(e)), _STACK_BLOCK):
-            red_cw.feed(translates(cw, reps[part], right=True))
-            red_vcw.feed(translates(vcw, reps[part], right=True))
-        phi_red = SparseReducer(e)
-        for vecs in self._sandwiches(_products(t, (t.weyl_to_index[w],),
-                                               t.subgroup("L"))):
-            phi_red.feed(vecs)
+        t = self.table
+        U, V, widx = t.subgroup("U"), t.subgroup("V"), t.weyl_to_index[w]
+        Uw, Vw = (t.conjugated(h, widx) for h in (U, V))
+        gs, one = np.flatnonzero(_labels(t, Vw) == np.arange(t.size)), [t.identity]
+        rank_cw = _certified_rank(_counts(t, _labels(t, Uw), Vw, gs, one))
+        # rank(e_V c_w) <= rank(c_w)
+        rank_vcw = _certified_rank(_counts(t, _labels(t, V), _products(t, Uw, Vw),
+                                           gs, one), rank_cw)
+        phi_red = SparseReducer(1)
+        phi_red.feed(_rows(self._sandwich_counts(
+            _products(t, (widx,), t.subgroup("L")))))
         # with every cell element inside phi_red's span, the joint span is
         # that span, so containment alone decides span equality; and
         # c_uv (v g u) c_uv = c_uv g c_uv, so one g per double coset V g U
         # of the cell decides it
         cell = np.asarray(t.cells.get(w, ()), dtype=np.intp)
-        cell_in_span = all(phi_red.contains(vecs) for vecs in self._sandwiches(
-            np.flatnonzero(_mask(t, self.double_coset_labels[cell]))))
+        reps = np.flatnonzero(_mask(t, _labels(t, V, U)[cell]))
         data = {
-            "rank_cw": red_cw.rank,
-            "rank_vcw": red_vcw.rank,
+            "rank_cw": rank_cw,
+            "rank_vcw": rank_vcw,
             "rank_phi": phi_red.rank,
-            "cell_span_equal": cell_in_span,
+            "cell_span_equal": phi_red.contains(_rows(self._sandwich_counts(reps))),
         }
         self._phi[key] = data
         return data
-
-    @property
-    def double_coset_labels(self):
-        """label[g] = min(V g U), the least element of g's double coset."""
-        if self._double_labels is None:
-            t = self.table
-            V, U = (np.asarray(t.subgroup(h)) for h in "VU")
-            right = t._table[V].min(axis=0)       # min(V g)
-            self._double_labels = right[t._table[:, U]].min(axis=1)
-        return self._double_labels
 
     @property
     def borel_coset_reps(self):
@@ -941,13 +1018,13 @@ class Verifier:
                            {"failing_w": []}, {"failing_w": bad})
 
     def check_lin_independence(self) -> CheckResult:
+        """The c_uv x c_uv for x in W L are linearly independent."""
         t = self.table
-        red = SparseReducer(self.e)
-        for vecs in self._sandwiches(_products(t, t.subgroup("W"), t.subgroup("L"))):
-            red.feed(vecs)
+        rank = _certified_rank(self._sandwich_counts(
+            _products(t, t.subgroup("W"), t.subgroup("L"))))
         expect = len(t.subgroup("W")) * len(t.subgroup("L"))
-        return CheckResult("prop3.7", "pass" if red.rank == expect else "fail",
-                           {"rank": expect}, {"rank": red.rank})
+        return CheckResult("prop3.7", "pass" if rank == expect else "fail",
+                           {"rank": expect}, {"rank": rank})
 
     def check_theorem1(self) -> CheckResult:
         formula, oracle = self.intertwining_matrices()

@@ -13,10 +13,11 @@ from conftest import STANDARD_PAIRS
 from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
                      factor_ulv, idempotent_subgroup, orbit_reps, parse_ring_spec,
                      span_rank, stabilizer, stabilizer_degrees)
-from pseries import algebra, cli, verify
+from pseries import algebra, cli, enumerate_gl, verify
 from pseries.algebra import AlgebraError
 from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
+from references import whole_ring_residue, wide_lin_independence, wide_phi_data
 
 
 def test_halmos_identities_recomputed(vget):
@@ -221,19 +222,16 @@ def test_stack_budget_splits_keep_results(vget, monkeypatch):
     # multiplies every sandwich and stacked vector on its own; the results
     # must be those of the default budget's single stacks
     ref = vget("Z/4", 2)
-    ws = list(ref.table.weyl_to_index)
     chi = ref.chars[1]
     want = (len(set(ref.char_groups.values())), ref.intertwining_matrices(),
-            ref.check_lin_independence(), [ref._phi_data(w) for w in ws],
             ref.end_algebra(chi).structure,
             [basis_lists(ref.module_reducer(c)) for c in ref.chars])
     monkeypatch.setattr(verify, "_STACK_BLOCK", 1)
     monkeypatch.setattr(algebra, "_STACK_BLOCK", 1)
     v = Verifier(parse_ring_spec("Z/4"), 2)
     assert want[0] == 1 < len(v.chars) == len(set(v.char_groups.values()))
-    # here module_reducer and _phi_data feed one translate per call
-    assert want[1:] == (v.intertwining_matrices(), v.check_lin_independence(),
-                        [v._phi_data(w) for w in ws], v.end_algebra(chi).structure,
+    # here module_reducer feeds one translate per call
+    assert want[1:] == (v.intertwining_matrices(), v.end_algebra(chi).structure,
                         [basis_lists(v.module_reducer(c)) for c in v.chars])
 
 
@@ -253,7 +251,7 @@ def test_module_reducer_matches_single_translates(vget):
 
 
 def test_coset_sweeps_match_full_sweeps(vget):
-    # _phi_data feeds one right translate per coset V^w g and tests one cell
+    # _phi_data counts one right translate per coset V^w g and tests one cell
     # element per double coset V g U; sweeping all of G must agree
     for spec, n in [("GF(2,1)", 3), ("Z/4", 2), ("Z/6", 2), ("GF(2,2)", 2)]:
         v = vget(spec, n)
@@ -274,6 +272,101 @@ def test_coset_sweeps_match_full_sweeps(vget):
             assert v._phi_data(w) == {
                 "rank_cw": red_cw.rank, "rank_vcw": red_vcw.rank,
                 "rank_phi": phi_red.rank, "cell_span_equal": cell_in_span}
+
+
+def hecke_and_wide(v):
+    """(phi data, verdicts) of lem3.5, prop3.6 and prop3.7 by the count
+    matrices, then by the |G|-wide route on a fresh Verifier of v's table."""
+    ref = Verifier._on_table(v.table, v.seed, v.max_cost)
+    ref._phi_data = lambda w: wide_phi_data(ref, w)
+
+    def results(x, lin):
+        return ([x._phi_data(w) for w in x.table.weyl],
+                [(r.status, r.expected, r.actual)
+                 for r in (x.check_lemma35(), x.check_prop36(), lin)])
+    return (results(v, v.check_lin_independence()),
+            results(ref, wide_lin_independence(ref)))
+
+
+def test_hecke_coordinates_match_wide_route(vget):
+    # Z/8 takes the exact sweep for rank_cw, the others a certified rank
+    for spec, n in STANDARD_PAIRS + [("GF(2,2)", 2), ("Z/8", 2), ("Z/2xGF(2,2)", 2)]:
+        got, want = hecke_and_wide(vget(spec, n))
+        assert got == want, spec
+        assert all(status == "pass" for status, _, _ in got[1])
+
+
+def test_hecke_coordinates_match_wide_route_on_swapped_subgroups():
+    # swapped subgroups reach the fail path of each of the three checks
+    statuses = set()
+    for spec in ("GF(3,1)", "Z/4"):
+        for swap in (("V", "U"), ("L", "U"), ("L", "N"), ("U", "G0")):
+            t = enumerate_gl(parse_ring_spec(spec), 2)
+            t.subgroups[swap[0]] = t.subgroups[swap[1]]
+            got, want = hecke_and_wide(Verifier._on_table(t, 0, 10 ** 8))
+            assert got == want, (spec, swap)
+            statuses |= {(cid, status) for cid, (status, _, _)
+                         in zip(("lem3.5", "prop3.6", "prop3.7"), got[1])}
+    assert statuses >= {("lem3.5", "fail"), ("prop3.6", "fail"), ("prop3.7", "fail"),
+                        ("prop3.6", "pass"), ("prop3.7", "pass")}
+
+
+def exact_rank(M):
+    red = SparseReducer(1)
+    red.feed((np.arange(M.shape[1]), M[:, :, None], 1))
+    return red.rank
+
+
+def test_certified_rank_matches_exact_sweep():
+    # full rank (certified by reaching min(m, n)), rank-deficient with small
+    # entries (by Hadamard's bound) and with large ones (by the sweep; the
+    # last of these has squared row norms above 2^63)
+    rng = np.random.default_rng(5)
+    for m, n, r, hi in [(6, 6, 6, 3), (5, 8, 5, 1), (7, 5, 3, 1), (9, 9, 4, 3),
+                        (8, 6, 2, 2 ** 20), (6, 9, 5, 2 ** 40), (4, 4, 0, 1)]:
+        M = rng.integers(-hi, hi + 1, (m, r)) @ rng.integers(-1, 2, (r, n))
+        assert verify._certified_rank(M) == exact_rank(M), (m, n, r, hi)
+
+
+def test_rank_mod_p_is_not_trusted_below_the_certificate():
+    p = verify._P
+    for M in ([[p, 0], [0, 1]], [[p, 0, 0], [0, 1, 0], [0, 1, 0]], [[p * p, 1], [0, 1]]):
+        M = np.array(M, dtype=np.int64)
+        assert verify._rank_mod_p(M) < exact_rank(M) == verify._certified_rank(M)
+
+
+def test_hadamard_bound_certifies_without_the_sweep(monkeypatch):
+    # rank-deficient 0/1 rows: every minor is at most 8^4 in absolute value
+    rng = np.random.default_rng(1)
+    M = rng.integers(0, 2, (8, 8))
+    M[4:] = M[:4]
+    want = exact_rank(M)
+    assert want < 8
+
+    def no_sweep(e):
+        raise AssertionError("the exact sweep ran")
+    monkeypatch.setattr(verify, "SparseReducer", no_sweep)
+    assert verify._certified_rank(M) == want
+
+
+def test_residue_check_per_factor_matches_whole_ring(monkeypatch):
+    # Z/4's residue field Z/2 is also Z/4xZ/2's second factor, whose group
+    # enumerate_gl kept, so only the local Z/4 enumerates its residue group
+    calls = []
+    inner = verify.enumerate_gl
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(verify, "enumerate_gl", counted)
+    for spec, enumerations in [("Z/4xZ/2", 0), ("Z/4", 1), ("Z/2xGF(2,2)", 0)]:
+        v = Verifier(parse_ring_spec(spec), 2)
+        calls.clear()
+        r = v.check_residue_surjective()
+        assert len(calls) == enumerations, spec
+        want = whole_ring_residue(v)
+        assert (r.status, r.expected, r.actual) == (want.status, want.expected, want.actual)
+        assert r.passed
 
 
 def test_pind_character_matches_definition(vget):
@@ -412,10 +505,10 @@ def test_lemma34_fails_on_a_wrong_conjugate(monkeypatch):
     true = v.conjugates
 
     def wrong(w):
-        euw, evw, Vw = true(w)
-        return (euw, v.eV, Vw) if w == swap else (euw, evw, Vw)
+        euw, evw = true(w)
+        return (euw, v.eV) if w == swap else (euw, evw)
     monkeypatch.setattr(v, "conjugates", wrong)
-    euw, evw, _ = v.conjugates(swap)
+    euw, evw = v.conjugates(swap)
     assert v.eV * euw * evw != v.eV * v.eU * evw
     assert v.check_lemma34().actual == {"failing_w": [repr(swap)]}
 
