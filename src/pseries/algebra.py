@@ -20,9 +20,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .cyclo import (CycloMatrix, CycloNum, content, exact_dtype, fold_array,
-                    galois, int_rows, max_abs, power_fold, rank as cyclo_rank,
-                    root_coords, times)
+from .cyclo import (CycloNum, content, exact_dtype, fold_array, galois,
+                    int_rows, max_abs, power_fold, root_coords, times)
 from .groups import GroupTable, row_blocks
 
 
@@ -339,20 +338,3 @@ def idempotent_char(table: GroupTable, chi) -> AlgElem:
     ts = [-chi.value_exponent_on_diag(d) % e
           for d in table.codes[L][:, diag, diag].tolist()]
     return AlgElem.from_vec(table, e, (L, root_coords(e)[ts], len(L)))
-
-
-def span_rank(elems) -> int:
-    """Rank of the span: dense coefficient matrix over the whole group."""
-    elems = list(elems)
-    if not elems:
-        return 0
-    table, e = elems[0].table, elems[0].e
-    size = table.size
-    zero = CycloNum.zero(e)
-    rows = []
-    for a in elems:
-        if a.table is not table or a.e != e:
-            raise AlgebraError("mixed group algebras in span_rank")
-        coeffs = a.coeffs
-        rows.append([coeffs.get(i, zero) for i in range(size)])
-    return cyclo_rank(CycloMatrix(e, rows))

@@ -13,8 +13,7 @@ Linear algebra runs on one engine, SparseReducer: fraction-free elimination
 on integer power-basis coordinates in numpy arrays, in one sweep that reduces
 a whole stack of vectors at once.  Feeding, span tests, coordinates
 (coords_list) and solve_affine all run on that sweep; they take and return
-integer arrays over denominators, so no CycloNum or Fraction is made.  rank()
-is a plain CycloNum elimination kept as the reference for tests.
+integer arrays over denominators, so no CycloNum or Fraction is made.
 """
 
 from __future__ import annotations
@@ -336,47 +335,6 @@ class CycloNum:
             else:
                 terms.append(f"{a}*z^{j}" if a != 1 else f"z^{j}")
         return " + ".join(terms) if terms else "0"
-
-
-class CycloMatrix:
-    """Dense rectangular matrix over Q(zeta_e)."""
-
-    def __init__(self, e, rows):
-        self.e = e
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise CycloError("ragged matrix")
-            for x in r:
-                if x.e != e:
-                    raise CycloError("conductor mismatch in matrix")
-
-
-def rank(m: CycloMatrix) -> int:
-    """Exact row-echelon rank; pivot is the first nonzero entry in each column."""
-    rows = [list(r) for r in m.rows]
-    r = 0
-    for col in range(m.ncols):
-        pivot = None
-        for i in range(r, m.nrows):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pinv = rows[r][col].inverse()
-        for i in range(r + 1, m.nrows):
-            c = rows[i][col]
-            if not c.is_zero():
-                f = c * pinv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == m.nrows:
-            break
-    return r
 
 
 def exact_dtype(bound):

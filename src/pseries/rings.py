@@ -407,19 +407,3 @@ def parse_ring_spec(text: str) -> RingSpec:
             continue
         raise RingSpecError("expected 'Z/N' or 'GF(p,k)'", pos)
     return RingSpec(factors)
-
-
-class ResidueStructure:
-    """Maximal ideals, residue fields and the entrywise reduction map."""
-
-    def __init__(self, ring: RingSpec):
-        self.ring = ring
-        self.ideals = tuple(r.ideal for r in ring.locals)
-        self.residue_ring = RingSpec(tuple(r.residue_ring for r in ring.locals))
-
-    def reduce(self, a):
-        return tuple(r.reduce(x) for r, x in zip(self.ring.locals, a))
-
-
-def residue_structure(ring: RingSpec) -> ResidueStructure:
-    return ResidueStructure(ring)

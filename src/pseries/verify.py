@@ -7,9 +7,11 @@ Wedderburn block sizes, whose integers are cross-checked exactly, and the
 float64 matmuls of the product kernel, which run only when an a-priori bound
 keeps every partial sum an integer below 2^53 and so are exact.
 
-The linear systems (the Halmos element z of Lemma 3.3, the centre of each
-endomorphism algebra) are built as integer arrays from stacked coordinates
-(SparseReducer.coords_list) and solved by the array form of solve_affine.
+The linear systems are built as integer arrays and solved by the array form
+of solve_affine: zc = z e_U e_V, all that E needs of the Halmos element z,
+from a Krylov solve on U\\G/V count coordinates; z itself (Lemma 3.3 only) on
+A's own coordinates, read off one stacked SparseReducer.coords_list sweep;
+and the centre of each endomorphism algebra.
 """
 
 from __future__ import annotations
@@ -274,6 +276,14 @@ def _times_right(vecs, x):
     return keys, rows[:, inv], den
 
 
+def _lift(a, e):
+    """A rational element at conductor e, coordinate q as (q, 0, ..., 0), in
+    the narrowest exact dtype."""
+    rows = np.zeros((len(a.keys), len(power_fold(e))), dtype=exact_dtype(max_abs(a.rows)))
+    rows[:, :1] = a.rows[:, :1]
+    return AlgElem.from_vec(a.table, e, (a.keys, rows, a.den))
+
+
 def _unit_solution(*gens):
     """The unit of A, from tables (right, left, g) per generator g: right[i, t]
     and left[i, t] are coordinate t of b_i g and g b_i, over g's denominator.
@@ -290,8 +300,10 @@ def _z_solutions(sides, star_fixed, *identities):
     """The z in A that commute with e_U and e_V (sides = (right_u, left_u,
     right_v, left_v)), are fixed by star (star_fixed[i, t] is coordinate t of
     b_i* - b_i) and satisfy each identity (products, rhs), products[i, t]
-    being coordinate t of b_i (b b') and rhs that of b; all over one
-    denominator.  star is conjugate-linear, so this is a rational system."""
+    being coordinate t of b_i (b b') and rhs that of b.  Each equation may
+    be scaled, so only the tables that meet in one equation share a
+    denominator: ru with lu, rv with lv, and products with rhs.  star is
+    conjugate-linear, so this is a rational system."""
     ru, lu, rv, lv = sides
     zero = np.zeros((len(star_fixed), 1), dtype=np.int64)
     sol = solve_affine(1, np.concatenate([
@@ -413,39 +425,45 @@ class Verifier:
         # (rather than in A + Q1) is what makes the field-case solution unique.
         # Every coefficient in sight is rational, so the whole solve runs at
         # conductor 1 and the results are lifted to conductor e at the end.
-        table, e = self.table, self.e
-        eU1 = idempotent_subgroup(table, 1, table.subgroup("U"))
-        eV1 = idempotent_subgroup(table, 1, table.subgroup("V"))
-        cuv1, cvu1 = eU1 * eV1, eV1 * eU1
+        table = self.table
+        gens = [idempotent_subgroup(table, 1, table.subgroup(h)) for h in "UV"]
         red = SparseReducer(1)
         # the words, breadth first: each generation of new words times e_U
         # and e_V, fed in one stack as a queue would take them, a e_U then
-        # a e_V for each a in turn
-        keys, rows, den = stack([eU1.vec, eV1.vec])
+        # a e_V for each a in turn; kept[l] = (p, x) when the l-th word that
+        # enlarged the span is word p (the empty word when -1) times
+        # generator x
+        vecs, src, kept = stack([x.vec for x in gens]), [(-1, 0), (-1, 1)], []
         while True:
-            words = keys, rows[red.feed((keys, rows, den))], den
-            if not len(words[1]):
+            grown = red.feed(vecs)
+            if not grown:
                 break
-            keys, rows, den = stack([_times_right(words, x) for x in (eU1, eV1)])
-            rows = rows[np.arange(len(rows)).reshape(2, -1).T.ravel()]
+            first = len(kept)
+            kept += [src[i] for i in grown]
+            words = vecs[0], vecs[1][grown], vecs[2]
+            keys, rows, den = stack([_times_right(words, x) for x in gens])
+            vecs = keys, rows[np.arange(len(rows)).reshape(2, -1).T.ravel()], den
+            src = [(first + i, x) for i in range(len(grown)) for x in (0, 1)]
         bvecs = red.basis_rows()
         basis = [AlgElem.from_vec(table, 1, vec) for vec in bvecs]
         bstack = stack(bvecs)
         k = len(basis)
 
-        # the coordinates of every product that the two systems need, all
-        # over den, so both systems take them as integers; centrality
-        # against the generators is centrality in all of A
-        cuv_sq, cvu_sq = cuv1 * cuv1, cvu1 * cvu1
-        outside = "product left the algebra generated by e_U, e_V"
+        # the one |G|-wide sweep: the coordinates, over den, of b e_X (rows of
+        # the right action R_X), of b* (rows of the star S) and of e_X;
+        # everything after it runs on these k x k tables
         coords, den = _coords(red, stack([
-            _mul_dense(eU1, bstack), _times_right(bstack, eU1),
-            _mul_dense(eV1, bstack), _times_right(bstack, eV1),
-            (table._inv[bstack[0]], *bstack[1:]),
-            _times_right(bstack, cuv_sq), _times_right(bstack, cvu_sq),
-            cuv1.vec, cvu1.vec, eU1.vec, eV1.vec]), outside)
-        lu, ru, lv, rv, star, puv, pvu = coords[:7 * k].reshape(7, k, k, 1)
-        t_uv, t_vu, c_u, c_v = coords[7 * k:]
+            *(_times_right(bstack, x) for x in gens),
+            (table._inv[bstack[0]], *bstack[1:]), *(x.vec for x in gens)]),
+            "product left the algebra generated by e_U, e_V")
+        coords = coords[..., 0].astype(object)
+        (ru, rv), star, (c_u, c_v) = (coords[:2 * k].reshape(2, k, k),
+                                      coords[2 * k:3 * k], coords[3 * k:])
+        # e_X b = (b* e_X)*, so the left action of e_X is S R_X S over den^3;
+        # b (e_U e_V)^2 is b R_U R_V R_U R_V over den^4, and e_U e_V is
+        # e_U R_V over den^2
+        d2 = den * den
+        lu, lv = star @ ru @ star, star @ rv @ star
 
         def build(xs, xden):
             # sum_i xs[i] / xden times basis element i
@@ -455,59 +473,111 @@ class Verifier:
                 x.astype(dtype), bstack[1].astype(dtype, copy=False), 1),
                 xden * bstack[2]))
 
-        unit_sol = _unit_solution((ru, lu, c_u), (rv, lv, c_v))
-        unit = build(unit_sol.particular, unit_sol.den)
-        if unit * unit != unit or unit.star() != unit:
-            raise VerifyAlarm("unit of the e_U, e_V algebra is not a projection")
+        def along_words(x, xden):
+            # the coordinates of a w for every kept word w, a = x / xden, over
+            # one denominator: a e_X is a R_X and a (w X) is (a w) R_X
+            nums, dens = [], []
+            for p, gen in kept:
+                num = (x if p < 0 else nums[p]) @ (ru, rv)[gen]
+                d = (xden if p < 0 else dens[p]) * den
+                g = math.gcd(*num.tolist(), d)
+                nums.append(num // g)
+                dens.append(d // g)
+            lcm = math.lcm(*dens)
+            return np.array([v * (lcm // d) for v, d in zip(nums, dens)]), lcm
+
+        unit_sol = _unit_solution(*((r[..., None] * d2, l[..., None], c[:, None] * d2)
+                                    for r, l, c in ((ru, lu, c_u), (rv, lv, c_v))))
+        # the unit fixes every word, so these are the words' coordinates
+        words_at, words_den = along_words(unit_sol.particular[:, 0].astype(object),
+                                          unit_sol.den)
         # coordinate t of b_i* - b_i
-        star_fixed = star - den * np.eye(k, dtype=object)[:, :, None]
-        sol = _z_solutions((ru, lu, rv, lv), star_fixed, (puv, t_uv), (pvu, t_vu))
+        star_fixed = star - den * np.eye(k, dtype=object)
+        sol = _z_solutions(
+            tuple(x[..., None] for x in (ru * d2, lu, rv * d2, lv)), star_fixed[..., None],
+            ((ru @ rv @ ru @ rv)[..., None], (c_u @ rv)[:, None] * d2),
+            ((rv @ ru @ rv @ ru)[..., None], (c_v @ ru)[:, None] * d2))
         dim = sol.dimension
         weights = [[self.rng.randint(-5, 5) for _ in range(dim)]
                    for _ in range(60)]
 
-        def lift(a: AlgElem) -> AlgElem:
-            # a rational coordinate q at conductor 1 is (q, 0, ..., 0) at e
-            rows = np.zeros((len(a.keys), len(power_fold(e))), dtype=a.rows.dtype)
-            rows[:, :1] = a.rows
-            return AlgElem.from_vec(table, e, (a.keys, rows, a.den))
-
         for w in [[0] * dim] + weights:
-            z = build(*sol.point(w))
-            # z y = unit for y in A: coordinates of z b_j, column j
-            lz, lz_den = _coords(red, _mul_dense(z, bstack), outside)
+            zx, zden = sol.point(w)
+            zw, zw_den = along_words(zx[:, 0], zden)
+            # sum_l y_l z w_l = unit; the words span A, so z_inv = sum_l y_l w_l
             inv_sol = solve_affine(1, _block(
-                lz * unit_sol.den, unit_sol.particular * lz_den))
+                zw[..., None] * unit_sol.den, unit_sol.particular * zw_den))
             if inv_sol is None or inv_sol.dimension > 0:
                 continue
-            z_inv = build(inv_sol.particular, inv_sol.den)
-            if not (z * z_inv == unit and z_inv * z == unit):
-                continue
-            if z.star() != z:
-                raise VerifyAlarm("solved z is not self-adjoint")
-            if z * eU1 != eU1 * z or z * eV1 != eV1 * z:
-                raise VerifyAlarm("solved z is not central")
-            if z * cuv_sq != cuv1 or z * cvu_sq != cvu1:
-                raise VerifyAlarm("solved z fails its defining identities")
-            return HalmosElement(lift(z), lift(z_inv), lift(unit),
-                                 [lift(b) for b in basis], dim)
+            z_inv = build((inv_sol.particular[:, 0].astype(object) @ words_at)[:, None],
+                          inv_sol.den * words_den)
+            return HalmosElement(*(_lift(x, self.e) for x in (
+                build(zx, zden), z_inv, build(unit_sol.particular, unit_sol.den))),
+                [_lift(b, self.e) for b in basis], dim)
         raise VerifyAlarm("no invertible solution for z found")
 
+    def _krylov_zc(self) -> AlgElem:
+        """z e_U e_V, the one x in e_U A e_V with x e_U e_V = e_U e_V.
+
+        e_U A e_V is the span of the powers c^m, m >= 1, of c = e_U e_V; and
+        x c = 0 forces x = 0 there, as it does in each irreducible
+        representation of two projections (of dimension 1, or 2 with P =
+        diag(1, 0) and Q of rank 1 at a nonzero angle), so x is unique.  On
+        the basis e_U y_D e_V of e_U C[G] e_V, D over U\\G/V, right
+        multiplication by c is R / s, R[D, D'] = #{(v, u) in V x U : y_D v u
+        in D'} and s = |U| |V|, so v_m = s^(m-1) c^m are integer vectors,
+        v_1 at the class of 1 and v_(m+1) = v_m R, taken until one adds
+        nothing.  sum_m b_m v_(m+1) = v_1 gives x = s sum_m b_m v_m, and
+        e_U y_D e_V is the indicator of D over |D|.
+        """
+        t = self.table
+        U, V = t.subgroup("U"), t.subgroup("V")
+        label = _labels(t, U, V)
+        first = label == np.arange(t.size)
+        cls = (np.cumsum(first) - 1)[label]
+        R = _counts(t, label, [t.identity], np.flatnonzero(first), _products(t, V, U))
+        s = len(U) * len(V)
+        krylov = [np.zeros(len(R), dtype=np.int64)]
+        krylov[0][cls[t.identity]] = 1
+        red = SparseReducer(1)
+        while red.feed(_rows(krylov[-1][None])):
+            # R's rows sum to s, so v_(m+1) >= 0 sums to s^m
+            dtype = exact_dtype(s ** len(krylov))
+            krylov.append(krylov[-1].astype(dtype) @ R.astype(dtype))
+        P = np.array(krylov, dtype=object)[..., None]
+        sol = solve_affine(1, _block(P[1:], P[0]))
+        if sol is None:
+            raise VerifyAlarm("no x in e_U A e_V with x e_U e_V = e_U e_V")
+        # x = s y / sol.den with y = sum_m particular_m v_m, so x_D / |D| at
+        # each g in D is y_D (s / |D|) / sol.den; |D| divides s
+        y = sol.particular[:, 0].astype(object) @ P[:-1, :, 0]
+        at = y[cls] * (s // np.bincount(cls)[cls])
+        keys = np.flatnonzero(at != 0)
+        return _lift(AlgElem.from_vec(t, 1, (keys, at[keys, None], sol.den)), self.e)
+
+    @property
+    def zc(self) -> AlgElem:
+        """z e_U e_V from _krylov_zc, certified by zc^2 = zc and zc e_U e_V =
+        e_U e_V."""
+        if self._zc is None:
+            zc = self._krylov_zc()
+            if zc * zc != zc:
+                raise VerifyAlarm("z e_U e_V not idempotent")
+            if zc * self.c_uv != self.c_uv:
+                raise VerifyAlarm("z e_U e_V does not fix e_U e_V")
+            self._zc = zc
+        return self._zc
+
     def E(self, chi: LeviChar) -> AlgElem:
-        """The idempotent E = zc e_chi, zc = z e_U e_V: zc^2 = zc once, and per
-        chi e_chi^2 = e_chi and e_chi zc = E, certify E^2 = E."""
+        """The idempotent E = zc e_chi: zc^2 = zc once, and per chi e_chi^2 =
+        e_chi and e_chi zc = E, certify E^2 = E."""
         key = chi.key()
         if key not in self._E:
-            if self._zc is None:
-                zc = self.halmos.z * self.c_uv
-                if zc * zc != zc:
-                    raise VerifyAlarm("z e_U e_V not idempotent")
-                self._zc = zc
             ec = self.e_chi(chi)
-            E = self._zc * ec
+            E = self.zc * ec
             if E.is_zero():
                 raise VerifyAlarm(f"z e_U e_V e_chi vanished for chi={key}")
-            if ec * self._zc != E:
+            if ec * self.zc != E:
                 raise VerifyAlarm(f"e_chi does not commute with z e_U e_V for chi={key}")
             if ec * ec != ec:
                 raise VerifyAlarm(f"e_chi not idempotent for chi={key}")
@@ -889,6 +959,8 @@ class Verifier:
 
     def check_lemma33(self) -> CheckResult:
         h = self.halmos
+        if h.z * self.c_uv != self.zc:
+            raise VerifyAlarm("z e_U e_V of the Halmos solve differs from the Krylov zc")
         idents = {
             "self_adjoint": h.z.star() == h.z,
             "central": (h.z * self.eU == self.eU * h.z

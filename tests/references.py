@@ -1,17 +1,160 @@
 """Reference routes that the tests compare the verifier's faster routes with.
 
-Each one is the |G|-wide computation that a check ran before it moved to
-coset coordinates: exact spans of group-algebra vectors over Q(zeta_e).
+Most are the |G|-wide computation that a check ran before it moved to coset
+or Hecke coordinates: exact spans of group-algebra vectors over Q(zeta_e),
+and the Halmos solve with its coordinate tables and inverse systems taken
+from |G|-wide products.  The rest are plain references: a CycloNum
+elimination (rank, span_rank) and the whole-ring residue map.
 """
 
 import numpy as np
 
-from pseries import SparseReducer, enumerate_gl, idempotent_subgroup
-from pseries.algebra import _STACK_BLOCK, _mul_dense, translates
-from pseries.cyclo import power_fold
+from pseries import (AlgElem, CycloNum, HalmosElement, SparseReducer, enumerate_gl,
+                     idempotent_subgroup)
+from pseries.algebra import _STACK_BLOCK, AlgebraError, _mul_dense, stack, translates
+from pseries.cyclo import CycloError, exact_dtype, max_abs, power_fold, solve_affine
 from pseries.groups import row_blocks
-from pseries.rings import residue_structure
-from pseries.verify import CheckResult, _mask, _products
+from pseries.rings import RingSpec
+from pseries.verify import (CheckResult, VerifyAlarm, _block, _coords, _lift, _mask,
+                            _products, _times_right, _unit_solution, _z_solutions)
+
+
+class CycloMatrix:
+    """Dense rectangular matrix over Q(zeta_e)."""
+
+    def __init__(self, e, rows):
+        self.e = e
+        self.rows = [list(r) for r in rows]
+        self.nrows = len(self.rows)
+        self.ncols = len(self.rows[0]) if self.rows else 0
+        for r in self.rows:
+            if len(r) != self.ncols:
+                raise CycloError("ragged matrix")
+            for x in r:
+                if x.e != e:
+                    raise CycloError("conductor mismatch in matrix")
+
+
+def rank(m: CycloMatrix) -> int:
+    """Exact row-echelon rank; pivot is the first nonzero entry in each column."""
+    rows = [list(r) for r in m.rows]
+    r = 0
+    for col in range(m.ncols):
+        pivot = None
+        for i in range(r, m.nrows):
+            if not rows[i][col].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pinv = rows[r][col].inverse()
+        for i in range(r + 1, m.nrows):
+            c = rows[i][col]
+            if not c.is_zero():
+                f = c * pinv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == m.nrows:
+            break
+    return r
+
+
+def span_rank(elems) -> int:
+    """Rank of the span: dense coefficient matrix over the whole group."""
+    elems = list(elems)
+    if not elems:
+        return 0
+    table, e = elems[0].table, elems[0].e
+    size = table.size
+    rows = []
+    for a in elems:
+        if a.table is not table or a.e != e:
+            raise AlgebraError("mixed group algebras in span_rank")
+        coeffs = a.coeffs
+        rows.append([coeffs.get(i, CycloNum.zero(e)) for i in range(size)])
+    return rank(CycloMatrix(e, rows))
+
+
+class ResidueStructure:
+    """Maximal ideals, residue fields and the entrywise reduction map."""
+
+    def __init__(self, ring: RingSpec):
+        self.ring = ring
+        self.ideals = tuple(r.ideal for r in ring.locals)
+        self.residue_ring = RingSpec(tuple(r.residue_ring for r in ring.locals))
+
+    def reduce(self, a):
+        return tuple(r.reduce(x) for r, x in zip(self.ring.locals, a))
+
+
+def residue_structure(ring: RingSpec) -> ResidueStructure:
+    return ResidueStructure(ring)
+
+
+def wide_halmos(v) -> HalmosElement:
+    """Verifier._solve_halmos with every table from |G|-wide products: the
+    left actions, the squares of e_U e_V and e_V e_U and each candidate's
+    products z b_j each take a kernel call and the one coords_list sweep
+    (one more per candidate), and the unit and z are re-checked |G|-wide.
+    It draws the same weights from v.rng."""
+    table = v.table
+    eU1 = idempotent_subgroup(table, 1, table.subgroup("U"))
+    eV1 = idempotent_subgroup(table, 1, table.subgroup("V"))
+    cuv1, cvu1 = eU1 * eV1, eV1 * eU1
+    red = SparseReducer(1)
+    keys, rows, den = stack([eU1.vec, eV1.vec])
+    while True:
+        words = keys, rows[red.feed((keys, rows, den))], den
+        if not len(words[1]):
+            break
+        keys, rows, den = stack([_times_right(words, x) for x in (eU1, eV1)])
+        rows = rows[np.arange(len(rows)).reshape(2, -1).T.ravel()]
+    bvecs = red.basis_rows()
+    basis = [AlgElem.from_vec(table, 1, vec) for vec in bvecs]
+    bstack = stack(bvecs)
+    k = len(basis)
+    cuv_sq, cvu_sq = cuv1 * cuv1, cvu1 * cvu1
+    outside = "product left the algebra generated by e_U, e_V"
+    coords, den = _coords(red, stack([
+        _mul_dense(eU1, bstack), _times_right(bstack, eU1),
+        _mul_dense(eV1, bstack), _times_right(bstack, eV1),
+        (table._inv[bstack[0]], *bstack[1:]),
+        _times_right(bstack, cuv_sq), _times_right(bstack, cvu_sq),
+        cuv1.vec, cvu1.vec, eU1.vec, eV1.vec]), outside)
+    lu, ru, lv, rv, star, puv, pvu = coords[:7 * k].reshape(7, k, k, 1)
+    t_uv, t_vu, c_u, c_v = coords[7 * k:]
+
+    def build(xs, xden):
+        x = xs[:, 0]
+        dtype = exact_dtype(max_abs(x) * max_abs(bstack[1]) * k)
+        return AlgElem.from_vec(table, 1, (bstack[0], np.tensordot(
+            x.astype(dtype), bstack[1].astype(dtype, copy=False), 1),
+            xden * bstack[2]))
+
+    unit_sol = _unit_solution((ru, lu, c_u), (rv, lv, c_v))
+    unit = build(unit_sol.particular, unit_sol.den)
+    assert unit * unit == unit and unit.star() == unit
+    star_fixed = star - den * np.eye(k, dtype=object)[:, :, None]
+    sol = _z_solutions((ru, lu, rv, lv), star_fixed, (puv, t_uv), (pvu, t_vu))
+    dim = sol.dimension
+    weights = [[v.rng.randint(-5, 5) for _ in range(dim)] for _ in range(60)]
+    for w in [[0] * dim] + weights:
+        z = build(*sol.point(w))
+        lz, lz_den = _coords(red, _mul_dense(z, bstack), outside)
+        inv_sol = solve_affine(1, _block(
+            lz * unit_sol.den, unit_sol.particular * lz_den))
+        if inv_sol is None or inv_sol.dimension > 0:
+            continue
+        z_inv = build(inv_sol.particular, inv_sol.den)
+        if not (z * z_inv == unit and z_inv * z == unit):
+            continue
+        assert z.star() == z
+        assert z * eU1 == eU1 * z and z * eV1 == eV1 * z
+        assert z * cuv_sq == cuv1 and z * cvu_sq == cvu1
+        return HalmosElement(_lift(z, v.e), _lift(z_inv, v.e), _lift(unit, v.e),
+                             [_lift(b, v.e) for b in basis], dim)
+    raise VerifyAlarm("no invertible solution for z found")
 
 
 def right_translates(a, gs):

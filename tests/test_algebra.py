@@ -11,8 +11,8 @@ import pytest
 import pseries.algebra as algebra
 from pseries.cyclo import fold_array
 from pseries import (AlgElem, CycloNum, all_levi_chars, enumerate_gl,
-                     idempotent_char, idempotent_subgroup, parse_ring_spec,
-                     span_rank)
+                     idempotent_char, idempotent_subgroup, parse_ring_spec)
+from references import span_rank
 
 _tables = {}
 

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from pseries import LocalRing, RingSpec, RingSpecError, parse_ring_spec, residue_structure
+from pseries import LocalRing, RingSpec, RingSpecError, parse_ring_spec
+from references import residue_structure
 
 
 def test_parse_round_trip():

@@ -12,12 +12,13 @@ import pytest
 from conftest import STANDARD_PAIRS
 from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
                      factor_ulv, idempotent_subgroup, orbit_reps, parse_ring_spec,
-                     span_rank, stabilizer, stabilizer_degrees)
+                     stabilizer, stabilizer_degrees)
 from pseries import algebra, cli, enumerate_gl, verify
 from pseries.algebra import AlgebraError
 from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
-from references import whole_ring_residue, wide_lin_independence, wide_phi_data
+from references import (whole_ring_residue, wide_halmos, wide_lin_independence,
+                        wide_phi_data)
 
 
 def test_halmos_identities_recomputed(vget):
@@ -84,8 +85,87 @@ def test_halmos_pinned_z4():
         assert not a.rows[:, 1:].any()
 
 
+# rings whose Halmos solve, Krylov zc and oracle take well under a second;
+# Z/4, Z/8 and Z/9 have solution_dim 2, so there z depends on the rng stream
+HALMOS_RINGS = ["GF(2,1)", "GF(3,1)", "Z/4", "Z/6", "Z/2xZ/2", "GF(2,2)", "Z/8",
+                "Z/2xGF(2,2)", "Z/2xZ/3", "Z/9"]
+
+
+def as_arrays(a):
+    return a.keys.tolist(), a.rows.tolist(), a.den
+
+
+@pytest.mark.parametrize("spec", HALMOS_RINGS)
+def test_halmos_solve_matches_wide_route(vget, spec):
+    # the solve in A's coordinates against the |G|-wide route, each on a fresh
+    # Verifier of one seed: the same z, z_inv, unit, basis, solution_dim and
+    # rng state afterwards; and the Krylov zc is z e_U e_V, even where z is
+    # not unique
+    v = vget(spec, 2)
+    fast, wide = (Verifier._on_table(v.table, 0, v.max_cost) for _ in range(2))
+    h, ref = fast.halmos, wide_halmos(wide)
+    for name in ("z", "z_inv", "unit"):
+        assert as_arrays(getattr(h, name)) == as_arrays(getattr(ref, name)), name
+    assert [as_arrays(b) for b in h.basis] == [as_arrays(b) for b in ref.basis]
+    assert h.solution_dim == ref.solution_dim
+    assert fast.rng.getstate() == wide.rng.getstate()
+    assert fast.zc == h.z * fast.c_uv
+
+
+def test_E_never_wrong_when_a_count_is_corrupted(monkeypatch):
+    # one entry of the U\G/V count matrix off by one: the Krylov solve or a
+    # certificate of zc raises, or zc (so every E) comes out right anyway;
+    # on Z/4 both the solve and the idempotency certificate are reached
+    v = Verifier(parse_ring_spec("Z/4"), 2)
+    right = [v.E(chi) for chi in v.chars]
+    t, inner = v.table, verify._counts
+    k = len(np.unique(verify._labels(t, t.subgroup("U"), t.subgroup("V"))))
+    alarms = 0
+    for i, j in itertools.product(range(k), repeat=2):
+        def corrupted(*args):
+            M = inner(*args).copy()
+            M[i, j] += 1
+            return M
+        monkeypatch.setattr(verify, "_counts", corrupted)
+        w = Verifier._on_table(v.table, 0, v.max_cost)
+        try:
+            assert [w.E(chi) for chi in w.chars] == right
+        except VerifyAlarm:
+            alarms += 1
+    assert alarms > 0
+
+
+def test_lemma33_alarms_when_halmos_z_disagrees_with_zc(monkeypatch):
+    v = Verifier(parse_ring_spec("GF(3,1)"), 2)
+    h = v.halmos
+    monkeypatch.setattr(v, "_halmos", HalmosElement(
+        h.z.scale(2), h.z_inv, h.unit, h.basis, h.solution_dim))
+    (result,) = v.run_checks(only=["lem3.3"]).checks
+    assert result.status == "fail"
+    assert result.actual == {
+        "alarm": "z e_U e_V of the Halmos solve differs from the Krylov zc"}
+
+
+@pytest.mark.parametrize("spec,run", [
+    ("GF(2,2)", lambda v: v.count_principal_series()),
+    ("Z/2xZ/2", lambda v: v.run_checks(skip=["lem3.3"])),
+])
+def test_only_lemma33_solves_for_z(monkeypatch, spec, run):
+    calls = []
+    inner = Verifier._solve_halmos
+
+    def counted(self):
+        calls.append(self)
+        return inner(self)
+    monkeypatch.setattr(Verifier, "_solve_halmos", counted)
+    run(Verifier(parse_ring_spec(spec), 2))
+    assert calls == []
+
+
 # sha256 of `--format json --seed 7` reports; the JSON bytes of a fixed seed
-# are part of the output contract
+# are part of the output contract.  On Z/4 (solution_dim 2) the Halmos solve
+# draws 120 weights; count and intertwine draw none, so their bytes also pin
+# that E does not depend on that solve.
 PINNED_REPORTS = [
     ("verify --ring Z/4 -n 2",
      "0cf26b1e1ede78f4bf90d93ab5dfaaf244370a8fc58b2a1ab409a08fed7fe89c"),
@@ -93,6 +173,10 @@ PINNED_REPORTS = [
      "ce4483901b04d339f5e949a8717e3d8490c022528a56c4f90ef719e2fe88e207"),
     ("count --ring GF(2,2) -n 2",
      "7c28ebe6beb89a4c3682e871804ccac654052526eed55346f9abb4636fd2f961"),
+    ("count --ring Z/4 -n 2",
+     "22e2aa259b4b6dcc05eddbac4a85991802dc5803bbf079510563761e19454353"),
+    ("intertwine --ring Z/4 -n 2",
+     "600b3ca677bb46835af1b6efe9e8d4759630712da74528f5537f391a6157ac17"),
 ]
 
 
@@ -149,9 +233,8 @@ def test_E_is_borel_equivariant(vget):
 
 def test_E_alarms_when_zc_is_not_idempotent(monkeypatch):
     v = Verifier(parse_ring_spec("GF(3,1)"), 2)
-    h = v.halmos
-    monkeypatch.setattr(v, "_halmos", HalmosElement(
-        h.z.scale(2), h.z_inv, h.unit, h.basis, h.solution_dim))
+    zc = v._krylov_zc()
+    monkeypatch.setattr(v, "_krylov_zc", lambda: zc.scale(2))
     with pytest.raises(VerifyAlarm, match="z e_U e_V not idempotent"):
         v.E(v.chars[0])
 
