@@ -11,7 +11,8 @@ The linear systems are built as integer arrays and solved by the array form
 of solve_affine: zc = z e_U e_V, all that E needs of the Halmos element z,
 from a Krylov solve on U\\G/V count coordinates; z itself (Lemma 3.3 only) on
 A's own coordinates, read off one stacked SparseReducer.coords_list sweep;
-and the centre of each endomorphism algebra.
+and the centre of each endomorphism algebra.  thm1's sandwich ranks come
+from zc on the same U\\G/V coordinates, for all character pairs at once.
 """
 
 from __future__ import annotations
@@ -387,8 +388,6 @@ class Verifier:
         self._echi = {}
         self._E = {}
         self._module = {}
-        self._char_groups = None
-        self._group_stack = (None,)
         self._sandwich = {}
         self._pind_char = {}
         self._end = {}
@@ -622,51 +621,49 @@ class Verifier:
     def intertwining_dim_formula(self, chi: LeviChar, sigma: LeviChar) -> int:
         return sum(1 for w in self.table.weyl if chi.acted(w) == sigma)
 
-    @property
-    def char_groups(self):
-        """{chi key: chi's group}, the characters cut in order into tuples
-        whose module bases, stacked dense over G, hold at most _STACK_BLOCK
-        entries (a wider module is a group by itself)."""
-        if self._char_groups is None:
-            width = self.table.size * len(power_fold(self.e))
-            groups, rows = [[]], 0
-            for chi in self.chars:
-                r = self.module_reducer(chi).rank
-                if groups[-1] and (rows + r) * width > _STACK_BLOCK:
-                    groups, rows = groups + [[]], 0
-                groups[-1].append(chi)
-                rows += r
-            self._char_groups = {c.key(): g for g in map(tuple, groups) for c in g}
-        return self._char_groups
-
-    def _module_stack(self, chars):
-        """The module_reducer bases of chars as one stack over den 1, and the
-        end of each character's vectors in it.  Pivot arrays are positive
-        multiples of the basis vectors, so they span the same modules."""
-        bases = [self.module_reducer(c).basis_rows() for c in chars]
-        return (stack((k, r, 1) for b in bases for k, r, _ in b),
-                np.cumsum([len(b) for b in bases]))
-
     def _sandwich_rank(self, chi: LeviChar, sigma: LeviChar) -> int:
-        """rank{E_sigma g E_chi : g in G}, from ranks cached per pair.
+        """rank{E_sigma g E_chi : g in G}, from one table of every pair.
 
-        E_sigma times a basis of the chi module spans that set.  One kernel
-        call multiplies E_sigma by the stacked module bases of chi's whole
-        group and fills the group's ranks for sigma; the stack of the last
-        group is kept, so a chi-major sweep stacks each group once.
+        U zc = zc = zc V by construction, and l zc = zc l for l in L is
+        certified here, so E_sigma = e_sigma zc is right-equivariant under L V
+        and E_chi = zc e_chi left-equivariant under U L.  The set is then
+        spanned by the e_sigma X_y e_chi, X_y = zc y zc, y over L V\\G/U L,
+        each fixed by its values at the y^-1, one per orbit of L x L on
+        U\\G/V.  X_y(g_D) = sum_m zc(m^-1 y^-1) zc(m g_D) is one matmul, and
+        the value at g is sum_{a, c in L} e_sigma(a) X_y(a^-1 g c^-1) e_chi(c).
         """
-        key = (chi.key(), sigma.key())
-        if key not in self._sandwich:
-            group = self.char_groups[chi.key()]
-            if self._group_stack[0] is not group:
-                self._group_stack = (group, *self._module_stack(group))
-            _, vecs, ends = self._group_stack
-            keys, prods, _ = _mul_dense(self.E(sigma), vecs)
-            for c, lo, hi in zip(group, [0, *ends], ends):
+        if not self._sandwich:
+            t, chars = self.table, self.chars
+            z = np.zeros(t.size, dtype=self.zc.rows.dtype)
+            z[self.zc.keys] = self.zc.rows[:, 0]
+            L, S = self.e_chi(chars[0]).keys, np.array([self.e_chi(c).rows for c in chars])
+            # zc(l g) = zc(g l) for all g is l zc l^-1 = zc
+            if (z[t._table[L]] != z[t._table[:, L]].T).any():
+                raise VerifyAlarm("z e_U e_V does not commute with L")
+            label = _labels(t, t.subgroup("U"), t.subgroup("V"))
+            first = label == np.arange(t.size)
+            gD, linv = np.flatnonzero(first), t._inv[L]
+            # cls[a, D, c]: the class of a^-1 g_D c^-1; the least class of
+            # each orbit is its representative
+            cls = (np.cumsum(first) - 1)[label[
+                t._table[t._table[linv[:, None], gD][..., None], linv]]]
+            reps = np.flatnonzero(cls.min(axis=(0, 2)) == np.arange(len(gD)))
+            bound = t.size * max_abs(z) ** 2
+            F = (z[t._table[t._inv, gD[reps, None]]].astype(exact_dtype(bound))
+                 @ z[t._table[:, gD]].astype(exact_dtype(bound), copy=False))
+            ft, kf = fold_array(self.e)
+            dtype = exact_dtype(kf * bound * (len(L) * max_abs(S)) ** 2)
+            S = S.astype(dtype)
+            # M[y, j, s, x]: |L|^2 times the value of e_s X_y e_x at g_j
+            M = np.tensordot(np.tensordot(np.tensordot(
+                F[:, cls[:, reps]].astype(dtype), S, ([1], [1])), S, ([2], [1])),
+                ft.reshape(len(ft), len(ft), -1).astype(dtype), ([3, 5], [0, 1]))
+            keys = [c.key() for c in chars]
+            for (s, left), (x, right) in itertools.product(enumerate(keys), repeat=2):
                 red = SparseReducer(self.e)
-                red.feed((keys, prods[lo:hi], 1))
-                self._sandwich[c.key(), sigma.key()] = red.rank
-        return self._sandwich[key]
+                red.feed((np.arange(len(reps)), M[:, :, s, x], 1))
+                self._sandwich[right, left] = red.rank
+        return self._sandwich[chi.key(), sigma.key()]
 
     def pind_character(self, chi: LeviChar):
         """Character of the induced module: (values, den), with values an
@@ -736,8 +733,9 @@ class Verifier:
         if key in self._end:
             return self._end[key]
         table, e = self.table, self.e
-        # E times the chi module is B
-        keys, prods, _ = _mul_dense(self.E(chi), self._module_stack([chi])[0])
+        # E times the chi module (its pivot arrays, over den 1) is B
+        keys, prods, _ = _mul_dense(self.E(chi), stack(
+            (k, r, 1) for k, r, _ in self.module_reducer(chi).basis_rows()))
         bred = SparseReducer(e)
         bred.feed((keys, prods, 1))
         k = bred.rank
@@ -961,12 +959,13 @@ class Verifier:
         h = self.halmos
         if h.z * self.c_uv != self.zc:
             raise VerifyAlarm("z e_U e_V of the Halmos solve differs from the Krylov zc")
+        # z c^2 as (z c) c = zc c: c = e_U e_V lives on U V, c^2 on U V U V
         idents = {
             "self_adjoint": h.z.star() == h.z,
             "central": (h.z * self.eU == self.eU * h.z
                         and h.z * self.eV == self.eV * h.z),
-            "uv_identity": h.z * (self.c_uv * self.c_uv) == self.c_uv,
-            "vu_identity": h.z * (self.c_vu * self.c_vu) == self.c_vu,
+            "uv_identity": self.zc * self.c_uv == self.c_uv,
+            "vu_identity": (h.z * self.c_vu) * self.c_vu == self.c_vu,
             "invertible": (h.z * h.z_inv == h.unit
                            and h.z_inv * h.z == h.unit),
         }

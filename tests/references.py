@@ -2,9 +2,10 @@
 
 Most are the |G|-wide computation that a check ran before it moved to coset
 or Hecke coordinates: exact spans of group-algebra vectors over Q(zeta_e),
-and the Halmos solve with its coordinate tables and inverse systems taken
-from |G|-wide products.  The rest are plain references: a CycloNum
-elimination (rank, span_rank) and the whole-ring residue map.
+the Halmos solve with its coordinate tables and inverse systems taken from
+|G|-wide products, and thm1's sandwich ranks from the stacked module bases.
+The rest are plain references: a CycloNum elimination (rank, span_rank) and
+the whole-ring residue map.
 """
 
 import numpy as np
@@ -155,6 +156,23 @@ def wide_halmos(v) -> HalmosElement:
         return HalmosElement(_lift(z, v.e), _lift(z_inv, v.e), _lift(unit, v.e),
                              [_lift(b, v.e) for b in basis], dim)
     raise VerifyAlarm("no invertible solution for z found")
+
+
+def wide_sandwich_rank(v, sigma):
+    """Verifier._sandwich_rank(chi, sigma) for every chi in v.chars, by
+    |G|-wide products: one kernel call multiplies E_sigma by the stacked
+    module_reducer bases of all characters, and each character's products
+    go to a SparseReducer of their own."""
+    bases = [v.module_reducer(c).basis_rows() for c in v.chars]
+    keys, prods, _ = _mul_dense(v.E(sigma), stack(
+        (k, r, 1) for b in bases for k, r, _ in b))
+    ends = np.cumsum([len(b) for b in bases])
+    ranks = []
+    for lo, hi in zip([0, *ends], ends):
+        red = SparseReducer(v.e)
+        red.feed((keys, prods[lo:hi], 1))
+        ranks.append(red.rank)
+    return ranks
 
 
 def right_translates(a, gs):

@@ -15,10 +15,11 @@ from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
                      stabilizer, stabilizer_degrees)
 from pseries import algebra, cli, enumerate_gl, verify
 from pseries.algebra import AlgebraError
+from pseries.cyclo import root_coords
 from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
 from references import (whole_ring_residue, wide_halmos, wide_lin_independence,
-                        wide_phi_data)
+                        wide_phi_data, wide_sandwich_rank)
 
 
 def test_halmos_identities_recomputed(vget):
@@ -250,8 +251,9 @@ def test_E_alarms_when_e_chi_does_not_commute(monkeypatch):
 
 
 def test_sandwich_shortcut_matches_full_sweep(vget):
-    # rank over module basis rows must equal the rank over all |G| translates
-    for spec, n in [("GF(2,1)", 2), ("GF(3,1)", 2), ("GF(2,2)", 2), ("Z/4", 2)]:
+    # the sandwich table's rank must be that of E_sigma g E_chi over all of G
+    for spec, n in [("GF(2,1)", 2), ("GF(3,1)", 2), ("GF(2,2)", 2), ("Z/4", 2),
+                    ("Z/6", 2), ("Z/2xZ/2", 2), ("GF(2,1)", 3)]:
         v = vget(spec, n)
         chars = all_levi_chars(v.ring, n)
         for chi in chars:
@@ -263,6 +265,57 @@ def test_sandwich_shortcut_matches_full_sweep(vget):
                 for row in prods:
                     red.feed((keys, row, den))
                 assert v._sandwich_rank(chi, sigma) == red.rank
+
+
+@pytest.mark.parametrize("spec,n", [("Z/6", 2), ("GF(2,1)", 3), ("Z/8", 2),
+                                    ("Z/2xGF(2,2)", 2), ("Z/4xZ/2", 2)])
+def test_sandwich_ranks_match_module_stack_route(vget, spec, n):
+    # the U\\G/V route against E_sigma times the stacked module bases, on
+    # every pair; GF(2,1) n=3 has six double cosets L V y U L, and on Z/8
+    # some modules are smaller than [G:B]
+    v = vget(spec, n)
+    for sigma in v.chars:
+        assert ([v._sandwich_rank(chi, sigma) for chi in v.chars]
+                == wide_sandwich_rank(v, sigma)), sigma.key()
+
+
+@pytest.mark.parametrize("spec", ["GF(3,1)", "Z/4"])
+def test_sandwich_certificate_alarms_when_zc_is_not_L_invariant(vget, spec):
+    # zc moved by 1 / den on one U\\G/V class that conjugation by L moves: it
+    # stays constant on U\\G/V, as the Krylov lift makes it, but no longer
+    # commutes with L
+    t = vget(spec, 2).table
+    v = Verifier._on_table(t, 0, 10 ** 8)
+    zc, L = v.zc, np.asarray(t.subgroup("L"))
+    label = verify._labels(t, t.subgroup("U"), t.subgroup("V"))
+    conj = label[t._table[t._table[t._inv[L][:, None], np.arange(t.size)], L[:, None]]]
+    moved = label[np.flatnonzero((conj != label).any(axis=0))[0]]
+    rows = np.zeros((t.size, zc.rows.shape[1]), dtype=np.int64)
+    rows[zc.keys] = zc.rows
+    rows[label == moved, 0] += 1
+    v._zc = AlgElem.from_vec(t, v.e, (np.arange(t.size), rows, zc.den))
+    with pytest.raises(VerifyAlarm, match="z e_U e_V does not commute with L"):
+        v._sandwich_rank(v.chars[0], v.chars[0])
+
+
+@pytest.mark.parametrize("spec", ["GF(3,1)", "Z/4"])
+def test_thm1_never_passes_with_a_corrupted_character(vget, spec):
+    # one exponent of one character off by one at one l in L, for each: e_chi
+    # is then no character; thm1 fails, and the sandwich ranks alone already
+    # disagree with the formula
+    t = vget(spec, 2).table
+    roots = root_coords(vget(spec, 2).e)
+    for c, i in itertools.product(range(4), range(1, len(t.subgroup("L")))):
+        v = Verifier._on_table(t, 0, 10 ** 8)
+        key, ec = v.chars[c].key(), v.e_chi(v.chars[c])
+        rows = ec.rows.copy()
+        (j,) = np.flatnonzero((roots == rows[i]).all(axis=1))
+        rows[i] = roots[(j + 1) % len(roots)]
+        v._echi[key] = AlgElem.from_vec(t, v.e, (ec.keys, rows, ec.den))
+        assert any(v._sandwich_rank(chi, sigma) != v.intertwining_dim_formula(chi, sigma)
+                   for chi in v.chars for sigma in v.chars), (key, i)
+        (result,) = v.run_checks(only=["thm1"]).checks
+        assert result.status == "fail", (key, i)
 
 
 def test_intertwining_matrix_frozen_values(vget):
@@ -301,21 +354,18 @@ def basis_lists(red):
 
 
 def test_stack_budget_splits_keep_results(vget, monkeypatch):
-    # a budget of one entry puts every character in a group of its own and
-    # multiplies every sandwich and stacked vector on its own; the results
-    # must be those of the default budget's single stacks
+    # a budget of one entry multiplies every stacked vector on its own and
+    # makes module_reducer feed one translate per call; the results must be
+    # those of the default budget's single stacks
     ref = vget("Z/4", 2)
     chi = ref.chars[1]
-    want = (len(set(ref.char_groups.values())), ref.intertwining_matrices(),
-            ref.end_algebra(chi).structure,
+    want = (ref.intertwining_matrices(), ref.end_algebra(chi).structure,
             [basis_lists(ref.module_reducer(c)) for c in ref.chars])
     monkeypatch.setattr(verify, "_STACK_BLOCK", 1)
     monkeypatch.setattr(algebra, "_STACK_BLOCK", 1)
     v = Verifier(parse_ring_spec("Z/4"), 2)
-    assert want[0] == 1 < len(v.chars) == len(set(v.char_groups.values()))
-    # here module_reducer feeds one translate per call
-    assert want[1:] == (v.intertwining_matrices(), v.end_algebra(chi).structure,
-                        [basis_lists(v.module_reducer(c)) for c in v.chars])
+    assert want == (v.intertwining_matrices(), v.end_algebra(chi).structure,
+                    [basis_lists(v.module_reducer(c)) for c in v.chars])
 
 
 def test_module_reducer_matches_single_translates(vget):
