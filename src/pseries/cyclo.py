@@ -3,11 +3,10 @@
 Numbers are stored in the power basis 1, z, ..., z^(phi(e)-1) with rational
 coefficients, where z is a primitive e-th root of unity and phi is Euler's
 totient.  Products reduce modulo the e-th cyclotomic polynomial, so all
-arithmetic is exact.  Here floating point appears only in to_complex(), whose
-values are cross-checked exactly wherever they are used.  On these integer
-coordinates, the group-algebra product kernel (algebra._mul_dense) also runs
-exact integer matmuls in float64, but only when an a-priori bound keeps every
-partial sum below 2^53, where float64 holds every integer exactly.
+arithmetic is exact.  Floating point appears only in the group-algebra
+product kernel (algebra._mul_dense), which runs integer matmuls on these
+coordinates in float64 only when an a-priori bound keeps every partial sum
+below 2^53, where float64 holds every integer exactly.
 
 Linear algebra runs on one engine, SparseReducer: fraction-free elimination
 on integer power-basis coordinates in numpy arrays, in one sweep that reduces
@@ -18,7 +17,6 @@ integer arrays over denominators, so no CycloNum or Fraction is made.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -308,10 +306,6 @@ class CycloNum:
         if not self.is_rational():
             raise CycloError(f"{self} is not rational")
         return self.c[0]
-
-    def to_complex(self) -> complex:
-        return sum(float(a) * cmath.exp(2j * cmath.pi * j / self.e)
-                   for j, a in enumerate(self.c) if a)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -2,10 +2,9 @@
 
 Everything that decides pass/fail is exact (rational or cyclotomic); a rank
 read mod a prime counts only where it is certified exact (_certified_rank).
-Floating point appears in two places: the eigenvalue splitting that guesses
-Wedderburn block sizes, whose integers are cross-checked exactly, and the
-float64 matmuls of the product kernel, which run only when an a-priori bound
-keeps every partial sum an integer below 2^53 and so are exact.
+Wedderburn block sizes are ranks of trace forms (_wedderburn_blocks).  The
+one floating-point step is the product kernel's float64 matmuls, run only
+when an a-priori bound keeps every partial sum an integer below 2^53.
 
 The linear systems are built as integer arrays and solved by the array form
 of solve_affine: zc = z e_U e_V, all that E needs of the Halmos element z,
@@ -17,7 +16,6 @@ from zc on the same U\\G/V coordinates, for all character pairs at once.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import io
 import itertools
@@ -128,9 +126,8 @@ class EndAlgebra:
     chi_key: str
     dim: int                    # dim of B = E_chi C[G] E_chi
     center_dim: int             # exact nullity of the commutation system
-    blocks: tuple               # sorted Wedderburn block sizes d_i
-    attempts: int               # random central elements tried
-    basis: list
+    blocks: tuple               # sorted Wedderburn block sizes d_i, exact
+    attempts: int               # ranks of G - d^2 T taken (_wedderburn_blocks)
     structure: list             # structure[i][j][t] / den: coordinate t of
     den: int                    # b_i b_j, as phi power-basis integers
 
@@ -203,6 +200,13 @@ def _rows(M):
     return np.arange(M.shape[1]), M[:, :, None], 1
 
 
+def _rank(e, M):
+    """The rank over Q(zeta_e) of an integer matrix M (m, n, phi)."""
+    red = SparseReducer(e)
+    red.feed((np.arange(M.shape[1]), M, 1))
+    return red.rank
+
+
 # a prime whose residues multiply in int64
 _P = 2 ** 31 - 1
 
@@ -246,9 +250,7 @@ def _certified_rank(M, upper=None):
     norms = sorted(np.maximum((M2 * M2).sum(axis=1), 1).tolist(), reverse=True)
     if math.prod(norms[:k]) < _P * _P:
         return rank
-    red = SparseReducer(1)
-    red.feed(_rows(M))
-    return red.rank
+    return _rank(1, M[:, :, None])
 
 
 def _coords(red, vecs, alarm):
@@ -315,6 +317,51 @@ def _z_solutions(sides, star_fixed, *identities):
     return sol
 
 
+def _wedderburn_blocks(struct, e, centre):
+    """(blocks, ranks): the sorted Wedderburn block sizes of a semisimple B
+    over Q(zeta_e), from struct[i, j, t] = coordinate t of b_i b_j times some
+    s > 0 and solve_affine's basis z_i of B's centre Z (z_i alone nonzero at
+    its last key f_i, and rational there).  In the basis of Z's primitive
+    idempotents G(z, z') = Tr_B(L_{z z'}) is diag(d_i^2) and T(z, z') =
+    Tr_Z(L_{z z'}) the identity: rank T = c certifies that Z is semisimple,
+    and d occurs c - rank(G - d^2 T) times, ranked for d = 1, 2, ... until
+    the blocks left fill the dimension left.
+    """
+    ft, kf = fold_array(e)
+
+    def mul(spec, a, b):
+        # np.einsum(spec, a, b, F), F the fold table: the product in Q(zeta_e)
+        # of a's last axis s and b's last axis r, in a dtype no sum overflows
+        dtype = exact_dtype(kf * max_abs(a) * max_abs(b) * a.size * b.size)
+        F = ft.reshape(len(ft), len(ft), -1).astype(dtype)
+        return np.einsum(spec, a.astype(dtype), b.astype(dtype), F)
+
+    k, c = len(struct), len(centre)
+    # Q[a, b] = z_a z_b times s, and Tr_Z(L_y) = sum_t y[t] tr_z[t] / (N s)
+    # on Z, so N s^2 T and N s^2 G are Q contracted with tr_z and N tr_b
+    tr_b = struct[:, range(k), range(k)].sum(axis=1).astype(object)
+    Z = np.array(centre, dtype=object)
+    free = [int(np.flatnonzero(z.any(axis=1))[-1]) for z in Z]
+    n = Z[range(c), free, 0]
+    if (Z[:, free, 0] != np.diag(n)).any() or Z[:, free, 1:].any():
+        raise VerifyAlarm("the basis of the centre is not in echelon form")
+    # scaled to z_i[f_i] = N, y[f_i] / N is y's coordinate on z_i
+    N = math.lcm(*n.tolist())
+    Z *= (N // n)[:, None, None]
+    Q = mul("bjs,ajtr,sru->abtu", Z, mul("ais,ijtr,sru->ajtu", Z, struct))
+    tr_z = mul("ijs,tjir,sru->tu", Z, struct[:, :, free])
+    if _rank(e, mul("abts,tr,sru->abu", Q, tr_z)) != c:
+        raise VerifyAlarm("the trace form of the centre is degenerate")
+    blocks, d = [], 1
+    while len(blocks) < c and k - sum(x * x for x in blocks) > (c - len(blocks)) * d * d:
+        blocks += [d] * (c - _rank(e, mul("abts,tr,sru->abu", Q, N * tr_b - d * d * tr_z)))
+        d += 1
+    blocks += [d] * (c - len(blocks))
+    if sum(x * x for x in blocks) != k:
+        raise VerifyAlarm(f"Wedderburn blocks do not fill dimension {k}")
+    return tuple(blocks), d - 1
+
+
 # check id -> Verifier method, in report order; lem3.1 runs on product
 # rings only
 _CHECKS = (
@@ -378,6 +425,7 @@ class Verifier:
         self.e = e = ring.unit_exponent()
         self.rng = random.Random(seed)
         self.chars = all_levi_chars(ring, self.n)
+        self.uv_label = _labels(t, t.subgroup("U"), t.subgroup("V"))  # min(U g V)
         self.eU = idempotent_subgroup(t, e, t.subgroup("U"))
         self.eV = idempotent_subgroup(t, e, t.subgroup("V"))
         self.c_uv = self.eU * self.eV
@@ -530,8 +578,7 @@ class Verifier:
         e_U y_D e_V is the indicator of D over |D|.
         """
         t = self.table
-        U, V = t.subgroup("U"), t.subgroup("V")
-        label = _labels(t, U, V)
+        U, V, label = t.subgroup("U"), t.subgroup("V"), self.uv_label
         first = label == np.arange(t.size)
         cls = (np.cumsum(first) - 1)[label]
         R = _counts(t, label, [t.identity], np.flatnonzero(first), _products(t, V, U))
@@ -640,7 +687,7 @@ class Verifier:
             # zc(l g) = zc(g l) for all g is l zc l^-1 = zc
             if (z[t._table[L]] != z[t._table[:, L]].T).any():
                 raise VerifyAlarm("z e_U e_V does not commute with L")
-            label = _labels(t, t.subgroup("U"), t.subgroup("V"))
+            label = self.uv_label
             first = label == np.arange(t.size)
             gD, linv = np.flatnonzero(first), t._inv[L]
             # cls[a, D, c]: the class of a^-1 g_D c^-1; the least class of
@@ -658,11 +705,10 @@ class Verifier:
             M = np.tensordot(np.tensordot(np.tensordot(
                 F[:, cls[:, reps]].astype(dtype), S, ([1], [1])), S, ([2], [1])),
                 ft.reshape(len(ft), len(ft), -1).astype(dtype), ([3, 5], [0, 1]))
-            keys = [c.key() for c in chars]
+            keys, live = [c.key() for c in chars], M.any(axis=(0, 1, 4))
             for (s, left), (x, right) in itertools.product(enumerate(keys), repeat=2):
-                red = SparseReducer(self.e)
-                red.feed((np.arange(len(reps)), M[:, :, s, x], 1))
-                self._sandwich[right, left] = red.rank
+                rank = _rank(self.e, M[:, :, s, x]) if live[s, x] else 0
+                self._sandwich[right, left] = rank
         return self._sandwich[chi.key(), sigma.key()]
 
     def pind_character(self, chi: LeviChar):
@@ -732,67 +778,26 @@ class Verifier:
         key = chi.key()
         if key in self._end:
             return self._end[key]
-        table, e = self.table, self.e
+        e = self.e
         # E times the chi module (its pivot arrays, over den 1) is B
         keys, prods, _ = _mul_dense(self.E(chi), stack(
             (k, r, 1) for k, r, _ in self.module_reducer(chi).basis_rows()))
         bred = SparseReducer(e)
         bred.feed((keys, prods, 1))
-        k = bred.rank
-        basis_vecs = bred.basis_rows()
-        basis = [AlgElem.from_vec(table, e, row) for row in basis_vecs]
-        basis_stack = stack(basis_vecs)
+        basis = bred.basis_rows()
+        k, bstack = len(basis), stack(basis)
         # struct[i, j, t]: coordinate t of b_i b_j, over den
-        struct, den = _coords(bred, stack(_mul_dense(b, basis_stack) for b in basis),
-                              "product left the endomorphism algebra")
-        phi = struct.shape[2]
-        struct = struct.reshape(k, k, k, phi)
+        struct, den = _coords(bred, stack(
+            _mul_dense(AlgElem.from_vec(self.table, e, b), bstack) for b in basis),
+            "product left the endomorphism algebra")
+        struct = struct.reshape(k, k, k, -1)
 
         # center: exact nullity of the commutation system, one equation per
         # (j, t): sum_i (struct[i, j, t] - struct[j, i, t]) x_i = 0
-        comm = (struct - struct.transpose(1, 0, 2, 3)).reshape(k, k * k, phi)
-        sol = solve_affine(e, _block(comm, np.zeros((k * k, phi), dtype=np.int64)))
-        center_dim = sol.dimension
-        # the complex embedding of power-basis coordinates
-        powers = np.array([cmath.exp(2j * cmath.pi * j / e) for j in range(phi)])
-        fold = fold_array(e)[0].astype(object)
-
-        blocks, attempts = None, 0
-        for attempt in range(5):
-            attempts = attempt + 1
-            weights = [self.rng.randint(1, 100) for _ in range(center_dim)]
-            zeta, zden = sol.point(weights)
-            # lmat[j, t]: coordinate t of zeta b_j = sum_i zeta_i struct[i, j, t]
-            mul = (zeta @ fold).reshape(k, phi, phi)
-            lmat = np.tensordot(struct.astype(object), mul, axes=([0, 3], [0, 1]))
-            lf = (lmat.astype(float) @ powers).T / (zden * den)
-            eig = sorted(np.linalg.eigvals(lf), key=lambda v: (v.real, v.imag))
-            scale = max(1.0, max(abs(v) for v in eig)) if k else 1.0
-            clusters = []
-            for v in eig:
-                if clusters and abs(v - clusters[-1][-1]) <= 1e-8 * scale:
-                    clusters[-1].append(v)
-                else:
-                    clusters.append([v])
-            if len(clusters) != center_dim:
-                continue
-            ds = []
-            for cl in clusters:
-                m = len(cl)
-                d = round(math.sqrt(m))
-                if abs(math.sqrt(m) - d) >= 1e-6:
-                    ds = None
-                    break
-                ds.append(d)
-            if ds is None or sum(d * d for d in ds) != k:
-                continue
-            blocks = tuple(sorted(ds))
-            break
-        if blocks is None:
-            raise VerifyAlarm(
-                f"eigen-splitting failed after {attempts} attempts for chi={key}")
-        out = EndAlgebra(key, k, center_dim, blocks, attempts, basis,
-                         struct.tolist(), den)
+        comm = (struct - struct.transpose(1, 0, 2, 3)).reshape(k, k * k, -1)
+        sol = solve_affine(e, _block(comm, np.zeros_like(comm[0])))
+        blocks, ranks = _wedderburn_blocks(struct, e, sol.nullspace)
+        out = EndAlgebra(key, k, sol.dimension, blocks, ranks, struct.tolist(), den)
         self._end[key] = out
         return out
 
@@ -1011,8 +1016,7 @@ class Verifier:
         sandwiches are those of their count rows.
         """
         t = self.table
-        U, V = t.subgroup("U"), t.subgroup("V")
-        return _counts(t, _labels(t, U, V), V, xs, U)
+        return _counts(t, self.uv_label, t.subgroup("V"), xs, t.subgroup("U"))
 
     def _phi_data(self, w: PermWord):
         """The ranks and the span test behind lem3.5 and prop3.6 for one w, on

@@ -4,9 +4,12 @@ Most are the |G|-wide computation that a check ran before it moved to coset
 or Hecke coordinates: exact spans of group-algebra vectors over Q(zeta_e),
 the Halmos solve with its coordinate tables and inverse systems taken from
 |G|-wide products, and thm1's sandwich ranks from the stacked module bases.
-The rest are plain references: a CycloNum elimination (rank, span_rank) and
-the whole-ring residue map.
+The rest are plain references: a CycloNum elimination (rank, span_rank), the
+complex value of a CycloNum for float cross-checks, and the whole-ring
+residue map.
 """
+
+import cmath
 
 import numpy as np
 
@@ -59,6 +62,12 @@ def rank(m: CycloMatrix) -> int:
         if r == m.nrows:
             break
     return r
+
+
+def to_complex(a: CycloNum) -> complex:
+    """a's value with zeta_e = exp(2 pi i / e), in floating point."""
+    return sum(float(x) * cmath.exp(2j * cmath.pi * j / a.e)
+               for j, x in enumerate(a.c) if x)
 
 
 def span_rank(elems) -> int:

@@ -1,8 +1,7 @@
 """Acceptance gate: the ten headline criteria, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v` to see one line per criterion.
-Everything here is exact arithmetic except the eigenvalue splitting inside
-the block computation, whose integer outputs are re-checked exactly.
+Everything here is exact arithmetic, the Wedderburn block sizes included.
 """
 
 import json

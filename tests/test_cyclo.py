@@ -12,7 +12,7 @@ import pytest
 from pseries import CycloNum, SparseReducer, solve_affine
 from pseries.cyclo import (CycloError, cyclotomic_poly, exact_dtype, max_abs,
                            power_fold)
-from references import CycloMatrix, rank
+from references import CycloMatrix, rank, to_complex
 
 CONDUCTORS = [1, 2, 3, 4, 6, 8, 12]
 
@@ -102,7 +102,7 @@ def test_field_identities_random():
             assert a.conj().conj() == a
             # a * conj(a) is a nonnegative rational only when rational; check norm > 0 numerically
             if not a.is_zero():
-                assert abs(a.to_complex()) > 0
+                assert abs(to_complex(a)) > 0
 
 
 def test_scalar_coercion():
@@ -122,15 +122,15 @@ def test_conductor_mismatch_raises():
 def test_complex_embedding():
     for e in CONDUCTORS:
         for t in range(e):
-            got = CycloNum.root(e, t).to_complex()
+            got = to_complex(CycloNum.root(e, t))
             want = cmath.exp(2j * cmath.pi * t / e)
             assert abs(got - want) < 1e-12
     rng = random.Random(3)
     for e in CONDUCTORS:
         for _ in range(10):
             a, b = rand_num(e, rng), rand_num(e, rng)
-            assert abs((a * b).to_complex() - a.to_complex() * b.to_complex()) < 1e-9
-            assert abs(a.conj().to_complex() - a.to_complex().conjugate()) < 1e-12
+            assert abs(to_complex(a * b) - to_complex(a) * to_complex(b)) < 1e-9
+            assert abs(to_complex(a.conj()) - to_complex(a).conjugate()) < 1e-12
 
 
 def test_rational_detection():
@@ -165,7 +165,7 @@ def test_rank_against_float_svd():
             prod = [[sum((left[i][k] * right[k][j] for k in range(r)), zero)
                      for j in range(n)] for i in range(m)]
             exact = rank(CycloMatrix(e, prod))
-            emb = np.array([[x.to_complex() for x in row] for row in prod])
+            emb = np.array([[to_complex(x) for x in row] for row in prod])
             assert exact == np.linalg.matrix_rank(emb)
             assert exact <= r
 

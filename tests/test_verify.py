@@ -15,7 +15,7 @@ from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
                      stabilizer, stabilizer_degrees)
 from pseries import algebra, cli, enumerate_gl, verify
 from pseries.algebra import AlgebraError
-from pseries.cyclo import root_coords
+from pseries.cyclo import power_fold, root_coords
 from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
 from references import (whole_ring_residue, wide_halmos, wide_lin_independence,
@@ -527,13 +527,71 @@ def test_end_algebra_shapes(vget):
         assert B.dim == len(stabilizer(rep))
         assert sorted(B.blocks) == sorted(stabilizer_degrees(rep))
         assert sum(d * d for d in B.blocks) == B.dim
-        assert 1 <= B.attempts <= 5
+        # every Z/4 algebra is commutative, so its blocks need no rank
+        assert B.attempts == 0
         # structure constants close under multiplication: sanity on the stored table
         assert len(B.structure) == B.dim
         for row in B.structure:
             assert len(row) == B.dim
             for cell in row:
                 assert len(cell) == B.dim
+
+
+def test_end_algebra_split_takes_one_rank_and_no_draw():
+    # GL_3(F_2)'s trivial character: B is the Iwahori-Hecke algebra of S_3,
+    # blocks (1, 1, 2) after one rank of G - T, and nothing drawn from the rng
+    v = Verifier(parse_ring_spec("GF(2,1)"), 3)
+    state = v.rng.getstate()
+    B = v.end_algebra(v.chars[0])
+    assert (B.dim, B.center_dim, B.blocks, B.attempts) == (6, 3, (1, 1, 2), 1)
+    assert v.rng.getstate() == state
+
+
+def group_algebra(spec, e):
+    """(struct, centre) of Q(zeta_e)[GL_2(R)]: struct[i, j, t] = [g_i g_j =
+    g_t] from the Cayley table, and the class sums as the centre's basis."""
+    t = enumerate_gl(parse_ring_spec(spec), 2)
+    k, phi, mul = t.size, len(power_fold(e)), t._table
+    struct = np.zeros((k, k, k, phi), dtype=np.int64)
+    i, j = np.indices((k, k))
+    struct[i, j, mul[i, j], 0] = 1
+    # label[g]: the least x^-1 g x
+    label = mul[mul[t._inv[:, None], np.arange(k)], np.arange(k)[:, None]].min(axis=0)
+    one = np.eye(phi, dtype=np.int64)[0]
+    return struct, [np.outer(label == c, one) for c in np.unique(label)]
+
+
+@pytest.mark.parametrize("spec, e, degrees", [
+    ("GF(2,1)", 1, (1, 1, 2)),       # GL_2(F_2) = S_3
+    ("GF(2,1)", 3, (1, 1, 2)),
+    # the centre of Q[GL_2(F_3)] is not split (two characters take values in
+    # Q(sqrt -2)); over Q(zeta_8) it is
+    ("GF(3,1)", 1, (1, 1, 2, 2, 2, 3, 3, 4)),
+    ("GF(3,1)", 8, (1, 1, 2, 2, 2, 3, 3, 4)),
+])
+def test_wedderburn_blocks_of_group_algebras(spec, e, degrees):
+    struct, centre = group_algebra(spec, e)
+    blocks, ranks = verify._wedderburn_blocks(struct, e, centre)
+    assert blocks == degrees
+    assert 1 <= ranks < len(set(degrees))
+
+
+def test_wedderburn_blocks_alarm_on_a_radical():
+    # the dual numbers Q[x]/(x^2), basis (1, x): commutative (c = k = 2) but
+    # not semisimple, so the trace form of the centre has rank 1
+    struct = np.zeros((2, 2, 2, 1), dtype=np.int64)
+    struct[0, 0, 0] = struct[0, 1, 1] = struct[1, 0, 1] = 1
+    centre = [np.eye(2, dtype=np.int64)[:, :1], np.eye(2, dtype=np.int64)[:, 1:]]
+    with pytest.raises(VerifyAlarm, match="trace form"):
+        verify._wedderburn_blocks(struct, 1, centre)
+
+
+def test_wedderburn_blocks_alarm_off_echelon_form():
+    # the centre's coordinates are read at each basis vector's last key, so a
+    # basis in which two vectors share theirs is refused
+    struct, centre = group_algebra("GF(2,1)", 1)
+    with pytest.raises(VerifyAlarm, match="echelon"):
+        verify._wedderburn_blocks(struct, 1, [centre[0] + centre[1], *centre[1:]])
 
 
 def test_end_algebra_center_of_commutative_case(vget):
