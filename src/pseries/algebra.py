@@ -73,18 +73,6 @@ def stack(vecs):
     return keys, rows, den
 
 
-def translates(a: "AlgElem", gs):
-    """The stack of g a for g in gs, over the union of their keys: one gather
-    from the Cayley table, one scatter of a's rows."""
-    t, gs = a.table, np.asarray(gs, dtype=np.intp)
-    at = t._table[np.ix_(gs, a.keys)]
-    present = np.zeros(t.size, dtype=bool)
-    present[at] = True
-    rows = np.zeros((len(gs), int(present.sum()), a.rows.shape[1]), dtype=a.rows.dtype)
-    rows[np.arange(len(gs))[:, None], (np.cumsum(present) - 1)[at]] = a.rows
-    return np.flatnonzero(present), rows, a.den
-
-
 def _mul_dense(a: "AlgElem", vecs):
     """The products a * v for a stack of k vectors v that share one key array.
 

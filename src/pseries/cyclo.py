@@ -3,10 +3,10 @@
 Numbers are stored in the power basis 1, z, ..., z^(phi(e)-1) with rational
 coefficients, where z is a primitive e-th root of unity and phi is Euler's
 totient.  Products reduce modulo the e-th cyclotomic polynomial, so all
-arithmetic is exact.  Floating point appears only in the group-algebra
-product kernel (algebra._mul_dense), which runs integer matmuls on these
-coordinates in float64 only when an a-priori bound keeps every partial sum
-below 2^53, where float64 holds every integer exactly.
+arithmetic is exact.  Floating point appears only in integer matmuls on
+these coordinates (algebra.matmul_dtype: the product kernel's, and the end
+algebras' double-coset counts), in float64 only when an a-priori bound keeps
+every partial sum below 2^53, where float64 holds every integer exactly.
 
 Linear algebra runs on one engine, SparseReducer: fraction-free elimination
 on integer power-basis coordinates in numpy arrays, in one sweep that reduces

@@ -3,15 +3,17 @@
 Everything that decides pass/fail is exact (rational or cyclotomic); a rank
 read mod a prime counts only where it is certified exact (_certified_rank).
 Wedderburn block sizes are ranks of trace forms (_wedderburn_blocks).  The
-one floating-point step is the product kernel's float64 matmuls, run only
-when an a-priori bound keeps every partial sum an integer below 2^53.
+one floating-point step is float64 integer matmuls (algebra.matmul_dtype:
+the product kernel's and the U\\G/V contractions'), run only when an
+a-priori bound keeps every partial sum an integer below 2^53.
 
 The linear systems are built as integer arrays and solved by the array form
 of solve_affine: zc = z e_U e_V, all that E needs of the Halmos element z,
 from a Krylov solve on U\\G/V count coordinates; z itself (Lemma 3.3 only) on
 A's own coordinates, read off one stacked SparseReducer.coords_list sweep;
-and the centre of each endomorphism algebra.  thm1's sandwich ranks come
-from zc on the same U\\G/V coordinates, for all character pairs at once.
+and the centre of each endomorphism algebra.  thm1's sandwich ranks (all
+character pairs at once) and each end algebra E_chi C[G] E_chi come from zc
+on the same U\\G/V coordinates, through one certified table (_uv_table).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (_STACK_BLOCK, AlgElem, _mul_dense, idempotent_char,
-                      idempotent_subgroup, stack, translates)
+from .algebra import (AlgElem, _mul_dense, idempotent_char, idempotent_subgroup,
+                      matmul_dtype, stack)
 from .chars import (LeviChar, all_levi_chars, conjugacy_class_count,
                     factor_chars, orbit, orbit_reps, partition_count,
                     principal_series_count, stabilizer, stabilizer_degrees,
@@ -362,6 +364,35 @@ def _wedderburn_blocks(struct, e, centre):
     return tuple(blocks), d - 1
 
 
+def _sandwich_values(F, cls, S, e):
+    """M[y, j, s, x]: |L|^2 times the value at g_j of e_s X_y e_x, for X_y =
+    F[y] on U\\G/V classes, cls[a, j, c] the class of a^-1 g_j c^-1 and S[s]
+    e_s's rows on L: sum_{a, c in L} S[s, a] F[y, cls[a, j, c]] S[x, c],
+    folded into Q(zeta_e), in matmul_dtype."""
+    ft, kf = fold_array(e)
+    bound = kf * max_abs(F) * (cls.shape[0] * max_abs(S)) ** 2
+    dtype = matmul_dtype(bound)
+    S = S.astype(dtype)
+    return np.einsum("yajc,sap,xcq,pqu->yjsxu", F.astype(dtype)[:, cls], S, S,
+                     ft.reshape(len(ft), len(ft), -1).astype(dtype),
+                     optimize=True).astype(exact_dtype(bound))
+
+
+def _uv_products(N, b, e, size):
+    """P[i k + j, D] = (b_i b_j)(g_D) = sum_{D1, D2} N[D1, D2, D] b_i(D1)
+    b_j(D2), for k elements b (k, n, phi) constant on U\\G/V, and N[D1, D2,
+    D] = #{h in D1 : h^-1 g_D in D2}, in matmul_dtype: N sums to size over
+    (D1, D2)."""
+    ft, kf = fold_array(e)
+    bound = kf * size * max_abs(b) ** 2
+    dtype = matmul_dtype(bound)
+    b = b.astype(dtype)
+    # Q[i, s, D, j, r] = sum_{D1, D2} b_i(D1)_s N[D1, D2, D] b_j(D2)_r
+    Q = np.tensordot(np.tensordot(b, N.astype(dtype), ([1], [0])), b, ([2], [1]))
+    out = np.tensordot(Q, ft.reshape(len(ft), len(ft), -1).astype(dtype), ([1, 4], [0, 1]))
+    return out.transpose(0, 2, 1, 3).astype(exact_dtype(bound)).reshape(-1, *b.shape[1:])
+
+
 # check id -> Verifier method, in report order; lem3.1 runs on product
 # rings only
 _CHECKS = (
@@ -425,7 +456,10 @@ class Verifier:
         self.e = e = ring.unit_exponent()
         self.rng = random.Random(seed)
         self.chars = all_levi_chars(ring, self.n)
-        self.uv_label = _labels(t, t.subgroup("U"), t.subgroup("V"))  # min(U g V)
+        # min(U g V); its g_D = min D and g's class D, D over U\\G/V in order
+        self.uv_label = label = _labels(t, t.subgroup("U"), t.subgroup("V"))
+        self.uv_first = np.flatnonzero(label == np.arange(t.size))
+        self.uv_class = np.searchsorted(self.uv_first, label)
         self.eU = idempotent_subgroup(t, e, t.subgroup("U"))
         self.eV = idempotent_subgroup(t, e, t.subgroup("V"))
         self.c_uv = self.eU * self.eV
@@ -435,12 +469,12 @@ class Verifier:
         self._ulv = None
         self._echi = {}
         self._E = {}
-        self._module = {}
+        self._uv = None
+        self._uv_mul = None
         self._sandwich = {}
         self._pind_char = {}
         self._end = {}
         self._conj = {}
-        self._borel_reps = None
         self._phi = {}
         self._local_verifiers = None
 
@@ -578,10 +612,8 @@ class Verifier:
         e_U y_D e_V is the indicator of D over |D|.
         """
         t = self.table
-        U, V, label = t.subgroup("U"), t.subgroup("V"), self.uv_label
-        first = label == np.arange(t.size)
-        cls = (np.cumsum(first) - 1)[label]
-        R = _counts(t, label, [t.identity], np.flatnonzero(first), _products(t, V, U))
+        U, V, cls = t.subgroup("U"), t.subgroup("V"), self.uv_class
+        R = _counts(t, self.uv_label, [t.identity], self.uv_first, _products(t, V, U))
         s = len(U) * len(V)
         krylov = [np.zeros(len(R), dtype=np.int64)]
         krylov[0][cls[t.identity]] = 1
@@ -630,38 +662,45 @@ class Verifier:
             self._E[key] = E
         return self._E[key]
 
-    def module_reducer(self, chi: LeviChar) -> SparseReducer:
-        """Row basis of the left module spanned by the translates g * E_chi.
+    def _uv_table(self):
+        """(cls, reps, F), built once for thm1's sandwiches and the end algebras.
 
-        The trace of right multiplication by a verified idempotent equals the
-        dimension of its image, so feeding stops once the rank reaches it;
-        a shortfall after all translates would be an alarm.  u E = E and
-        l E = chi(l) E for u in U, l in L, so one translate per left coset gB,
-        B = U L, is fed, min(gB) in increasing order, each feed as many as
-        the rank lacks.
+        U zc = zc = zc V, and l zc = zc l for l in L is certified here, so
+        E_sigma C[G] E_chi is spanned by the e_sigma X_y e_chi, X_y = zc y zc,
+        y over L V\\G/U L: the inverses of one g_D = min D per orbit of L x L
+        on U\\G/V.  cls[a, D, c] is the class of a^-1 g_D c^-1 (a, c over L in
+        e_chi's key order), reps the least class of each orbit, and F[y, D] =
+        X_y(g_D) = sum_m zc(m^-1 y^-1) zc(m g_D) over zc.den^2.
         """
-        key = chi.key()
-        if key not in self._module:
-            E = self.E(chi)
-            # the trace is |G| times E's coefficient at the identity
-            at = np.flatnonzero(E.keys == self.table.identity)
-            tr = E.rows[at[0]].tolist() if len(at) else [0]
-            if any(tr[1:]):
-                raise VerifyAlarm(f"module trace is not rational for chi={key}")
-            expected, r = divmod(tr[0] * self.table.size, E.den)
-            if r or expected < 0:
-                raise VerifyAlarm(f"module trace is not a dimension for chi={key}")
-            t, red = self.table, SparseReducer(self.e)
-            reps = self.borel_coset_reps
-            most = max(1, _STACK_BLOCK // (t.size * E.rows.shape[1]))
-            while red.rank < expected and len(reps):
-                take = min(expected - red.rank, most)
-                red.feed(translates(E, reps[:take]))
-                reps = reps[take:]
-            if red.rank != expected:
-                raise VerifyAlarm(f"module dimension disagrees with trace for chi={key}")
-            self._module[key] = red
-        return self._module[key]
+        if self._uv is None:
+            t = self.table
+            z = np.zeros(t.size, dtype=self.zc.rows.dtype)
+            z[self.zc.keys] = self.zc.rows[:, 0]
+            L = self.e_chi(self.chars[0]).keys
+            # zc(l g) = zc(g l) for all g is l zc l^-1 = zc
+            if (z[t._table[L]] != z[t._table[:, L]].T).any():
+                raise VerifyAlarm("z e_U e_V does not commute with L")
+            gD, linv = self.uv_first, t._inv[L]
+            cls = self.uv_class[t._table[t._table[linv[:, None], gD][..., None], linv]]
+            reps = np.flatnonzero(cls.min(axis=(0, 2)) == np.arange(len(gD)))
+            dtype = exact_dtype(t.size * max_abs(z) ** 2)
+            F = (z[t._table[t._inv, gD[reps, None]]].astype(dtype)
+                 @ z[t._table[:, gD]].astype(dtype, copy=False))
+            self._uv = cls, reps, F
+        return self._uv
+
+    def module_reducer(self, chi: LeviChar) -> SparseReducer:
+        """B = E_chi C[G] E_chi as a SparseReducer on U\\G/V: key D holds the
+        value at g_D, which fixes an element of B (U E = E = E V); the rows
+        are the e_chi X_y e_chi of _uv_table.  E(chi) runs after the table's
+        certificate: its E^2 = E makes E the unit of B.  The name is that of
+        the left-module route this replaced, under which perfbench times it."""
+        cls, _, F = self._uv_table()
+        self.E(chi)
+        M = _sandwich_values(F, cls, self.e_chi(chi).rows[None], self.e)
+        red = SparseReducer(self.e)
+        red.feed((np.arange(M.shape[1]), M[:, :, 0, 0], 1))
+        return red
 
     # -- intertwining dimensions ----------------------------------------------
 
@@ -669,43 +708,15 @@ class Verifier:
         return sum(1 for w in self.table.weyl if chi.acted(w) == sigma)
 
     def _sandwich_rank(self, chi: LeviChar, sigma: LeviChar) -> int:
-        """rank{E_sigma g E_chi : g in G}, from one table of every pair.
-
-        U zc = zc = zc V by construction, and l zc = zc l for l in L is
-        certified here, so E_sigma = e_sigma zc is right-equivariant under L V
-        and E_chi = zc e_chi left-equivariant under U L.  The set is then
-        spanned by the e_sigma X_y e_chi, X_y = zc y zc, y over L V\\G/U L,
-        each fixed by its values at the y^-1, one per orbit of L x L on
-        U\\G/V.  X_y(g_D) = sum_m zc(m^-1 y^-1) zc(m g_D) is one matmul, and
-        the value at g is sum_{a, c in L} e_sigma(a) X_y(a^-1 g c^-1) e_chi(c).
-        """
+        """rank{E_sigma g E_chi : g in G}, from one table of every pair: the
+        rank of the e_sigma X_y e_chi of _uv_table, each fixed by its values
+        at the g_D of reps, one per orbit of L x L on U\\G/V (its value at
+        a^-1 g c^-1 is sigma(a) chi(c) times that at g)."""
         if not self._sandwich:
-            t, chars = self.table, self.chars
-            z = np.zeros(t.size, dtype=self.zc.rows.dtype)
-            z[self.zc.keys] = self.zc.rows[:, 0]
-            L, S = self.e_chi(chars[0]).keys, np.array([self.e_chi(c).rows for c in chars])
-            # zc(l g) = zc(g l) for all g is l zc l^-1 = zc
-            if (z[t._table[L]] != z[t._table[:, L]].T).any():
-                raise VerifyAlarm("z e_U e_V does not commute with L")
-            label = self.uv_label
-            first = label == np.arange(t.size)
-            gD, linv = np.flatnonzero(first), t._inv[L]
-            # cls[a, D, c]: the class of a^-1 g_D c^-1; the least class of
-            # each orbit is its representative
-            cls = (np.cumsum(first) - 1)[label[
-                t._table[t._table[linv[:, None], gD][..., None], linv]]]
-            reps = np.flatnonzero(cls.min(axis=(0, 2)) == np.arange(len(gD)))
-            bound = t.size * max_abs(z) ** 2
-            F = (z[t._table[t._inv, gD[reps, None]]].astype(exact_dtype(bound))
-                 @ z[t._table[:, gD]].astype(exact_dtype(bound), copy=False))
-            ft, kf = fold_array(self.e)
-            dtype = exact_dtype(kf * bound * (len(L) * max_abs(S)) ** 2)
-            S = S.astype(dtype)
-            # M[y, j, s, x]: |L|^2 times the value of e_s X_y e_x at g_j
-            M = np.tensordot(np.tensordot(np.tensordot(
-                F[:, cls[:, reps]].astype(dtype), S, ([1], [1])), S, ([2], [1])),
-                ft.reshape(len(ft), len(ft), -1).astype(dtype), ([3, 5], [0, 1]))
-            keys, live = [c.key() for c in chars], M.any(axis=(0, 1, 4))
+            cls, reps, F = self._uv_table()
+            S = np.array([self.e_chi(c).rows for c in self.chars])
+            M = _sandwich_values(F, cls[:, reps], S, self.e)
+            keys, live = [c.key() for c in self.chars], M.any(axis=(0, 1, 4))
             for (s, left), (x, right) in itertools.product(enumerate(keys), repeat=2):
                 rank = _rank(self.e, M[:, :, s, x]) if live[s, x] else 0
                 self._sandwich[right, left] = rank
@@ -778,18 +789,20 @@ class Verifier:
         key = chi.key()
         if key in self._end:
             return self._end[key]
-        e = self.e
-        # E times the chi module (its pivot arrays, over den 1) is B
-        keys, prods, _ = _mul_dense(self.E(chi), stack(
-            (k, r, 1) for k, r, _ in self.module_reducer(chi).basis_rows()))
-        bred = SparseReducer(e)
-        bred.feed((keys, prods, 1))
-        basis = bred.basis_rows()
-        k, bstack = len(basis), stack(basis)
+        e, t, bred = self.e, self.table, self.module_reducer(chi)
+        if self._uv_mul is None:
+            # one column per g_D: the classes of h and h^-1 g_D (a gather from
+            # t._table[t._inv] would copy the whole table)
+            c, n = self.uv_class, len(self.uv_first)
+            flat = (c[:, None] * n + c[t._table[t._inv[:, None], self.uv_first]]) * n
+            self._uv_mul = np.bincount((flat + np.arange(n)).ravel(),
+                                       minlength=n ** 3).reshape(n, n, n)
+        N, (keys, rows, den) = self._uv_mul, stack(bred.basis_rows())
+        k, basis = len(rows), np.zeros((len(rows), len(N), rows.shape[2]), dtype=rows.dtype)
+        basis[:, keys] = rows
         # struct[i, j, t]: coordinate t of b_i b_j, over den
-        struct, den = _coords(bred, stack(
-            _mul_dense(AlgElem.from_vec(self.table, e, b), bstack) for b in basis),
-            "product left the endomorphism algebra")
+        struct, den = _coords(bred, (np.arange(len(N)), _uv_products(N, basis, e, t.size),
+                                     den * den), "product left the endomorphism algebra")
         struct = struct.reshape(k, k, k, -1)
 
         # center: exact nullity of the commutation system, one equation per
@@ -1056,16 +1069,6 @@ class Verifier:
         }
         self._phi[key] = data
         return data
-
-    @property
-    def borel_coset_reps(self):
-        """min(gB) for each left coset gB = g L U of B, in increasing order."""
-        if self._borel_reps is None:
-            t = self.table
-            right = t._table[:, t.subgroup("U")].min(axis=1)      # min(gU)
-            label = right[t._table[:, t.subgroup("L")]].min(axis=1)
-            self._borel_reps = np.flatnonzero(label == np.arange(t.size))
-        return self._borel_reps
 
     def check_phi_w(self, w: PermWord) -> dict:
         """Sub-checks (i)-(iii) for one Weyl element."""

@@ -3,7 +3,8 @@
 Most are the |G|-wide computation that a check ran before it moved to coset
 or Hecke coordinates: exact spans of group-algebra vectors over Q(zeta_e),
 the Halmos solve with its coordinate tables and inverse systems taken from
-|G|-wide products, and thm1's sandwich ranks from the stacked module bases.
+|G|-wide products, the left module spanned by the translates of E_chi, and
+thm1's sandwich ranks and the end algebras from the module bases.
 The rest are plain references: a CycloNum elimination (rank, span_rank), the
 complex value of a CycloNum for float cross-checks, and the whole-ring
 residue map.
@@ -15,12 +16,13 @@ import numpy as np
 
 from pseries import (AlgElem, CycloNum, HalmosElement, SparseReducer, enumerate_gl,
                      idempotent_subgroup)
-from pseries.algebra import _STACK_BLOCK, AlgebraError, _mul_dense, stack, translates
+from pseries.algebra import _STACK_BLOCK, AlgebraError, _mul_dense, stack
 from pseries.cyclo import CycloError, exact_dtype, max_abs, power_fold, solve_affine
 from pseries.groups import row_blocks
 from pseries.rings import RingSpec
-from pseries.verify import (CheckResult, VerifyAlarm, _block, _coords, _lift, _mask,
-                            _products, _times_right, _unit_solution, _z_solutions)
+from pseries.verify import (CheckResult, EndAlgebra, VerifyAlarm, _block, _coords, _lift,
+                            _mask, _products, _times_right, _unit_solution,
+                            _wedderburn_blocks, _z_solutions)
 
 
 class CycloMatrix:
@@ -167,21 +169,89 @@ def wide_halmos(v) -> HalmosElement:
     raise VerifyAlarm("no invertible solution for z found")
 
 
-def wide_sandwich_rank(v, sigma):
-    """Verifier._sandwich_rank(chi, sigma) for every chi in v.chars, by
-    |G|-wide products: one kernel call multiplies E_sigma by the stacked
-    module_reducer bases of all characters, and each character's products
-    go to a SparseReducer of their own."""
-    bases = [v.module_reducer(c).basis_rows() for c in v.chars]
-    keys, prods, _ = _mul_dense(v.E(sigma), stack(
-        (k, r, 1) for b in bases for k, r, _ in b))
+def wide_module(v, chi):
+    """The SparseReducer of the left module spanned by the translates g E_chi.
+
+    The trace of right multiplication by a verified idempotent equals the
+    dimension of its image, so feeding stops once the rank reaches it; a
+    shortfall after all translates would be an alarm.  u E = E and l E =
+    chi(l) E for u in U, l in L, so one translate per left coset gB, B = U L,
+    is fed, min(gB) in increasing order, each feed as many as the rank lacks.
+    """
+    key, E, t = chi.key(), v.E(chi), v.table
+    # the trace is |G| times E's coefficient at the identity
+    at = np.flatnonzero(E.keys == t.identity)
+    tr = E.rows[at[0]].tolist() if len(at) else [0]
+    if any(tr[1:]):
+        raise VerifyAlarm(f"module trace is not rational for chi={key}")
+    expected, r = divmod(tr[0] * t.size, E.den)
+    if r or expected < 0:
+        raise VerifyAlarm(f"module trace is not a dimension for chi={key}")
+    right = t._table[:, t.subgroup("U")].min(axis=1)      # min(gU)
+    reps = np.flatnonzero(right[t._table[:, t.subgroup("L")]].min(axis=1)
+                          == np.arange(t.size))           # min(gB)
+    red = SparseReducer(v.e)
+    most = max(1, _STACK_BLOCK // (t.size * E.rows.shape[1]))
+    while red.rank < expected and len(reps):
+        take = min(expected - red.rank, most)
+        red.feed(translates(E, reps[:take]))
+        reps = reps[take:]
+    if red.rank != expected:
+        raise VerifyAlarm(f"module dimension disagrees with trace for chi={key}")
+    return red
+
+
+def wide_end_algebra(v, chi):
+    """Verifier.end_algebra by |G|-wide products: E_chi times the basis of
+    wide_module spans B, and each basis element times the stacked basis, one
+    kernel call each, gives a row of structure constants."""
+    e = v.e
+    keys, prods, _ = _mul_dense(v.E(chi), stack(
+        (k, r, 1) for k, r, _ in wide_module(v, chi).basis_rows()))
+    bred = SparseReducer(e)
+    bred.feed((keys, prods, 1))
+    basis = bred.basis_rows()
+    k, bstack = len(basis), stack(basis)
+    struct, den = _coords(bred, stack(
+        _mul_dense(AlgElem.from_vec(v.table, e, b), bstack) for b in basis),
+        "product left the endomorphism algebra")
+    struct = struct.reshape(k, k, k, -1)
+    comm = (struct - struct.transpose(1, 0, 2, 3)).reshape(k, k * k, -1)
+    sol = solve_affine(e, _block(comm, np.zeros_like(comm[0])))
+    blocks, ranks = _wedderburn_blocks(struct, e, sol.nullspace)
+    return EndAlgebra(chi.key(), k, sol.dimension, blocks, ranks, struct.tolist(), den)
+
+
+def wide_sandwich_ranks(v):
+    """Verifier._sandwich_rank(chi, sigma) for every pair, as rows over sigma
+    and columns over chi, by |G|-wide products: per sigma one kernel call
+    multiplies E_sigma by the stacked wide_module bases of all characters,
+    and each character's products go to a SparseReducer of their own."""
+    bases = [wide_module(v, c).basis_rows() for c in v.chars]
+    stacked = stack((k, r, 1) for b in bases for k, r, _ in b)
     ends = np.cumsum([len(b) for b in bases])
-    ranks = []
-    for lo, hi in zip([0, *ends], ends):
-        red = SparseReducer(v.e)
-        red.feed((keys, prods[lo:hi], 1))
-        ranks.append(red.rank)
-    return ranks
+    out = []
+    for sigma in v.chars:
+        keys, prods, _ = _mul_dense(v.E(sigma), stacked)
+        ranks = []
+        for lo, hi in zip([0, *ends], ends):
+            red = SparseReducer(v.e)
+            red.feed((keys, prods[lo:hi], 1))
+            ranks.append(red.rank)
+        out.append(ranks)
+    return out
+
+
+def translates(a, gs):
+    """The stack of g a for g in gs, over the union of their keys: one gather
+    from the Cayley table, one scatter of a's rows."""
+    t, gs = a.table, np.asarray(gs, dtype=np.intp)
+    at = t._table[np.ix_(gs, a.keys)]
+    present = np.zeros(t.size, dtype=bool)
+    present[at] = True
+    rows = np.zeros((len(gs), int(present.sum()), a.rows.shape[1]), dtype=a.rows.dtype)
+    rows[np.arange(len(gs))[:, None], (np.cumsum(present) - 1)[at]] = a.rows
+    return np.flatnonzero(present), rows, a.den
 
 
 def right_translates(a, gs):

@@ -18,8 +18,9 @@ from pseries.algebra import AlgebraError
 from pseries.cyclo import power_fold, root_coords
 from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
-from references import (whole_ring_residue, wide_halmos, wide_lin_independence,
-                        wide_phi_data, wide_sandwich_rank)
+from references import (translates, whole_ring_residue, wide_end_algebra, wide_halmos,
+                        wide_lin_independence, wide_module, wide_phi_data,
+                        wide_sandwich_ranks)
 
 
 def test_halmos_identities_recomputed(vget):
@@ -217,16 +218,16 @@ def test_E_squares_to_itself(vget):
 
 def test_E_is_borel_equivariant(vget):
     # u E = E and l E = chi(l) E, a root of unity times E: the translates of
-    # a coset gB are multiples of one another, so module_reducer feeds one
+    # a coset gB are multiples of one another, so wide_module feeds one
     for spec, n in [("Z/4", 2), ("GF(2,2)", 2), ("Z/2xZ/2", 2)]:
         v = vget(spec, n)
         t, e = v.table, v.e
         roots = [CycloNum.root(e, j) for j in range(e)]
         for chi in v.chars:
             E = v.E(chi)
-            keys, rows, den = algebra.translates(E, t.subgroup("U"))
+            keys, rows, den = translates(E, t.subgroup("U"))
             assert all(AlgElem.from_vec(t, e, (keys, r, den)) == E for r in rows)
-            keys, rows, den = algebra.translates(E, t.subgroup("L"))
+            keys, rows, den = translates(E, t.subgroup("L"))
             multiples = [E.scale(c) for c in roots]
             assert all(AlgElem.from_vec(t, e, (keys, r, den)) in multiples
                        for r in rows)
@@ -274,17 +275,14 @@ def test_sandwich_ranks_match_module_stack_route(vget, spec, n):
     # every pair; GF(2,1) n=3 has six double cosets L V y U L, and on Z/8
     # some modules are smaller than [G:B]
     v = vget(spec, n)
-    for sigma in v.chars:
-        assert ([v._sandwich_rank(chi, sigma) for chi in v.chars]
-                == wide_sandwich_rank(v, sigma)), sigma.key()
+    assert ([[v._sandwich_rank(chi, sigma) for chi in v.chars] for sigma in v.chars]
+            == wide_sandwich_ranks(v))
 
 
-@pytest.mark.parametrize("spec", ["GF(3,1)", "Z/4"])
-def test_sandwich_certificate_alarms_when_zc_is_not_L_invariant(vget, spec):
-    # zc moved by 1 / den on one U\\G/V class that conjugation by L moves: it
-    # stays constant on U\\G/V, as the Krylov lift makes it, but no longer
-    # commutes with L
-    t = vget(spec, 2).table
+def moved_off_L(t):
+    """A Verifier on t whose zc is moved by 1 / den on one U\\G/V class that
+    conjugation by L moves: it stays constant on U\\G/V, as the Krylov lift
+    makes it, but no longer commutes with L."""
     v = Verifier._on_table(t, 0, 10 ** 8)
     zc, L = v.zc, np.asarray(t.subgroup("L"))
     label = verify._labels(t, t.subgroup("U"), t.subgroup("V"))
@@ -294,8 +292,24 @@ def test_sandwich_certificate_alarms_when_zc_is_not_L_invariant(vget, spec):
     rows[zc.keys] = zc.rows
     rows[label == moved, 0] += 1
     v._zc = AlgElem.from_vec(t, v.e, (np.arange(t.size), rows, zc.den))
+    return v
+
+
+@pytest.mark.parametrize("spec", ["GF(3,1)", "Z/4"])
+def test_sandwich_certificate_alarms_when_zc_is_not_L_invariant(vget, spec):
+    v = moved_off_L(vget(spec, 2).table)
     with pytest.raises(VerifyAlarm, match="z e_U e_V does not commute with L"):
         v._sandwich_rank(v.chars[0], v.chars[0])
+
+
+@pytest.mark.parametrize("spec", ["GF(3,1)", "Z/4"])
+def test_count_alarms_when_zc_is_not_L_invariant(vget, spec):
+    # the end algebras read the same certified table, so count raises the
+    # alarm with no thm1 run before it (a route that skips the table raises
+    # other alarms here)
+    v = moved_off_L(vget(spec, 2).table)
+    with pytest.raises(VerifyAlarm, match="z e_U e_V does not commute with L"):
+        v.count_principal_series()
 
 
 @pytest.mark.parametrize("spec", ["GF(3,1)", "Z/4"])
@@ -353,28 +367,32 @@ def basis_lists(red):
     return [(k.tolist(), r.tolist(), d) for k, r, d in red.basis_rows()]
 
 
+def halmos_lists(v):
+    """The Halmos solve's elements and dimension, comparable with ==."""
+    h = v.halmos
+    return ([(x.keys.tolist(), x.rows.tolist(), x.den)
+             for x in (h.z, h.z_inv, h.unit, *h.basis)], h.solution_dim)
+
+
 def test_stack_budget_splits_keep_results(vget, monkeypatch):
-    # a budget of one entry multiplies every stacked vector on its own and
-    # makes module_reducer feed one translate per call; the results must be
-    # those of the default budget's single stacks
+    # a budget of one entry makes the kernel multiply every vector of a stack
+    # (the Halmos closure's words, its coordinate sweep) on its own; the
+    # Halmos arrays and every report must be those of the default budget
     ref = vget("Z/4", 2)
-    chi = ref.chars[1]
-    want = (ref.intertwining_matrices(), ref.end_algebra(chi).structure,
-            [basis_lists(ref.module_reducer(c)) for c in ref.chars])
-    monkeypatch.setattr(verify, "_STACK_BLOCK", 1)
+    want = halmos_lists(ref), ref.run_checks().to_json()
     monkeypatch.setattr(algebra, "_STACK_BLOCK", 1)
     v = Verifier(parse_ring_spec("Z/4"), 2)
-    assert want == (v.intertwining_matrices(), v.end_algebra(chi).structure,
-                    [basis_lists(v.module_reducer(c)) for c in v.chars])
+    assert want == (halmos_lists(v), v.run_checks().to_json())
 
 
 def test_module_reducer_matches_single_translates(vget):
-    # one translate per coset gB, fed in stacks, must give the pivots of
-    # feeding g E for g = 0, 1, 2, ... one at a time up to the trace
+    # the reference module: one translate per coset gB, fed in stacks, must
+    # give the pivots of feeding g E for g = 0, 1, 2, ... one at a time up to
+    # the trace
     for spec, n in [("Z/4", 2), ("Z/6", 2), ("GF(2,2)", 2), ("GF(2,1)", 3)]:
         v = vget(spec, n)
         for chi in v.chars:
-            red = v.module_reducer(chi)
+            red = wide_module(v, chi)
             one = SparseReducer(v.e)
             for g in range(v.table.size):
                 if one.rank == red.rank:
@@ -535,6 +553,32 @@ def test_end_algebra_shapes(vget):
             assert len(row) == B.dim
             for cell in row:
                 assert len(cell) == B.dim
+
+
+@pytest.mark.parametrize("spec,n", STANDARD_PAIRS + [("GF(2,2)", 2), ("Z/8", 2),
+                                                    ("Z/2xGF(2,2)", 2)])
+def test_end_algebra_matches_wide_route(vget, spec, n):
+    # B on U\\G/V coordinates against E times the |G|-wide module basis
+    v = vget(spec, n)
+    for rep in orbit_reps(v.ring, n):
+        got, want = v.end_algebra(rep), wide_end_algebra(v, rep)
+        assert ((got.dim, got.center_dim, got.blocks, got.attempts)
+                == (want.dim, want.center_dim, want.blocks, want.attempts)), rep.key()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_uv_contractions_agree_in_every_dtype(vget, monkeypatch, dtype):
+    # float64 carries every U\\G/V contraction on the test rings; int64 and
+    # exact ints must give the same structure constants and sandwich ranks
+    for spec, n in [("GF(2,2)", 2), ("GF(2,1)", 3)]:
+        ref = vget(spec, n)
+        want = ([ref.end_algebra(c).structure for c in ref.chars],
+                [[ref._sandwich_rank(c, s) for s in ref.chars] for c in ref.chars])
+        with monkeypatch.context() as m:
+            m.setattr(verify, "matmul_dtype", lambda bound: dtype)
+            v = Verifier._on_table(ref.table, 0, 10 ** 8)
+            assert want == ([v.end_algebra(c).structure for c in v.chars],
+                            [[v._sandwich_rank(c, s) for s in v.chars] for c in v.chars])
 
 
 def test_end_algebra_split_takes_one_rank_and_no_draw():
