@@ -380,10 +380,11 @@ class SparseReducer:
     a positive integer, and stands for R / D. One sweep (_sweep) reduces a
     whole stack: each step takes the least key at which some vector starts
     and which is a pivot's lead, and reduces every vector that starts there
-    by v <- (D v - v[lead] R) / g, g the gcd of its entries, so each stays a
-    positive rational multiple of its exact remainder, and meets the pivots
-    in the order it would alone. Each step takes int64 or exact Python ints
-    from a bound on its entries (exact_dtype).
+    by v <- D v - v[lead] R, so each stays a positive rational multiple of
+    its exact remainder, and meets the pivots in the order it would alone.
+    Each step takes int64 or exact Python ints from a bound on its entries
+    (exact_dtype); a step whose bound would reach 2^62 first divides each
+    vector by g, the gcd of its entries.
     """
 
     def __init__(self, e):
@@ -419,7 +420,8 @@ class SparseReducer:
         vector left over meets the new pivots where it stopped.  Returns (v,
         lead, grown, steps): the remainders, each one's lead (width when it
         is zero or became a pivot), the positions that became pivots, and per
-        step (pivot index, vectors, their lead coordinates, their contents g).
+        step (pivot index, vectors, their lead coordinates, the contents g
+        they were divided by first, 1 where they were not).
         """
         k, width, _ = v.shape
         at = np.full(width + 1, -1, dtype=np.intp)   # key -> pivot index
@@ -445,14 +447,17 @@ class SparseReducer:
             R, D = self._rows[j], self._dens[j]
             tail = v[act, key:]
             mv = max_abs(tail)
+            g = np.ones(len(act), dtype=np.int64)
+            if D * mv + self._kf * mv * self._maxes[j] >= 2 ** 62:
+                # the vectors over their contents, only where int64 would not do
+                g = np.abs(np.gcd.reduce(tail, axis=(1, 2)))
+                tail = tail // g[:, None, None]
+                mv = max_abs(tail)
             dtype = exact_dtype(D * mv + self._kf * mv * self._maxes[j])
             tail = tail.astype(dtype, copy=False)
             c = tail[:, 0].copy()
             tail *= D
             tail[:, :len(R)] -= times(R, c, self.e, dtype)
-            g = np.abs(np.gcd.reduce(tail, axis=(1, 2)))
-            g[g == 0] = 1
-            tail //= g[:, None, None]
             if dtype is object:
                 v = v.astype(object, copy=False)
             v[act, key:] = tail
@@ -470,12 +475,14 @@ class SparseReducer:
 
     def _insert(self, v, k):
         """Make the nonzero remainder v, lead k, a pivot scaled to lead D."""
-        adj = self._adjugate(v[k].tolist())
         nz = np.flatnonzero(v[k:].any(axis=1))
         tail = v[k:k + int(nz[-1]) + 1]
-        mv = int(np.abs(tail).max())
-        R = times(tail, adj, self.e, exact_dtype(
-            self._kf * mv * max(abs(x) for x in adj)))
+        if self._phi == 1:     # the adjugate is 1
+            R = tail.copy()
+        else:
+            adj = self._adjugate(v[k].tolist())
+            R = times(tail, adj, self.e, exact_dtype(
+                self._kf * max_abs(tail) * max(abs(x) for x in adj)))
         g = content(R)
         if R[0, 0] < 0:
             g = -g
@@ -518,8 +525,10 @@ class SparseReducer:
         coords = np.zeros((k, self.rank, self._phi), dtype=object)
         dens = np.ones((k, self.rank), dtype=object)
         for j, act, c, g in steps:
-            coords[act, j], dens[act, j] = c * q[act, None], p[act]
-            pa, qa = p[act] * self._dens[j], q[act] * g.astype(object)
+            # the step divided the vectors by g, then took c R / D off each
+            qa = q[act] * g.astype(object)
+            coords[act, j], dens[act, j] = c * qa[:, None], p[act]
+            pa = p[act] * self._dens[j]
             h = np.gcd(pa, qa)
             p[act], q[act] = pa // h, qa // h
         inside = lead == v.shape[1]
@@ -598,6 +607,8 @@ def solve_affine(e, aug) -> AffineSolution | None:
     # = 0 with tags[j] a positive integer; for the rhs column, divided by
     # -tags[j], they are the particular solution
     null = [j for j in range(nc) if j not in grown]
-    return AffineSolution(-v[nc, nr:nr + nc], int(v[nc, nr + nc, 0]),
-                          [v[j, nr:nr + nc] for j in null],
-                          [int(v[j, nr + j, 0]) for j in null])
+    tags = v[null + [nc], nr:]
+    tags //= np.abs(np.gcd.reduce(tags, axis=(1, 2), keepdims=True))   # lowest terms
+    return AffineSolution(-tags[-1, :nc], int(tags[-1, nc, 0]),
+                          [tags[i, :nc] for i in range(len(null))],
+                          [int(tags[i, j, 0]) for i, j in enumerate(null)])

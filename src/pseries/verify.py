@@ -4,16 +4,21 @@ Everything that decides pass/fail is exact (rational or cyclotomic); a rank
 read mod a prime counts only where it is certified exact (_certified_rank).
 Wedderburn block sizes are ranks of trace forms (_wedderburn_blocks).  The
 one floating-point step is float64 integer matmuls (algebra.matmul_dtype:
-the product kernel's and the U\\G/V contractions'), run only when an
-a-priori bound keeps every partial sum an integer below 2^53.
+the U\\G/V contractions and E's sum over L), run only when an a-priori bound
+keeps every partial sum an integer below 2^53.
 
-The linear systems are built as integer arrays and solved by the array form
-of solve_affine: zc = z e_U e_V, all that E needs of the Halmos element z,
-from a Krylov solve on U\\G/V count coordinates; z itself (Lemma 3.3 only) on
-A's own coordinates, read off one stacked SparseReducer.coords_list sweep;
-and the centre of each endomorphism algebra.  thm1's sandwich ranks (all
-character pairs at once) and each end algebra E_chi C[G] E_chi come from zc
-on the same U\\G/V coordinates, through one certified table (_uv_table).
+No check multiplies two group-algebra elements.  A product of subgroup
+idempotents is a count of subgroup products (_subgroup_product); v e_X and
+e_X v are sums over X (_average); products of elements constant on U\\G/V
+are contractions with one double-coset count table (_uv_counts).  The linear
+systems are built as integer arrays and solved by the array form of
+solve_affine: zc = z e_U e_V, all that E needs of the Halmos element z, from
+a Krylov solve on U\\G/V count coordinates; z itself (Lemma 3.3 only) on the
+coordinates of the words of A, which live on the four spaces X\\G/Y, X, Y in
+{U, V}; and the centre of each endomorphism algebra.  thm1's sandwich ranks
+(all character pairs at once) and each end algebra E_chi C[G] E_chi come
+from zc on the same U\\G/V coordinates, through one certified table
+(_uv_table).
 """
 
 from __future__ import annotations
@@ -26,17 +31,18 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (AlgElem, _mul_dense, idempotent_char, idempotent_subgroup,
-                      matmul_dtype, stack)
+from .algebra import (AlgElem, idempotent_char, idempotent_subgroup, matmul_dtype,
+                      stack)
 from .chars import (LeviChar, all_levi_chars, conjugacy_class_count,
                     factor_chars, orbit, orbit_reps, partition_count,
                     principal_series_count, stabilizer, stabilizer_degrees,
                     stabilizer_irrep_count, stabilizer_order, unit_structures)
-from .cyclo import (SparseReducer, exact_dtype, fold_array, galois, max_abs,
-                    power_fold, root_coords, solve_affine)
+from .cyclo import (SparseReducer, content, exact_dtype, fold_array, galois, max_abs,
+                    power_fold, root_coords, solve_affine, times)
 from .groups import (PermWord, enumerate_gl, factor_ulv_codes, ring_arrays,
                      row_blocks)
 from .rings import RingSpec
@@ -119,8 +125,19 @@ class HalmosElement:
     z: AlgElem
     z_inv: AlgElem
     unit: AlgElem        # the unit of the algebra A generated by e_U, e_V
-    basis: list          # basis of A (span of the nonempty words in e_U, e_V)
+    _basis: object       # basis of A, or a function that builds it
     solution_dim: int    # dimension over Q of the constrained solution space
+    words: list = ()     # (p, x): word w_p e_U (x = 0) or w_p e_V, w_-1 = 1
+    z_coords: tuple = ((), 1)      # (c, den): z = sum_l c[l] w_l / den
+    z_inv_coords: tuple = ((), 1)  # the same for z_inv
+
+    @property
+    def basis(self) -> list:
+        """The basis of A (span of the nonempty words in e_U, e_V): the pivots
+        of feeding the words, breadth first, over G."""
+        if callable(self._basis):
+            self._basis = self._basis()
+        return self._basis
 
 
 @dataclass
@@ -272,13 +289,81 @@ def _block(cols, rhs):
     return np.concatenate([cols.transpose(1, 0, 2), rhs[:, None]], axis=1)
 
 
-def _times_right(vecs, x):
-    """The products v x for a stack of vectors v at conductor 1, computed as
-    (x* v*)* in one kernel call; at conductor 1, * only sends each key g to
-    g^-1."""
-    inv = x.table._inv
-    keys, rows, den = _mul_dense(x.star(), (inv[vecs[0]], *vecs[1:]))
-    return keys, rows[:, inv], den
+def _product_counts(t, *factors):
+    """How often each g in G is a product f_1 ... f_k of elements of the
+    index lists: for subgroups, e_F1 ... e_Fk times prod |F_i|."""
+    return np.bincount(_products(t, *factors), minlength=t.size)
+
+
+def _subgroup_product(t, e, *factors):
+    """e_F1 ... e_Fk for subgroups F_i at conductor e, from _product_counts."""
+    counts = _product_counts(t, *factors)
+    keys = np.flatnonzero(counts)
+    rows = np.zeros((len(keys), len(power_fold(e))), dtype=np.int64)
+    rows[:, 0] = counts[keys]
+    return AlgElem.from_vec(t, e, (keys, rows, math.prod(len(f) for f in factors)))
+
+
+def _dense(a, dtype=None):
+    """The coordinate rows (|G|, phi) of an element at every g in G, over a.den."""
+    out = np.zeros((a.table.size, a.rows.shape[1]), dtype=dtype or a.rows.dtype)
+    out[a.keys] = a.rows
+    return out
+
+
+def _average(v, idx):
+    """At each g, the sum over x in X of v(idx[x, g]), for integer arrays v
+    (..., |G|) of values over G: |X| v e_X for idx = t._table[:, X].T (g x),
+    |X| e_X v for idx = t._table[X] (x g)."""
+    v = v.astype(exact_dtype(max_abs(v) * len(idx)), copy=False)
+    return v[..., idx].sum(axis=-2)
+
+
+def _same(a, da, b, db):
+    """Whether a / da = b / db, for integer arrays a, b and integers da, db > 0."""
+    dtype = exact_dtype(max(max_abs(a) * db, max_abs(b) * da))
+    return bool((a.astype(dtype) * db == b.astype(dtype) * da).all())
+
+
+def _combination(coeffs, den, vecs):
+    """(num, d): sum_l coeffs[l] / den times vecs[l] = (v_l, d_l), standing for
+    v_l / d_l, is num / d."""
+    lcm = math.lcm(*(d for _, d in vecs))
+    scaled = [int(c) * (lcm // d) for c, (_, d) in zip(coeffs, vecs)]
+    dtype = exact_dtype(sum(abs(s) * max_abs(v) for s, (v, _) in zip(scaled, vecs)))
+    return (np.array(scaled, dtype=dtype) @ np.array([v for v, _ in vecs], dtype=dtype),
+            den * lcm)
+
+
+def _along(words, a, den, act, sizes):
+    """[(num, d)]: num / d is a w_l for each word w_l = w_p e_X of words, (p,
+    X) per word and w_-1 = 1, with a = a / den and a w_l = act(a w_p, X) /
+    sizes[X], each in lowest terms."""
+    out = []
+    for p, x in words:
+        num, d = (a, den) if p < 0 else out[p]
+        num, d = act(num, x), d * sizes[x]
+        g = math.gcd(content(num), d)
+        out.append((num // g, d // g))
+    return out
+
+
+def _tagged(vecs, skip=0):
+    """The rows of vecs (m, n), then skip zero keys and a tag key of its own
+    for each row, as a SparseReducer stack (m, n + skip + m, 1)."""
+    m = len(vecs)
+    return np.concatenate([vecs, np.zeros((m, skip), dtype=np.int64),
+                           np.eye(m, dtype=np.int64)], 1)[..., None]
+
+
+def _over_one(rows):
+    """Rational rows [(num, den), ...] as one object array over one den, the
+    least: each row is put in lowest terms first."""
+    rows = [(np.asarray(num, dtype=object), int(d)) for num, d in rows]
+    rows = [(num // g, d // g) for num, d in rows
+            for g in [math.gcd(*num.ravel().tolist(), d)]]
+    den = math.lcm(*(d for _, d in rows))
+    return np.array([num * (den // d) for num, d in rows]), den
 
 
 def _lift(a, e):
@@ -462,8 +547,8 @@ class Verifier:
         self.uv_class = np.searchsorted(self.uv_first, label)
         self.eU = idempotent_subgroup(t, e, t.subgroup("U"))
         self.eV = idempotent_subgroup(t, e, t.subgroup("V"))
-        self.c_uv = self.eU * self.eV
-        self.c_vu = self.eV * self.eU
+        self.c_uv = _subgroup_product(t, e, t.subgroup("U"), t.subgroup("V"))
+        self.c_vu = _subgroup_product(t, e, t.subgroup("V"), t.subgroup("U"))
         self._halmos = None
         self._zc = None
         self._ulv = None
@@ -506,95 +591,153 @@ class Verifier:
         # (rather than in A + Q1) is what makes the field-case solution unique.
         # Every coefficient in sight is rational, so the whole solve runs at
         # conductor 1 and the results are lifted to conductor e at the end.
-        table = self.table
-        gens = [idempotent_subgroup(table, 1, table.subgroup(h)) for h in "UV"]
-        red = SparseReducer(1)
+        # x in A is held as phi(x) = (e_X x e_Y), part s = 2 X + Y for XY in
+        # UU, UV, VU, VV, each by its values at the least elements of X\G/Y;
+        # phi is injective on A (x = 1_A x 1_A, 1_A a combination of words).
+        # phi(x e_Z) has XZ part phi(x)_XZ and, for Y the other generator, XY
+        # part phi(x)_XZ e_Y, at g_i sum_j M[i, j] phi(x)_XZ[j] / |Y| with
+        # M[i, j] = #{y in Y : g_i y in class j}
+        t = self.table
+        H = [np.asarray(t.subgroup(h), dtype=np.intp) for h in "UV"]
+        labels = [_labels(t, H[s // 2], H[s % 2]) for s in range(4)]
+        firsts = [np.flatnonzero(lab == np.arange(t.size)) for lab in labels]
+        cls = np.array([np.searchsorted(f, lab) for f, lab in zip(firsts, labels)])
+        off = np.cumsum([0] + [len(f) for f in firsts])
+        part, K = [slice(off[s], off[s + 1]) for s in range(4)], off[-1]
+        ny = [len(H[1]), len(H[0])]      # |Y| for Z = U, V
+        M = [_counts(t, labels[s], [t.identity], firsts[s ^ 1], H[1 - s % 2])
+             for s in range(4)]
+
+        def times(vecs, z):
+            # |Y| phi(x e_Z) for the rows phi(x) of vecs
+            vecs = vecs.astype(exact_dtype(max_abs(vecs) * ny[z]), copy=False)
+            out = np.zeros_like(vecs)
+            for s in (z, 2 + z):
+                out[:, part[s]] = vecs[:, part[s]] * ny[z]
+                out[:, part[s ^ 1]] = vecs[:, part[s]] @ M[s].T
+            return out
+
+        # |U| |V| phi(1): e_U is 1 / |U| on the class of 1 in U\G/U, and
+        # (e_U e_V)(g_i) = #{v in V : g_i v in U} / (|U| |V|), a column of M
+        e1, one = cls[:, t.identity], np.zeros((1, K), dtype=np.int64)
+        one[0, off[0] + e1[0]], one[0, off[3] + e1[3]] = ny
+        one[0, part[1]], one[0, part[2]] = M[0][:, e1[0]], M[3][:, e1[3]]
         # the words, breadth first: each generation of new words times e_U
-        # and e_V, fed in one stack as a queue would take them, a e_U then
-        # a e_V for each a in turn; kept[l] = (p, x) when the l-th word that
+        # and e_V, fed in one stack as a queue would take them, a e_U then a
+        # e_V for each a in turn; kept[l] = (p, x) when the l-th word that
         # enlarged the span is word p (the empty word when -1) times
-        # generator x
-        vecs, src, kept = stack([x.vec for x in gens]), [(-1, 0), (-1, 1)], []
-        while True:
-            grown = red.feed(vecs)
-            if not grown:
-                break
+        # generator x, and phi(w'_l), w_l = scales[l] w'_l, is its vector over
+        # the vector's content
+        red, src, kept, words, scales = SparseReducer(1), [(-1, 0), (-1, 1)], [], [], []
+        vecs = np.concatenate([times(one, 0), times(one, 1)])
+        while grown := red.feed((np.arange(K), vecs[..., None], 1)):
             first = len(kept)
             kept += [src[i] for i in grown]
-            words = vecs[0], vecs[1][grown], vecs[2]
-            keys, rows, den = stack([_times_right(words, x) for x in gens])
-            vecs = keys, rows[np.arange(len(rows)).reshape(2, -1).T.ravel()], den
+            g = np.gcd.reduce(vecs[grown], axis=1)
+            words.append(vecs[grown] // g[:, None])
+            scales += [Fraction(c, ny[x]) * (scales[p] if p >= 0 else
+                                             Fraction(1, ny[0] * ny[1]))
+                       for (p, x), c in zip(kept[first:], g.tolist())]
+            vecs = np.stack([times(words[-1], z) for z in (0, 1)], axis=1).reshape(-1, K)
             src = [(first + i, x) for i in range(len(grown)) for x in (0, 1)]
-        bvecs = red.basis_rows()
-        basis = [AlgElem.from_vec(table, 1, vec) for vec in bvecs]
-        bstack = stack(bvecs)
-        k = len(basis)
+        k, Phi = len(kept), np.concatenate(words)
 
-        # the one |G|-wide sweep: the coordinates, over den, of b e_X (rows of
-        # the right action R_X), of b* (rows of the star S) and of e_X;
-        # everything after it runs on these k x k tables
-        coords, den = _coords(red, stack([
-            *(_times_right(bstack, x) for x in gens),
-            (table._inv[bstack[0]], *bstack[1:]), *(x.vec for x in gens)]),
-            "product left the algebra generated by e_U, e_V")
-        coords = coords[..., 0].astype(object)
-        (ru, rv), star, (c_u, c_v) = (coords[:2 * k].reshape(2, k, k),
-                                      coords[2 * k:3 * k], coords[3 * k:])
-        # e_X b = (b* e_X)*, so the left action of e_X is S R_X S over den^3;
-        # b (e_U e_V)^2 is b R_U R_V R_U R_V over den^4, and e_U e_V is
-        # e_U R_V over den^2
-        d2 = den * den
-        lu, lv = star @ ru @ star, star @ rv @ star
+        # the one sweep: coordinates on the w', over D, of w'_l e_X (rows of
+        # the right action R_X), of w'_l* (rows of the star S; phi(x*)_YX at
+        # the class of g^-1 is phi(x)_XY at that of g) and of e_X.  The words
+        # and these vectors go in with a tag key each, after phi's; as in
+        # solve_affine, a vector keeps s (its tag - sum_l c_l tag_l), s > 0,
+        # for vector = sum_l c_l phi(w'_l)
+        tred, star = SparseReducer(1), np.zeros_like(Phi)
+        tred.feed((np.arange(K + k), _tagged(Phi), 1))
+        dual = [2 * (s % 2) + s // 2 for s in range(4)]
+        star[:, np.concatenate([off[d] + cls[d][t._inv[f]]
+                                for d, f in zip(dual, firsts)])] = Phi
+        vecs = [(times(Phi, 0), ny[0]), (times(Phi, 1), ny[1]), (star, 1),
+                (times(one, 0), ny[0] ** 2 * ny[1]), (times(one, 1), ny[0] * ny[1] ** 2)]
+        dens = [d for x, d in vecs for _ in x]
+        v, _, grown, _ = tred._sweep(_tagged(np.concatenate([x for x, _ in vecs]), k),
+                                     grow=K)
+        if grown:
+            raise VerifyAlarm("product left the algebra generated by e_U, e_V")
+        table, D = _over_one([(-v[i, K:K + k, 0], int(v[i, K + k + i, 0]) * d)
+                              for i, d in enumerate(dens)])
+        ru, rv, S, (cu, cv) = table[:k], table[k:2 * k], table[2 * k:3 * k], table[3 * k:]
+        # a word e_X ... e_Y is e_X w e_Y, its own XY part: over G, a gather
+        sp = []
+        for p, x in kept:
+            sp.append(2 * (x if p < 0 else sp[p] // 2) + x)
+        Wg = Phi[np.arange(k)[:, None], off[sp][:, None] + cls[sp]]
 
-        def build(xs, xden):
-            # sum_i xs[i] / xden times basis element i
-            x = xs[:, 0]
-            dtype = exact_dtype(max_abs(x) * max_abs(bstack[1]) * k)
-            return AlgElem.from_vec(table, 1, (bstack[0], np.tensordot(
-                x.astype(dtype), bstack[1].astype(dtype, copy=False), 1),
-                xden * bstack[2]))
+        def echelon():
+            # (b, B, dB): swept with tags, the words' pivots are the echelon
+            # basis b of A over G, as feeding the words gives; b_i = sum_l B[i,
+            # l] w'_l / dB
+            gred, basis, B = SparseReducer(1), [], []
+            gred._sweep(_tagged(Wg), grow=t.size)
+            for keys, rows, d in gred.basis_rows():
+                g = keys < t.size
+                basis.append(_lift(AlgElem.from_vec(t, 1, (keys[g], rows[g], d)), self.e))
+                B.append((np.zeros(k, dtype=object), d))
+                B[-1][0][keys[~g] - t.size] = rows[~g, 0]
+            return basis, *_over_one(B)
+
+        def systems(B, dB):
+            # the unit's and z's systems on the basis B / dB of the w', each
+            # equation B times a table.  e_X x = (x* e_X)*, so e_X acts on the
+            # left as S R_X S over D^3; x (e_U e_V)^2 is x R_U R_V R_U R_V over
+            # D^4, and e_U e_V is cu R_V over D^2
+            D2 = D * D
+            sides = tuple((B @ x)[..., None]
+                          for x in (ru * D2, S @ ru @ S, rv * D2, S @ rv @ S))
+            cu2, cv2 = cu * D2 * dB, cv * D2 * dB
+            return (_unit_solution((*sides[:2], cu2[:, None]), (*sides[2:], cv2[:, None])),
+                    _z_solutions(sides, (B @ (S - D * np.eye(k, dtype=object)))[..., None],
+                                 ((B @ ru @ rv @ ru @ rv)[..., None], (cu2 @ rv)[:, None]),
+                                 ((B @ rv @ ru @ rv @ ru)[..., None], (cv2 @ ru)[:, None])))
+
+        # the unit, and z where it is unique, are the same on any basis, so
+        # the systems run on the w'.  Elsewhere z is the point that the
+        # candidate order and the rng draws pick on coordinates on b, which
+        # is otherwise built when read
+        B, dB, basis = np.eye(k, dtype=object), 1, lambda: echelon()[0]
+        unit_sol, sol = systems(B, dB)
+        if sol.dimension:
+            basis, B, dB = echelon()
+            unit_sol, sol = systems(B, dB)
+
+        def build(x, xden):
+            # sum_l x[l] / xden times w'_l, over G
+            num, d = _combination(x, xden, [(w, 1) for w in Wg])
+            return _lift(AlgElem.from_vec(t, 1, (np.arange(t.size), num[:, None], d)),
+                         self.e)
 
         def along_words(x, xden):
-            # the coordinates of a w for every kept word w, a = x / xden, over
-            # one denominator: a e_X is a R_X and a (w X) is (a w) R_X
-            nums, dens = [], []
-            for p, gen in kept:
-                num = (x if p < 0 else nums[p]) @ (ru, rv)[gen]
-                d = (xden if p < 0 else dens[p]) * den
-                g = math.gcd(*num.tolist(), d)
-                nums.append(num // g)
-                dens.append(d // g)
-            lcm = math.lcm(*dens)
-            return np.array([v * (lcm // d) for v, d in zip(nums, dens)]), lcm
+            # the coordinates on the w' of a w_l for every kept word, a = x /
+            # xden, over one denominator: a e_X is a R_X and a (w X) is (a w) R_X
+            return _over_one(_along(kept, x, xden, lambda a, g: a @ (ru, rv)[g], [D, D]))
 
-        unit_sol = _unit_solution(*((r[..., None] * d2, l[..., None], c[:, None] * d2)
-                                    for r, l, c in ((ru, lu, c_u), (rv, lv, c_v))))
-        # the unit fixes every word, so these are the words' coordinates
-        words_at, words_den = along_words(unit_sol.particular[:, 0].astype(object),
-                                          unit_sol.den)
-        # coordinate t of b_i* - b_i
-        star_fixed = star - den * np.eye(k, dtype=object)
-        sol = _z_solutions(
-            tuple(x[..., None] for x in (ru * d2, lu, rv * d2, lv)), star_fixed[..., None],
-            ((ru @ rv @ ru @ rv)[..., None], (c_u @ rv)[:, None] * d2),
-            ((rv @ ru @ rv @ ru)[..., None], (c_v @ ru)[:, None] * d2))
         dim = sol.dimension
         weights = [[self.rng.randint(-5, 5) for _ in range(dim)]
                    for _ in range(60)]
-
+        unit = unit_sol.particular[:, 0].astype(object) @ B
         for w in [[0] * dim] + weights:
             zx, zden = sol.point(w)
-            zw, zw_den = along_words(zx[:, 0], zden)
+            z = zx[:, 0] @ B
+            zw, zw_den = along_words(z, zden * dB)
             # sum_l y_l z w_l = unit; the words span A, so z_inv = sum_l y_l w_l
-            inv_sol = solve_affine(1, _block(
-                zw[..., None] * unit_sol.den, unit_sol.particular * zw_den))
+            inv_sol = solve_affine(1, _block(zw[..., None] * (unit_sol.den * dB),
+                                             (unit * zw_den)[:, None]))
             if inv_sol is None or inv_sol.dimension > 0:
                 continue
-            z_inv = build((inv_sol.particular[:, 0].astype(object) @ words_at)[:, None],
-                          inv_sol.den * words_den)
-            return HalmosElement(*(_lift(x, self.e) for x in (
-                build(zx, zden), z_inv, build(unit_sol.particular, unit_sol.den))),
-                [_lift(b, self.e) for b in basis], dim)
+            y = inv_sol.particular[:, 0]
+            z_inv, inv_den = _over_one([(c * f.numerator, f.denominator)
+                                        for c, f in zip(y, scales)])
+            z_w, z_wden = _over_one([(c * f.denominator, f.numerator)
+                                     for c, f in zip(z, scales)])
+            return HalmosElement(build(z, zden * dB), build(z_inv, inv_den * inv_sol.den),
+                                 build(unit, unit_sol.den * dB), basis, dim, kept,
+                                 (z_w, z_wden * zden * dB), (y, inv_sol.den))
         raise VerifyAlarm("no invertible solution for z found")
 
     def _krylov_zc(self) -> AlgElem:
@@ -633,32 +776,72 @@ class Verifier:
         keys = np.flatnonzero(at != 0)
         return _lift(AlgElem.from_vec(t, 1, (keys, at[keys, None], sol.den)), self.e)
 
+    def _uv_counts(self):
+        """N[D1, D2, D] = #{h in D1 : h^-1 g_D in D2}, D over U\\G/V, built
+        once: for a, b constant on U\\G/V, (a b)(g_D) = sum_{D1, D2} N[D1, D2,
+        D] a(D1) b(D2) (_uv_products)."""
+        if self._uv_mul is None:
+            # one column per g_D: the classes of h and h^-1 g_D (a gather from
+            # t._table[t._inv] would copy the whole table)
+            t, c, n = self.table, self.uv_class, len(self.uv_first)
+            flat = c[t._table[t._inv[:, None], self.uv_first]]
+            flat += c[:, None] * n     # in place: one |G| x n array at a time
+            flat *= n
+            flat += np.arange(n)
+            self._uv_mul = np.bincount(flat.ravel(), minlength=n ** 3).reshape(n, n, n)
+        return self._uv_mul
+
     @property
     def zc(self) -> AlgElem:
         """z e_U e_V from _krylov_zc, certified by zc^2 = zc and zc e_U e_V =
-        e_U e_V."""
+        e_U e_V.  zc (by its lift) and e_U e_V are constant on U\\G/V, so
+        are their products, which N gives at each g_D."""
         if self._zc is None:
             zc = self._krylov_zc()
-            if zc * zc != zc:
+            idempotent, fixes = self._uv_identities(zc)
+            if not idempotent:
                 raise VerifyAlarm("z e_U e_V not idempotent")
-            if zc * self.c_uv != self.c_uv:
+            if not fixes:
                 raise VerifyAlarm("z e_U e_V does not fix e_U e_V")
             self._zc = zc
         return self._zc
 
+    def _uv_identities(self, zc):
+        """(zc^2 == zc, zc e_U e_V == e_U e_V) for a zc constant on U\\G/V:
+        (a b)(g_D) = sum_D2 (sum_D1 a(D1) N[D1, D2, D]) b(D2)."""
+        a, c = (_dense(x)[self.uv_first, 0] for x in (zc, self.c_uv))
+        dtype = exact_dtype(self.table.size * max_abs(a) * max(max_abs(a), max_abs(c)))
+        aN = np.tensordot(a.astype(dtype), self._uv_counts().astype(dtype, copy=False), 1)
+        # over zc.den^2 and zc.den c_uv.den
+        return bool((a @ aN == a * zc.den).all()), bool((c @ aN == c * zc.den).all())
+
     def E(self, chi: LeviChar) -> AlgElem:
-        """The idempotent E = zc e_chi: zc^2 = zc once, and per chi e_chi^2 =
-        e_chi and e_chi zc = E, certify E^2 = E."""
+        """The idempotent E = zc e_chi, E(g) = sum_l zc(g l^-1) e_chi(l) over
+        l in L.  _uv_table certifies l zc = zc l for l in L, so e_chi zc = zc
+        e_chi for e_chi on L; with zc^2 = zc and e_chi^2 = e_chi (a product
+        on L) that gives E^2 = E."""
         key = chi.key()
         if key not in self._E:
-            ec = self.e_chi(chi)
-            E = self.zc * ec
+            t, ec = self.table, self.e_chi(chi)
+            self._uv_table()
+            if not _mask(t, t.subgroup("L"))[ec.keys].all():
+                raise VerifyAlarm(f"e_chi does not commute with z e_U e_V for chi={key}")
+            _, kf = fold_array(self.e)
+            dtype = exact_dtype(kf * max_abs(ec.rows) ** 2 * len(ec.keys))
+            square = np.zeros((t.size, ec.rows.shape[1]), dtype=dtype)
+            # coefficient (a, b) of the pair is e_chi(a) e_chi(b), at a b
+            np.add.at(square, t._table[np.ix_(ec.keys, ec.keys)].ravel(),
+                      times(ec.rows, ec.rows, self.e, dtype).reshape(-1, square.shape[1]))
+            if not np.array_equal(square, _dense(ec, dtype) * ec.den):
+                raise VerifyAlarm(f"e_chi not idempotent for chi={key}")
+            zc = _dense(self.zc)[:, 0]
+            bound = max_abs(zc) * max_abs(ec.rows) * len(ec.keys)
+            dtype = matmul_dtype(bound)
+            rows = zc[t._table[:, t._inv[ec.keys]]].astype(dtype) @ ec.rows.astype(dtype)
+            E = AlgElem.from_vec(t, self.e, (np.arange(t.size), rows.astype(
+                exact_dtype(bound)), self.zc.den * ec.den))
             if E.is_zero():
                 raise VerifyAlarm(f"z e_U e_V e_chi vanished for chi={key}")
-            if ec * self.zc != E:
-                raise VerifyAlarm(f"e_chi does not commute with z e_U e_V for chi={key}")
-            if ec * ec != ec:
-                raise VerifyAlarm(f"e_chi not idempotent for chi={key}")
             self._E[key] = E
         return self._E[key]
 
@@ -669,14 +852,12 @@ class Verifier:
         E_sigma C[G] E_chi is spanned by the e_sigma X_y e_chi, X_y = zc y zc,
         y over L V\\G/U L: the inverses of one g_D = min D per orbit of L x L
         on U\\G/V.  cls[a, D, c] is the class of a^-1 g_D c^-1 (a, c over L in
-        e_chi's key order), reps the least class of each orbit, and F[y, D] =
-        X_y(g_D) = sum_m zc(m^-1 y^-1) zc(m g_D) over zc.den^2.
+        increasing order, e_chi's key order), reps the least class of each
+        orbit, and F[y, D] = X_y(g_D) = sum_m zc(m^-1 y^-1) zc(m g_D) over
+        zc.den^2.
         """
         if self._uv is None:
-            t = self.table
-            z = np.zeros(t.size, dtype=self.zc.rows.dtype)
-            z[self.zc.keys] = self.zc.rows[:, 0]
-            L = self.e_chi(self.chars[0]).keys
+            t, z, L = self.table, _dense(self.zc)[:, 0], np.asarray(self.table.subgroup("L"))
             # zc(l g) = zc(g l) for all g is l zc l^-1 = zc
             if (z[t._table[L]] != z[t._table[:, L]].T).any():
                 raise VerifyAlarm("z e_U e_V does not commute with L")
@@ -692,9 +873,9 @@ class Verifier:
     def module_reducer(self, chi: LeviChar) -> SparseReducer:
         """B = E_chi C[G] E_chi as a SparseReducer on U\\G/V: key D holds the
         value at g_D, which fixes an element of B (U E = E = E V); the rows
-        are the e_chi X_y e_chi of _uv_table.  E(chi) runs after the table's
-        certificate: its E^2 = E makes E the unit of B.  The name is that of
-        the left-module route this replaced, under which perfbench times it."""
+        are the e_chi X_y e_chi of _uv_table.  E(chi), certified on the
+        table, is the unit of B.  The name is that of the left-module route
+        this replaced, under which perfbench times it."""
         cls, _, F = self._uv_table()
         self.E(chi)
         M = _sandwich_values(F, cls, self.e_chi(chi).rows[None], self.e)
@@ -733,9 +914,7 @@ class Verifier:
         if key not in self._pind_char:
             table, size = self.table, self.table.size
             E = self.E(chi)
-            dense = np.zeros((size, E.rows.shape[1]),
-                             dtype=exact_dtype(max_abs(E.rows) * size))
-            dense[E.keys] = E.rows
+            dense = _dense(E, exact_dtype(max_abs(E.rows) * size))
             mul, inv, xs = table._table, table._inv, np.arange(size)
             out = np.empty_like(dense)
             for gs in row_blocks(size, size * dense.shape[1]):
@@ -790,14 +969,7 @@ class Verifier:
         if key in self._end:
             return self._end[key]
         e, t, bred = self.e, self.table, self.module_reducer(chi)
-        if self._uv_mul is None:
-            # one column per g_D: the classes of h and h^-1 g_D (a gather from
-            # t._table[t._inv] would copy the whole table)
-            c, n = self.uv_class, len(self.uv_first)
-            flat = (c[:, None] * n + c[t._table[t._inv[:, None], self.uv_first]]) * n
-            self._uv_mul = np.bincount((flat + np.arange(n)).ravel(),
-                                       minlength=n ** 3).reshape(n, n, n)
-        N, (keys, rows, den) = self._uv_mul, stack(bred.basis_rows())
+        N, (keys, rows, den) = self._uv_counts(), stack(bred.basis_rows())
         k, basis = len(rows), np.zeros((len(rows), len(N), rows.shape[2]), dtype=rows.dtype)
         basis[:, keys] = rows
         # struct[i, j, t]: coordinate t of b_i b_j, over den
@@ -974,18 +1146,45 @@ class Verifier:
         return CheckResult("prop3.2f", "pass" if not bad else "fail", expected, actual)
 
     def check_lemma33(self) -> CheckResult:
-        h = self.halmos
-        if h.z * self.c_uv != self.zc:
+        """Lemma 3.3 for the Halmos solve's z, certified on the Cayley table at
+        conductor 1 with no group-algebra product: v e_X and e_X v are sums
+        over X (_average).  z and z_inv must be the combinations of the words
+        w_l that the solve reports, w_l = w_p e_X summed from w_p, so both lie
+        in A; z z_inv = sum_l y_l z w_l, with z w_l = (z w_p) e_X, must be the
+        unit, which must fix e_U and e_V on both sides, so that, lying in A,
+        it is A's unit.  z_inv z = z z_inv follows, as z is central in A."""
+        t, h = self.table, self.halmos
+        H = [np.asarray(t.subgroup(x)) for x in "UV"]
+        right, left = [t._table[:, X].T.copy() for X in H], [t._table[X] for X in H]
+        if any(x.rows[:, 1:].any() for x in (h.z, h.z_inv, h.unit)):
+            raise VerifyAlarm("the Halmos solve gave an irrational element")
+        (z, zd), (zi, zid), (u, ud), (zc, zcd), (cvu, cvud) = (
+            (_dense(x)[:, 0], x.den) for x in (h.z, h.z_inv, h.unit, self.zc, self.c_vu))
+        if not _same(_average(_average(z, right[0]), right[1]), zd * len(H[0]) * len(H[1]),
+                     zc, zcd):
             raise VerifyAlarm("z e_U e_V of the Halmos solve differs from the Krylov zc")
-        # z c^2 as (z c) c = zc c: c = e_U e_V lives on U V, c^2 on U V U V
+        # z c_vu^2 = z e_V e_U e_V e_U
+        vu, vud = z, zd
+        for x in (1, 0, 1, 0):
+            vu, vud = _average(vu, right[x]), vud * len(H[x])
+
+        def along(v, d):
+            # (num, den) of v w_l for every word w_l
+            return _along(h.words, v, d, lambda a, x: _average(a, right[x]),
+                          [len(X) for X in H])
+
+        words = along((np.arange(t.size) == t.identity).astype(np.int64), 1)
         idents = {
             "self_adjoint": h.z.star() == h.z,
-            "central": (h.z * self.eU == self.eU * h.z
-                        and h.z * self.eV == self.eV * h.z),
-            "uv_identity": self.zc * self.c_uv == self.c_uv,
-            "vu_identity": (h.z * self.c_vu) * self.c_vu == self.c_vu,
-            "invertible": (h.z * h.z_inv == h.unit
-                           and h.z_inv * h.z == h.unit),
+            "central": all(np.array_equal(_average(z, r), _average(z, l))
+                           for r, l in zip(right, left)),
+            "uv_identity": self._uv_identities(self.zc)[1],
+            "vu_identity": _same(vu, vud, cvu, cvud),
+            "invertible": (_same(*_combination(*h.z_coords, words), z, zd)
+                           and _same(*_combination(*h.z_inv_coords, words), zi, zid)
+                           and _same(*_combination(*h.z_inv_coords, along(z, zd)), u, ud)
+                           and all(_same(_average(u, idx), ud * len(X), _mask(t, X), len(X))
+                                   for X, r, l in zip(H, right, left) for idx in (r, l))),
         }
         expected = {k: True for k in idents}
         actual = dict(idents)
@@ -1011,12 +1210,17 @@ class Verifier:
         return self._conj[key]
 
     def check_lemma34(self) -> CheckResult:
-        """e_V e_{U^w} e_{V^w} = e_V e_U e_{V^w} for every w; where
-        e_{U^w} = e_U the two sides are one product, so w passes."""
-        bad = []
-        for w in self.table.weyl_to_index:
+        """e_V e_{U^w} e_{V^w} = e_V e_U e_{V^w} for every w: the two sides
+        are the counts of their subgroup products (_product_counts) over |V|
+        |U^w| |V^w| and |V| |U| |V^w|.  Where e_{U^w} = e_U they are one
+        product, so w passes."""
+        t, bad = self.table, []
+        V, U = t.subgroup("V"), t.subgroup("U")
+        for w in t.weyl_to_index:
             euw, evw = self.conjugates(w)
-            if euw != self.eU and self.eV * euw * evw != self.c_vu * evw:
+            if euw != self.eU and not np.array_equal(
+                    _product_counts(t, V, euw.keys, evw.keys) * len(U),
+                    _product_counts(t, V, U, evw.keys) * len(euw.keys)):
                 bad.append(repr(w))
         return CheckResult("lem3.4", "pass" if not bad else "fail",
                            {"failing_w": []}, {"failing_w": bad})
@@ -1194,7 +1398,7 @@ class Verifier:
 
     def check_levi_support(self) -> CheckResult:
         """Block factorizations e_U = e_U' e_U'' and the L' U'' V'' injectivity."""
-        t, e, n = self.table, self.e, self.n
+        t, n = self.table, self.n
         # nonzero[g, a, b]: entry (a, b) of element g is nonzero
         nonzero = (t.codes != np.array(self.ring.zero)).any(axis=-1)
         U, V = np.asarray(t.subgroup("U")), np.asarray(t.subgroup("V"))
@@ -1210,10 +1414,15 @@ class Verifier:
             u_in, u_out = zero_at(U, above & cross), zero_at(U, above & ~cross)
             v_in, v_out = zero_at(V, above.T & cross), zero_at(V, above.T & ~cross)
             levi = zero_at(np.arange(t.size), cross)
-            if idempotent_subgroup(t, e, u_in) * idempotent_subgroup(t, e, u_out) != self.eU:
-                failures.append(f"{comp}:eU")
-            if idempotent_subgroup(t, e, v_in) * idempotent_subgroup(t, e, v_out) != self.eV:
-                failures.append(f"{comp}:eV")
+            # e_H' e_H'' = e_H when each h in H is hit |H'| |H''| / |H| times
+            # and nothing else is hit
+            for name, (a, b), H in (("eU", (u_in, u_out), self.eU.keys),
+                                    ("eV", (v_in, v_out), self.eV.keys)):
+                for h in (a, b):   # raises unless h is a subgroup
+                    idempotent_subgroup(t, 1, h)
+                if not np.array_equal(_product_counts(t, a, b) * len(H),
+                                      _mask(t, H) * (len(a) * len(b))):
+                    failures.append(f"{comp}:{name}")
             prods = _products(t, levi, u_out, v_out)
             if _mask(t, prods).sum() != len(prods):
                 failures.append(f"{comp}:injectivity")

@@ -2,9 +2,10 @@
 
 Most are the |G|-wide computation that a check ran before it moved to coset
 or Hecke coordinates: exact spans of group-algebra vectors over Q(zeta_e),
-the Halmos solve with its coordinate tables and inverse systems taken from
-|G|-wide products, the left module spanned by the translates of E_chi, and
-thm1's sandwich ranks and the end algebras from the module bases.
+the Halmos solve with its closure, coordinate tables and inverse systems
+taken from |G|-wide products, Lemma 3.3's identities as products, the left
+module spanned by the translates of E_chi, and thm1's sandwich ranks and the
+end algebras from the module bases.
 The rest are plain references: a CycloNum elimination (rank, span_rank), the
 complex value of a CycloNum for float cross-checks, and the whole-ring
 residue map.
@@ -21,8 +22,8 @@ from pseries.cyclo import CycloError, exact_dtype, max_abs, power_fold, solve_af
 from pseries.groups import row_blocks
 from pseries.rings import RingSpec
 from pseries.verify import (CheckResult, EndAlgebra, VerifyAlarm, _block, _coords, _lift,
-                            _mask, _products, _times_right, _unit_solution,
-                            _wedderburn_blocks, _z_solutions)
+                            _mask, _products, _unit_solution, _wedderburn_blocks,
+                            _z_solutions)
 
 
 class CycloMatrix:
@@ -104,6 +105,15 @@ def residue_structure(ring: RingSpec) -> ResidueStructure:
     return ResidueStructure(ring)
 
 
+def _times_right(vecs, x):
+    """The products v x for a stack of vectors v at conductor 1, computed as
+    (x* v*)* in one kernel call; at conductor 1, * only sends each key g to
+    g^-1."""
+    inv = x.table._inv
+    keys, rows, den = _mul_dense(x.star(), (inv[vecs[0]], *vecs[1:]))
+    return keys, rows[:, inv], den
+
+
 def wide_halmos(v) -> HalmosElement:
     """Verifier._solve_halmos with every table from |G|-wide products: the
     left actions, the squares of e_U e_V and e_V e_U and each candidate's
@@ -167,6 +177,21 @@ def wide_halmos(v) -> HalmosElement:
         return HalmosElement(_lift(z, v.e), _lift(z_inv, v.e), _lift(unit, v.e),
                              [_lift(b, v.e) for b in basis], dim)
     raise VerifyAlarm("no invertible solution for z found")
+
+
+def wide_lemma33(v):
+    """Verifier.check_lemma33's identities by |G|-wide products, z z_inv and
+    z_inv z included, with z e_U e_V compared with zc first."""
+    h = v.halmos
+    if h.z * v.c_uv != v.zc:
+        raise VerifyAlarm("z e_U e_V of the Halmos solve differs from the Krylov zc")
+    return {
+        "self_adjoint": h.z.star() == h.z,
+        "central": h.z * v.eU == v.eU * h.z and h.z * v.eV == v.eV * h.z,
+        "uv_identity": v.zc * v.c_uv == v.c_uv,
+        "vu_identity": (h.z * v.c_vu) * v.c_vu == v.c_vu,
+        "invertible": h.z * h.z_inv == h.unit and h.z_inv * h.z == h.unit,
+    }
 
 
 def wide_module(v, chi):

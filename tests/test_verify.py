@@ -19,7 +19,7 @@ from pseries.cyclo import power_fold, root_coords
 from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
 from references import (translates, whole_ring_residue, wide_end_algebra, wide_halmos,
-                        wide_lin_independence, wide_module, wide_phi_data,
+                        wide_lemma33, wide_lin_independence, wide_module, wide_phi_data,
                         wide_sandwich_ranks)
 
 
@@ -97,13 +97,14 @@ def as_arrays(a):
     return a.keys.tolist(), a.rows.tolist(), a.den
 
 
-@pytest.mark.parametrize("spec", HALMOS_RINGS)
-def test_halmos_solve_matches_wide_route(vget, spec):
+@pytest.mark.parametrize("spec,n", [pytest.param(spec, 2, id=spec) for spec in HALMOS_RINGS]
+                         + [("GF(2,1)", 3)])
+def test_halmos_solve_matches_wide_route(vget, spec, n):
     # the solve in A's coordinates against the |G|-wide route, each on a fresh
     # Verifier of one seed: the same z, z_inv, unit, basis, solution_dim and
     # rng state afterwards; and the Krylov zc is z e_U e_V, even where z is
     # not unique
-    v = vget(spec, 2)
+    v = vget(spec, n)
     fast, wide = (Verifier._on_table(v.table, 0, v.max_cost) for _ in range(2))
     h, ref = fast.halmos, wide_halmos(wide)
     for name in ("z", "z_inv", "unit"):
@@ -112,6 +113,51 @@ def test_halmos_solve_matches_wide_route(vget, spec):
     assert h.solution_dim == ref.solution_dim
     assert fast.rng.getstate() == wide.rng.getstate()
     assert fast.zc == h.z * fast.c_uv
+
+
+@pytest.mark.parametrize("spec,n", [("GF(2,1)", 2), ("GF(3,1)", 2), ("Z/4", 2), ("Z/6", 2),
+                                    ("Z/2xZ/2", 2), ("GF(2,2)", 2), ("GF(2,1)", 3)])
+def test_lemma33_matches_product_route(vget, spec, n):
+    # the certificate on the Cayley table against the same identities as
+    # |G|-wide products, on a fresh Verifier
+    v = Verifier._on_table(vget(spec, n).table, 0, 10 ** 8)
+    r = v.check_lemma33()
+    assert r.passed
+    assert {key: r.actual[key] for key in r.actual if key != "solution_dim"} == wide_lemma33(v)
+
+
+def test_lemma33_never_passes_with_a_corrupted_right_action(monkeypatch):
+    # one entry of the Halmos closure's right-action count matrices off by
+    # one: the solve raises, lem3.3 fails, or z comes out right (z is unique
+    # over a field)
+    v = Verifier(parse_ring_spec("GF(3,1)"), 2)
+    t, inner, right = v.table, verify._counts, v.halmos.z
+    U = t.subgroup("U")
+    k = len(np.unique(verify._labels(t, U, U)))
+    passed = []
+    for i, j in itertools.product(range(k), repeat=2):
+        def corrupted(table, label, left, xs, side):
+            M = inner(table, label, left, xs, side)
+            if len(side) == len(U) and i < M.shape[0] and j < M.shape[1]:
+                M = M.copy()
+                M[i, j] += 1
+            return M
+        monkeypatch.setattr(verify, "_counts", corrupted)
+        w = Verifier._on_table(t, 0, v.max_cost)
+        (result,) = w.run_checks(only=["lem3.3"]).checks
+        if result.passed:
+            assert w.halmos.z == right, (i, j)
+        passed.append(result.passed)
+    assert not all(passed)
+
+
+def test_lemma33_invertible_reads_false_on_a_wrong_z_inv():
+    v = Verifier(parse_ring_spec("GF(3,1)"), 2)
+    h = v.halmos
+    v._halmos = HalmosElement(h.z, h.z_inv.scale(2), h.unit, h.basis, h.solution_dim,
+                              h.words, h.z_coords, h.z_inv_coords)
+    r = v.check_lemma33()
+    assert r.status == "fail" and r.actual["invertible"] is False
 
 
 def test_E_never_wrong_when_a_count_is_corrupted(monkeypatch):
