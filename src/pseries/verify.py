@@ -8,7 +8,7 @@ the U\\G/V contractions and E's sum over L), run only when an a-priori bound
 keeps every partial sum an integer below 2^53.
 
 No check multiplies two group-algebra elements.  A product of subgroup
-idempotents is a count of subgroup products (_subgroup_product); v e_X and
+idempotents is a count of subgroup products (_products); v e_X and
 e_X v are sums over X (_average); products of elements constant on U\\G/V
 are contractions with one double-coset count table (_uv_counts).  The linear
 systems are built as integer arrays and solved by the array form of
@@ -125,19 +125,11 @@ class HalmosElement:
     z: AlgElem
     z_inv: AlgElem
     unit: AlgElem        # the unit of the algebra A generated by e_U, e_V
-    _basis: object       # basis of A, or a function that builds it
+    basis: list          # basis of A (span of the nonempty words in e_U, e_V)
     solution_dim: int    # dimension over Q of the constrained solution space
     words: list = ()     # (p, x): word w_p e_U (x = 0) or w_p e_V, w_-1 = 1
     z_coords: tuple = ((), 1)      # (c, den): z = sum_l c[l] w_l / den
     z_inv_coords: tuple = ((), 1)  # the same for z_inv
-
-    @property
-    def basis(self) -> list:
-        """The basis of A (span of the nonempty words in e_U, e_V): the pivots
-        of feeding the words, breadth first, over G."""
-        if callable(self._basis):
-            self._basis = self._basis()
-        return self._basis
 
 
 @dataclass
@@ -287,21 +279,6 @@ def _block(cols, rhs):
     """[M | rhs] of the equations sum_i cols[i, t] x_i = rhs[t], one per t,
     for integer arrays cols (nc, nr, phi) and rhs (nr, phi)."""
     return np.concatenate([cols.transpose(1, 0, 2), rhs[:, None]], axis=1)
-
-
-def _product_counts(t, *factors):
-    """How often each g in G is a product f_1 ... f_k of elements of the
-    index lists: for subgroups, e_F1 ... e_Fk times prod |F_i|."""
-    return np.bincount(_products(t, *factors), minlength=t.size)
-
-
-def _subgroup_product(t, e, *factors):
-    """e_F1 ... e_Fk for subgroups F_i at conductor e, from _product_counts."""
-    counts = _product_counts(t, *factors)
-    keys = np.flatnonzero(counts)
-    rows = np.zeros((len(keys), len(power_fold(e))), dtype=np.int64)
-    rows[:, 0] = counts[keys]
-    return AlgElem.from_vec(t, e, (keys, rows, math.prod(len(f) for f in factors)))
 
 
 def _dense(a, dtype=None):
@@ -545,10 +522,13 @@ class Verifier:
         self.uv_label = label = _labels(t, t.subgroup("U"), t.subgroup("V"))
         self.uv_first = np.flatnonzero(label == np.arange(t.size))
         self.uv_class = np.searchsorted(self.uv_first, label)
-        self.eU = idempotent_subgroup(t, e, t.subgroup("U"))
-        self.eV = idempotent_subgroup(t, e, t.subgroup("V"))
-        self.c_uv = _subgroup_product(t, e, t.subgroup("U"), t.subgroup("V"))
-        self.c_vu = _subgroup_product(t, e, t.subgroup("V"), t.subgroup("U"))
+        U, V = t.subgroup("U"), t.subgroup("V")
+        self.eU = idempotent_subgroup(t, e, U)
+        self.eV = idempotent_subgroup(t, e, V)
+        # e_X e_Y = sum_g #{(x, y) in X x Y : x y = g} g / (|X| |Y|)
+        self.c_uv, self.c_vu = (AlgElem.from_vec(t, e, (
+            np.arange(t.size), np.bincount(_products(t, X, Y), minlength=t.size)[:, None]
+            * root_coords(e)[:1], len(X) * len(Y))) for X, Y in ((U, V), (V, U)))
         self._halmos = None
         self._zc = None
         self._ulv = None
@@ -608,7 +588,7 @@ class Verifier:
         M = [_counts(t, labels[s], [t.identity], firsts[s ^ 1], H[1 - s % 2])
              for s in range(4)]
 
-        def times(vecs, z):
+        def right_by(vecs, z):
             # |Y| phi(x e_Z) for the rows phi(x) of vecs
             vecs = vecs.astype(exact_dtype(max_abs(vecs) * ny[z]), copy=False)
             out = np.zeros_like(vecs)
@@ -629,7 +609,7 @@ class Verifier:
         # generator x, and phi(w'_l), w_l = scales[l] w'_l, is its vector over
         # the vector's content
         red, src, kept, words, scales = SparseReducer(1), [(-1, 0), (-1, 1)], [], [], []
-        vecs = np.concatenate([times(one, 0), times(one, 1)])
+        vecs = np.concatenate([right_by(one, 0), right_by(one, 1)])
         while grown := red.feed((np.arange(K), vecs[..., None], 1)):
             first = len(kept)
             kept += [src[i] for i in grown]
@@ -638,7 +618,7 @@ class Verifier:
             scales += [Fraction(c, ny[x]) * (scales[p] if p >= 0 else
                                              Fraction(1, ny[0] * ny[1]))
                        for (p, x), c in zip(kept[first:], g.tolist())]
-            vecs = np.stack([times(words[-1], z) for z in (0, 1)], axis=1).reshape(-1, K)
+            vecs = np.stack([right_by(words[-1], z) for z in (0, 1)], axis=1).reshape(-1, K)
             src = [(first + i, x) for i in range(len(grown)) for x in (0, 1)]
         k, Phi = len(kept), np.concatenate(words)
 
@@ -653,8 +633,9 @@ class Verifier:
         dual = [2 * (s % 2) + s // 2 for s in range(4)]
         star[:, np.concatenate([off[d] + cls[d][t._inv[f]]
                                 for d, f in zip(dual, firsts)])] = Phi
-        vecs = [(times(Phi, 0), ny[0]), (times(Phi, 1), ny[1]), (star, 1),
-                (times(one, 0), ny[0] ** 2 * ny[1]), (times(one, 1), ny[0] * ny[1] ** 2)]
+        vecs = [(right_by(Phi, 0), ny[0]), (right_by(Phi, 1), ny[1]), (star, 1),
+                (right_by(one, 0), ny[0] ** 2 * ny[1]),
+                (right_by(one, 1), ny[0] * ny[1] ** 2)]
         dens = [d for x, d in vecs for _ in x]
         v, _, grown, _ = tred._sweep(_tagged(np.concatenate([x for x, _ in vecs]), k),
                                      grow=K)
@@ -667,48 +648,37 @@ class Verifier:
         sp = []
         for p, x in kept:
             sp.append(2 * (x if p < 0 else sp[p] // 2) + x)
-        Wg = Phi[np.arange(k)[:, None], off[sp][:, None] + cls[sp]]
+        W = Phi[np.arange(k)[:, None], off[sp][:, None] + cls[sp]]
 
-        def echelon():
-            # (b, B, dB): swept with tags, the words' pivots are the echelon
-            # basis b of A over G, as feeding the words gives; b_i = sum_l B[i,
-            # l] w'_l / dB
-            gred, basis, B = SparseReducer(1), [], []
-            gred._sweep(_tagged(Wg), grow=t.size)
-            for keys, rows, d in gred.basis_rows():
-                g = keys < t.size
-                basis.append(_lift(AlgElem.from_vec(t, 1, (keys[g], rows[g], d)), self.e))
-                B.append((np.zeros(k, dtype=object), d))
-                B[-1][0][keys[~g] - t.size] = rows[~g, 0]
-            return basis, *_over_one(B)
+        # fed with tags, the words' pivots are the echelon basis b of A over
+        # G, as feeding the words gives; b_i = sum_l B[i, l] w'_l / dB.  One
+        # sweep per word: in one stack, every word turns to Python ints at
+        # the first step that needs them
+        gred, basis, B = SparseReducer(1), [], []
+        for row in _tagged(W):
+            gred._sweep(row[None], grow=t.size)
+        for keys, rows, d in gred.basis_rows():
+            g = keys < t.size
+            basis.append(_lift(AlgElem.from_vec(t, 1, (keys[g], rows[g], d)), self.e))
+            B.append((np.zeros(k, dtype=object), d))
+            B[-1][0][keys[~g] - t.size] = rows[~g, 0]
+        B, dB = _over_one(B)
 
-        def systems(B, dB):
-            # the unit's and z's systems on the basis B / dB of the w', each
-            # equation B times a table.  e_X x = (x* e_X)*, so e_X acts on the
-            # left as S R_X S over D^3; x (e_U e_V)^2 is x R_U R_V R_U R_V over
-            # D^4, and e_U e_V is cu R_V over D^2
-            D2 = D * D
-            sides = tuple((B @ x)[..., None]
-                          for x in (ru * D2, S @ ru @ S, rv * D2, S @ rv @ S))
-            cu2, cv2 = cu * D2 * dB, cv * D2 * dB
-            return (_unit_solution((*sides[:2], cu2[:, None]), (*sides[2:], cv2[:, None])),
-                    _z_solutions(sides, (B @ (S - D * np.eye(k, dtype=object)))[..., None],
-                                 ((B @ ru @ rv @ ru @ rv)[..., None], (cu2 @ rv)[:, None]),
-                                 ((B @ rv @ ru @ rv @ ru)[..., None], (cv2 @ ru)[:, None])))
-
-        # the unit, and z where it is unique, are the same on any basis, so
-        # the systems run on the w'.  Elsewhere z is the point that the
-        # candidate order and the rng draws pick on coordinates on b, which
-        # is otherwise built when read
-        B, dB, basis = np.eye(k, dtype=object), 1, lambda: echelon()[0]
-        unit_sol, sol = systems(B, dB)
-        if sol.dimension:
-            basis, B, dB = echelon()
-            unit_sol, sol = systems(B, dB)
+        # the unit's and z's systems on b, each equation B times a table, so
+        # that the candidate order and the rng draws pick z on b.  e_X x =
+        # (x* e_X)*, so e_X acts on the left as S R_X S over D^3; x (e_U
+        # e_V)^2 is x R_U R_V R_U R_V over D^4, and e_U e_V is cu R_V over D^2
+        D2 = D * D
+        sides = tuple((B @ x)[..., None] for x in (ru * D2, S @ ru @ S, rv * D2, S @ rv @ S))
+        cu2, cv2 = cu * D2 * dB, cv * D2 * dB
+        unit_sol = _unit_solution((*sides[:2], cu2[:, None]), (*sides[2:], cv2[:, None]))
+        sol = _z_solutions(sides, (B @ (S - D * np.eye(k, dtype=object)))[..., None],
+                           ((B @ ru @ rv @ ru @ rv)[..., None], (cu2 @ rv)[:, None]),
+                           ((B @ rv @ ru @ rv @ ru)[..., None], (cv2 @ ru)[:, None]))
 
         def build(x, xden):
             # sum_l x[l] / xden times w'_l, over G
-            num, d = _combination(x, xden, [(w, 1) for w in Wg])
+            num, d = _combination(x, xden, [(w, 1) for w in W])
             return _lift(AlgElem.from_vec(t, 1, (np.arange(t.size), num[:, None], d)),
                          self.e)
 
@@ -807,13 +777,11 @@ class Verifier:
         return self._zc
 
     def _uv_identities(self, zc):
-        """(zc^2 == zc, zc e_U e_V == e_U e_V) for a zc constant on U\\G/V:
-        (a b)(g_D) = sum_D2 (sum_D1 a(D1) N[D1, D2, D]) b(D2)."""
+        """(zc^2 == zc, zc e_U e_V == e_U e_V) for a zc constant on U\\G/V,
+        by _uv_products: zc zc over zc.den^2, zc c_uv over zc.den c_uv.den."""
         a, c = (_dense(x)[self.uv_first, 0] for x in (zc, self.c_uv))
-        dtype = exact_dtype(self.table.size * max_abs(a) * max(max_abs(a), max_abs(c)))
-        aN = np.tensordot(a.astype(dtype), self._uv_counts().astype(dtype, copy=False), 1)
-        # over zc.den^2 and zc.den c_uv.den
-        return bool((a @ aN == a * zc.den).all()), bool((c @ aN == c * zc.den).all())
+        P = _uv_products(self._uv_counts(), np.stack([a, c])[..., None], 1, self.table.size)
+        return _same(P[0, :, 0], zc.den, a, 1), _same(P[1, :, 0], zc.den, c, 1)
 
     def E(self, chi: LeviChar) -> AlgElem:
         """The idempotent E = zc e_chi, E(g) = sum_l zc(g l^-1) e_chi(l) over
@@ -1211,16 +1179,18 @@ class Verifier:
 
     def check_lemma34(self) -> CheckResult:
         """e_V e_{U^w} e_{V^w} = e_V e_U e_{V^w} for every w: the two sides
-        are the counts of their subgroup products (_product_counts) over |V|
+        are the counts of their subgroup products (np.bincount) over |V|
         |U^w| |V^w| and |V| |U| |V^w|.  Where e_{U^w} = e_U they are one
         product, so w passes."""
         t, bad = self.table, []
         V, U = t.subgroup("V"), t.subgroup("U")
         for w in t.weyl_to_index:
             euw, evw = self.conjugates(w)
-            if euw != self.eU and not np.array_equal(
-                    _product_counts(t, V, euw.keys, evw.keys) * len(U),
-                    _product_counts(t, V, U, evw.keys) * len(euw.keys)):
+            if euw == self.eU:
+                continue
+            lhs, rhs = (np.bincount(_products(t, V, x, evw.keys), minlength=t.size)
+                        for x in (euw.keys, U))
+            if not np.array_equal(lhs * len(U), rhs * len(euw.keys)):
                 bad.append(repr(w))
         return CheckResult("lem3.4", "pass" if not bad else "fail",
                            {"failing_w": []}, {"failing_w": bad})
@@ -1420,8 +1390,8 @@ class Verifier:
                                     ("eV", (v_in, v_out), self.eV.keys)):
                 for h in (a, b):   # raises unless h is a subgroup
                     idempotent_subgroup(t, 1, h)
-                if not np.array_equal(_product_counts(t, a, b) * len(H),
-                                      _mask(t, H) * (len(a) * len(b))):
+                hits = np.bincount(_products(t, a, b), minlength=t.size)
+                if not np.array_equal(hits * len(H), _mask(t, H) * (len(a) * len(b))):
                     failures.append(f"{comp}:{name}")
             prods = _products(t, levi, u_out, v_out)
             if _mask(t, prods).sum() != len(prods):
