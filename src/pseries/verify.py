@@ -14,8 +14,8 @@ are contractions with one double-coset count table (_uv_counts).  The linear
 systems are built as integer arrays and solved by the array form of
 solve_affine: zc = z e_U e_V, all that E needs of the Halmos element z, from
 a Krylov solve on U\\G/V count coordinates; z itself (Lemma 3.3 only) on the
-coordinates of the words of A, which live on the four spaces X\\G/Y, X, Y in
-{U, V}; and the centre of each endomorphism algebra.  thm1's sandwich ranks
+coordinates of the words of A, each word over G the sum of its parent over U
+or V; and the centre of each endomorphism algebra.  thm1's sandwich ranks
 (all character pairs at once) and each end algebra E_chi C[G] E_chi come
 from zc on the same U\\G/V coordinates, through one certified table
 (_uv_table).
@@ -571,97 +571,73 @@ class Verifier:
         # (rather than in A + Q1) is what makes the field-case solution unique.
         # Every coefficient in sight is rational, so the whole solve runs at
         # conductor 1 and the results are lifted to conductor e at the end.
-        # x in A is held as phi(x) = (e_X x e_Y), part s = 2 X + Y for XY in
-        # UU, UV, VU, VV, each by its values at the least elements of X\G/Y;
-        # phi is injective on A (x = 1_A x 1_A, 1_A a combination of words).
-        # phi(x e_Z) has XZ part phi(x)_XZ and, for Y the other generator, XY
-        # part phi(x)_XZ e_Y, at g_i sum_j M[i, j] phi(x)_XZ[j] / |Y| with
-        # M[i, j] = #{y in Y : g_i y in class j}
+        # The words, breadth first, over G: each generation of new words a
+        # gives the candidates a e_X for each a in turn, X = U then V, but not
+        # a's last generator, for which a e_X = a; |X| a e_X is a sum over X.
+        # They are fed over their contents in one sweep, with a tag key each.
+        # kept[l] = (p, x) when the l-th candidate that enlarged the span,
+        # w'_l, is word p (the empty word when -1) times generator x, and the
+        # word is w_l = scales[l] w'_l.  As in solve_affine, every other
+        # candidate keeps s (its tag - sum_l c_l tag(w'_l)), s > 0, for
+        # candidate = sum_l c_l w'_l.  rows[p, x] = (c, s): w'_p e_X is c / s
+        # on the w', the coordinates of e_X for p = -1, else a row of R_X
         t = self.table
         H = [np.asarray(t.subgroup(h), dtype=np.intp) for h in "UV"]
-        labels = [_labels(t, H[s // 2], H[s % 2]) for s in range(4)]
-        firsts = [np.flatnonzero(lab == np.arange(t.size)) for lab in labels]
-        cls = np.array([np.searchsorted(f, lab) for f, lab in zip(firsts, labels)])
-        off = np.cumsum([0] + [len(f) for f in firsts])
-        part, K = [slice(off[s], off[s + 1]) for s in range(4)], off[-1]
-        ny = [len(H[1]), len(H[0])]      # |Y| for Z = U, V
-        M = [_counts(t, labels[s], [t.identity], firsts[s ^ 1], H[1 - s % 2])
-             for s in range(4)]
+        right = [t._table[:, X].T.copy() for X in H]
+        red, words, kept, scales, tags, rows = SparseReducer(1), [], [], [], [], {}
+        new, first, fed = [(np.arange(t.size) == t.identity).astype(np.int64)], -1, 0
+        while new:
+            src = [(p, x) for p in range(first, first + len(new)) for x in (0, 1)
+                   if p < 0 or kept[p][1] != x]
+            vecs = [_average(new[p - first], right[x]) for p, x in src]
+            g = [content(a) for a in vecs]
+            vecs = [a // c for a, c in zip(vecs, g)]
+            v, _, grown, _ = red._sweep(_tagged(np.array(vecs), fed), grow=t.size)
+            first = len(words)
+            for l, i in enumerate(grown, first):
+                p, x = src[i]
+                kept.append(src[i])
+                scales.append(Fraction(g[i], len(H[x])) * (scales[p] if p >= 0 else 1))
+                tags.append(fed + i)
+                rows[l, x] = (np.arange(l + 1) == l).astype(object), 1   # w'_l e_X = w'_l
+            tag = np.array(tags)
+            for i, (p, x) in enumerate(src):
+                # candidate i is c / s on the w'; w'_p e_X is g[i] / |X| times it
+                c, s = ((tag == fed + i, 1) if i in grown else
+                        (-v[i, t.size + tag, 0], v[i, t.size + fed + i, 0]))
+                rows[p, x] = c.astype(object) * g[i], int(s) * len(H[x])
+            new, fed = [vecs[i] for i in grown], fed + len(src)
+            words += new
+        k = len(words)
+        rows = [(np.concatenate([c, np.zeros(k - len(c), dtype=object)]), d)
+                for c, d in (rows[p, x] for p in range(-1, k) for x in (0, 1))]
+        table, D = _over_one(rows)
 
-        def right_by(vecs, z):
-            # |Y| phi(x e_Z) for the rows phi(x) of vecs
-            vecs = vecs.astype(exact_dtype(max_abs(vecs) * ny[z]), copy=False)
-            out = np.zeros_like(vecs)
-            for s in (z, 2 + z):
-                out[:, part[s]] = vecs[:, part[s]] * ny[z]
-                out[:, part[s ^ 1]] = vecs[:, part[s]] @ M[s].T
-            return out
+        # w_l* is w_l's word reversed: e_X for its last generator X, then
+        # times the others, last to first
+        star = []
+        for l, f in enumerate(scales):
+            xs, p = [], l
+            while p >= 0:
+                p, x = kept[p]
+                xs.append(x)
+            a, d = table[xs[0]], D
+            for x in xs[1:]:
+                a, d = a @ table[2 + x::2], d * D
+                c = math.gcd(content(a), d)
+                a, d = a // c, d // c
+            star.append((a * f.denominator, d * f.numerator))
+        table, D = _over_one(rows + star)
+        cu, cv, ru, rv, S = table[0], table[1], table[2:-k:2], table[3:-k:2], table[-k:]
 
-        # |U| |V| phi(1): e_U is 1 / |U| on the class of 1 in U\G/U, and
-        # (e_U e_V)(g_i) = #{v in V : g_i v in U} / (|U| |V|), a column of M
-        e1, one = cls[:, t.identity], np.zeros((1, K), dtype=np.int64)
-        one[0, off[0] + e1[0]], one[0, off[3] + e1[3]] = ny
-        one[0, part[1]], one[0, part[2]] = M[0][:, e1[0]], M[3][:, e1[3]]
-        # the words, breadth first: each generation of new words times e_U
-        # and e_V, fed in one stack as a queue would take them, a e_U then a
-        # e_V for each a in turn; kept[l] = (p, x) when the l-th word that
-        # enlarged the span is word p (the empty word when -1) times
-        # generator x, and phi(w'_l), w_l = scales[l] w'_l, is its vector over
-        # the vector's content
-        red, src, kept, words, scales = SparseReducer(1), [(-1, 0), (-1, 1)], [], [], []
-        vecs = np.concatenate([right_by(one, 0), right_by(one, 1)])
-        while grown := red.feed((np.arange(K), vecs[..., None], 1)):
-            first = len(kept)
-            kept += [src[i] for i in grown]
-            g = np.gcd.reduce(vecs[grown], axis=1)
-            words.append(vecs[grown] // g[:, None])
-            scales += [Fraction(c, ny[x]) * (scales[p] if p >= 0 else
-                                             Fraction(1, ny[0] * ny[1]))
-                       for (p, x), c in zip(kept[first:], g.tolist())]
-            vecs = np.stack([right_by(words[-1], z) for z in (0, 1)], axis=1).reshape(-1, K)
-            src = [(first + i, x) for i in range(len(grown)) for x in (0, 1)]
-        k, Phi = len(kept), np.concatenate(words)
-
-        # the one sweep: coordinates on the w', over D, of w'_l e_X (rows of
-        # the right action R_X), of w'_l* (rows of the star S; phi(x*)_YX at
-        # the class of g^-1 is phi(x)_XY at that of g) and of e_X.  The words
-        # and these vectors go in with a tag key each, after phi's; as in
-        # solve_affine, a vector keeps s (its tag - sum_l c_l tag_l), s > 0,
-        # for vector = sum_l c_l phi(w'_l)
-        tred, star = SparseReducer(1), np.zeros_like(Phi)
-        tred.feed((np.arange(K + k), _tagged(Phi), 1))
-        dual = [2 * (s % 2) + s // 2 for s in range(4)]
-        star[:, np.concatenate([off[d] + cls[d][t._inv[f]]
-                                for d, f in zip(dual, firsts)])] = Phi
-        vecs = [(right_by(Phi, 0), ny[0]), (right_by(Phi, 1), ny[1]), (star, 1),
-                (right_by(one, 0), ny[0] ** 2 * ny[1]),
-                (right_by(one, 1), ny[0] * ny[1] ** 2)]
-        dens = [d for x, d in vecs for _ in x]
-        v, _, grown, _ = tred._sweep(_tagged(np.concatenate([x for x, _ in vecs]), k),
-                                     grow=K)
-        if grown:
-            raise VerifyAlarm("product left the algebra generated by e_U, e_V")
-        table, D = _over_one([(-v[i, K:K + k, 0], int(v[i, K + k + i, 0]) * d)
-                              for i, d in enumerate(dens)])
-        ru, rv, S, (cu, cv) = table[:k], table[k:2 * k], table[2 * k:3 * k], table[3 * k:]
-        # a word e_X ... e_Y is e_X w e_Y, its own XY part: over G, a gather
-        sp = []
-        for p, x in kept:
-            sp.append(2 * (x if p < 0 else sp[p] // 2) + x)
-        W = Phi[np.arange(k)[:, None], off[sp][:, None] + cls[sp]]
-
-        # fed with tags, the words' pivots are the echelon basis b of A over
-        # G, as feeding the words gives; b_i = sum_l B[i, l] w'_l / dB.  One
-        # sweep per word: in one stack, every word turns to Python ints at
-        # the first step that needs them
-        gred, basis, B = SparseReducer(1), [], []
-        for row in _tagged(W):
-            gred._sweep(row[None], grow=t.size)
-        for keys, rows, d in gred.basis_rows():
+        # the pivots are the echelon basis b of A over G, as feeding the words
+        # one at a time gives; their tags give b_i = sum_l B[i, l] w'_l / dB
+        basis, B = [], []
+        for keys, rws, d in red.basis_rows():
             g = keys < t.size
-            basis.append(_lift(AlgElem.from_vec(t, 1, (keys[g], rows[g], d)), self.e))
+            basis.append(_lift(AlgElem.from_vec(t, 1, (keys[g], rws[g], d)), self.e))
             B.append((np.zeros(k, dtype=object), d))
-            B[-1][0][keys[~g] - t.size] = rows[~g, 0]
+            B[-1][0][np.searchsorted(tag, keys[~g] - t.size)] = rws[~g, 0]
         B, dB = _over_one(B)
 
         # the unit's and z's systems on b, each equation B times a table, so
@@ -678,7 +654,7 @@ class Verifier:
 
         def build(x, xden):
             # sum_l x[l] / xden times w'_l, over G
-            num, d = _combination(x, xden, [(w, 1) for w in W])
+            num, d = _combination(x, xden, [(w, 1) for w in words])
             return _lift(AlgElem.from_vec(t, 1, (np.arange(t.size), num[:, None], d)),
                          self.e)
 

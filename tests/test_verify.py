@@ -115,6 +115,24 @@ def test_halmos_solve_matches_wide_route(vget, spec, n):
     assert fast.zc == h.z * fast.c_uv
 
 
+@pytest.mark.parametrize("spec,n", [("Z/4", 2), ("GF(3,1)", 2), ("GF(2,1)", 3)])
+def test_halmos_solve_reads_no_double_coset_counts(monkeypatch, vget, spec, n):
+    # the closure and the solve run over G alone: with _labels and _counts
+    # raising once the Verifiers are built, the solve still matches the
+    # |G|-wide route
+    def gone(*args):
+        raise AssertionError("the Halmos solve read double-coset counts")
+    v = vget(spec, n)
+    fast, wide = (Verifier._on_table(v.table, 0, v.max_cost) for _ in range(2))
+    monkeypatch.setattr(verify, "_counts", gone)
+    monkeypatch.setattr(verify, "_labels", gone)
+    h, ref = fast.halmos, wide_halmos(wide)
+    for name in ("z", "z_inv", "unit"):
+        assert as_arrays(getattr(h, name)) == as_arrays(getattr(ref, name)), name
+    assert [as_arrays(b) for b in h.basis] == [as_arrays(b) for b in ref.basis]
+    assert h.solution_dim == ref.solution_dim
+
+
 @pytest.mark.parametrize("spec,n", [("GF(2,1)", 2), ("GF(3,1)", 2), ("Z/4", 2), ("Z/6", 2),
                                     ("Z/2xZ/2", 2), ("GF(2,2)", 2), ("GF(2,1)", 3)])
 def test_lemma33_matches_product_route(vget, spec, n):
@@ -127,26 +145,31 @@ def test_lemma33_matches_product_route(vget, spec, n):
 
 
 def test_lemma33_never_passes_with_a_corrupted_right_action(monkeypatch):
-    # one entry of the Halmos closure's right-action count matrices off by
-    # one: the solve raises, lem3.3 fails, or z comes out right (z is unique
-    # over a field)
+    # one entry of one candidate of the Halmos closure (|X| a e_X, a sum over
+    # X, whose coordinates are a row of the right action R_X) off by one, the
+    # certificate's own sums left alone: the solve raises, lem3.3 fails, or z
+    # comes out right (z is unique over a field)
     v = Verifier(parse_ring_spec("GF(3,1)"), 2)
-    t, inner, right = v.table, verify._counts, v.halmos.z
-    U = t.subgroup("U")
-    k = len(np.unique(verify._labels(t, U, U)))
+    t, inner, h = v.table, verify._average, v.halmos
     passed = []
-    for i, j in itertools.product(range(k), repeat=2):
-        def corrupted(table, label, left, xs, side):
-            M = inner(table, label, left, xs, side)
-            if len(side) == len(U) and i < M.shape[0] and j < M.shape[1]:
-                M = M.copy()
-                M[i, j] += 1
-            return M
-        monkeypatch.setattr(verify, "_counts", corrupted)
+    # the closure takes one sum for each root candidate and each word
+    for n, j in itertools.product(range(2 + len(h.words)), range(0, t.size, 5)):
+        calls = itertools.count()
+
+        def corrupted(a, idx):
+            out = inner(a, idx)
+            return out + (np.arange(t.size) == j) if next(calls) == n else out
         w = Verifier._on_table(t, 0, v.max_cost)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_average", corrupted)
+            try:
+                w.halmos
+            except VerifyAlarm:
+                passed.append(False)
+                continue
         (result,) = w.run_checks(only=["lem3.3"]).checks
         if result.passed:
-            assert w.halmos.z == right, (i, j)
+            assert w.halmos.z == h.z, (n, j)
         passed.append(result.passed)
     assert not all(passed)
 
