@@ -18,7 +18,9 @@ coordinates of the words of A, each word over G the sum of its parent over U
 or V; and the centre of each endomorphism algebra.  thm1's sandwich ranks
 (all character pairs at once) and each end algebra E_chi C[G] E_chi come
 from zc on the same U\\G/V coordinates, through one certified table
-(_uv_table).
+(_uv_table).  thm1's character route is the inner product of class
+functions: one labelling of G by least conjugates (Verifier.classes) and the
+class sums of each E (pind_character).
 """
 
 from __future__ import annotations
@@ -537,7 +539,7 @@ class Verifier:
         self._uv = None
         self._uv_mul = None
         self._sandwich = {}
-        self._pind_char = {}
+        self._classes = None
         self._end = {}
         self._conj = {}
         self._phi = {}
@@ -847,43 +849,49 @@ class Verifier:
                 self._sandwich[right, left] = rank
         return self._sandwich[chi.key(), sigma.key()]
 
-    def pind_character(self, chi: LeviChar):
-        """Character of the induced module: (values, den), with values an
-        integer array (|G|, phi) whose row g over den is the value at g.
+    @property
+    def classes(self):
+        """cls[g], the number of g's conjugacy class, the classes numbered in
+        increasing order of their least elements: min over x of x^-1 g x,
+        gathered for a block of g at a time."""
+        if self._classes is None:
+            t, xs = self.table, np.arange(self.table.size)
+            label = np.empty(t.size, dtype=np.intp)
+            for gs in row_blocks(t.size, t.size):
+                # entry (g, x) is x^-1 g x
+                label[gs] = t._table[t._table[t._inv, xs[gs, None]], xs].min(axis=1)
+            self._classes = np.searchsorted(np.flatnonzero(label == xs), label)
+        return self._classes
 
-        chi(g) = sum_x E(x^-1 g^-1 x), summed on E's integer coordinates for
-        a block of g at a time.
-        """
-        key = chi.key()
-        if key not in self._pind_char:
-            table, size = self.table, self.table.size
-            E = self.E(chi)
-            dense = _dense(E, exact_dtype(max_abs(E.rows) * size))
-            mul, inv, xs = table._table, table._inv, np.arange(size)
-            out = np.empty_like(dense)
-            for gs in row_blocks(size, size * dense.shape[1]):
-                # entry (g, x) is x^-1 g^-1 x
-                conj = mul[mul[inv, inv[gs, None]], xs]
-                out[gs] = dense[conj].sum(axis=1)
-            self._pind_char[key] = out, E.den
-        return self._pind_char[key]
+    def pind_character(self, chi: LeviChar):
+        """Character of the induced module on classes: (s, den), with s an
+        integer array (#classes, phi) whose row K over den is the class sum
+        sum_{h in K} E(h).  The value at g is sum_x E(x^-1 g^-1 x) =
+        |C_G(g)| s[class(g^-1)] / den: x^-1 g^-1 x covers g^-1's class
+        |C_G(g)| times."""
+        E, cls = self.E(chi), self.classes
+        s = np.zeros((int(cls.max()) + 1, E.rows.shape[1]),
+                     dtype=exact_dtype(max_abs(E.rows) * len(E.keys)))
+        np.add.at(s, cls[E.keys], E.rows)
+        return s, E.den
 
     def _character_dim(self, chi: LeviChar, sigma: LeviChar) -> int:
-        """dim Hom via the averaged inner product of the two characters.
-
-        sum_g a(g) conj(b(g)) is A^T (B C) contracted with the fold tensor,
-        C the matrix of complex conjugation; it is divided once, at the end.
+        """dim Hom via the averaged inner product of the two characters:
+        |G|^-1 sum_g a(g) conj(b(g)) = sum_K (|G|/|K|) a(K) conj(b(K)) on
+        the class sums.  That is (w A)^T (B C) contracted with the fold
+        tensor, w the centraliser orders and C the matrix of complex
+        conjugation; it is divided once, at the end.
         """
         A, da = self.pind_character(chi)
         B, db = self.pind_character(sigma)
         ft, kf = fold_array(self.e)
-        phi, size = len(ft), self.table.size
+        phi, w = len(ft), self.table.size // np.bincount(self.classes)
         conj = galois(self.e, -1)
-        dtype = exact_dtype(kf * size * phi * max_abs(conj)
+        dtype = exact_dtype(kf * int(w.sum()) * phi * max_abs(conj)
                             * max_abs(A) * max_abs(B))
-        A, B, conj, ft = (x.astype(dtype, copy=False) for x in (A, B, conj, ft))
-        total = (A.T @ (B @ conj)).reshape(-1) @ ft.reshape(phi * phi, phi)
-        q, r = divmod(int(total[0]), size * da * db)
+        A, B, conj, ft, w = (x.astype(dtype, copy=False) for x in (A, B, conj, ft, w))
+        total = ((w[:, None] * A).T @ (B @ conj)).reshape(-1) @ ft.reshape(phi * phi, phi)
+        q, r = divmod(int(total[0]), da * db)
         if r or (total[1:] != 0).any():
             raise VerifyAlarm("character inner product is not an integer")
         return q

@@ -17,13 +17,17 @@ import numpy as np
 
 from pseries import (AlgElem, CycloNum, HalmosElement, SparseReducer, enumerate_gl,
                      idempotent_subgroup)
-from pseries.algebra import _STACK_BLOCK, AlgebraError, _mul_dense, stack
+from pseries.algebra import AlgebraError, _mul_dense, stack
 from pseries.cyclo import CycloError, exact_dtype, max_abs, power_fold, solve_affine
 from pseries.groups import row_blocks
 from pseries.rings import RingSpec
 from pseries.verify import (CheckResult, EndAlgebra, VerifyAlarm, _block, _coords, _lift,
                             _mask, _products, _unit_solution, _wedderburn_blocks,
                             _z_solutions)
+
+# dense (|G|, phi) entries per stack that the references feed or multiply at
+# once (16 MB in float64), so a wide span is built a batch at a time
+_BATCH = 1 << 21
 
 
 class CycloMatrix:
@@ -216,7 +220,7 @@ def wide_module(v, chi):
     reps = np.flatnonzero(right[t._table[:, t.subgroup("L")]].min(axis=1)
                           == np.arange(t.size))           # min(gB)
     red = SparseReducer(v.e)
-    most = max(1, _STACK_BLOCK // (t.size * E.rows.shape[1]))
+    most = max(1, _BATCH // (t.size * E.rows.shape[1]))
     while red.rank < expected and len(reps):
         take = min(expected - red.rank, most)
         red.feed(translates(E, reps[:take]))
@@ -291,10 +295,10 @@ def right_translates(a, gs):
 
 
 def sandwiches(v, gs):
-    """Stacks of c_uv g c_uv for g in gs, of at most _STACK_BLOCK dense
+    """Stacks of c_uv g c_uv for g in gs, of at most _BATCH dense
     entries each, from the left translates g c_uv."""
     width = v.table.size * len(power_fold(v.e))
-    for part in row_blocks(len(gs), width, _STACK_BLOCK):
+    for part in row_blocks(len(gs), width, _BATCH):
         yield _mul_dense(v.c_uv, translates(v.c_uv, gs[part]))
 
 
@@ -309,7 +313,7 @@ def wide_phi_data(v, w):
     vcw = v.eV * cw
     red_cw, red_vcw, phi_red = (SparseReducer(e) for _ in range(3))
     reps = np.flatnonzero(_mask(t, t._table[Vw].min(axis=0)))
-    for part in row_blocks(len(reps), t.size * len(power_fold(e)), _STACK_BLOCK):
+    for part in row_blocks(len(reps), t.size * len(power_fold(e)), _BATCH):
         red_cw.feed(right_translates(cw, reps[part]))
         red_vcw.feed(right_translates(vcw, reps[part]))
     for vecs in sandwiches(v, _products(t, (widx,), t.subgroup("L"))):

@@ -70,45 +70,25 @@ def stacked_products(a, bs):
     return [AlgElem.from_vec(a.table, a.e, (keys, r, den)) for r in rows]
 
 
-def kernel_order(a, keys, k):
-    """The index set the product kernel contracts over for a times a stack of
-    k vectors on these keys: the keys while they number at most |a| k."""
-    return "keys" if len(keys) <= len(a.keys) * k else "support"
-
-
 def assert_products_match_oracle(a, bs):
     """Single products (a stack of one) and one stack of all bs with a zero
-    vector among them both equal the naive convolution.  Returns the set of
-    contraction orders these products took."""
+    vector among them both equal the naive convolution."""
     want = [naive_mul(a, b) for b in bs]
     assert [a * b for b in bs] == want
     zero = AlgElem.zero(a.table, a.e)
-    vecs = [bs[0], zero, *bs[1:]]
-    got = stacked_products(a, vecs)
+    got = stacked_products(a, [bs[0], zero, *bs[1:]])
     assert got == [want[0], zero, *want[1:]]
-    keys = algebra.stack(b.vec for b in vecs)[0]
-    return ({kernel_order(a, b.keys, 1) for b in bs}
-            | {kernel_order(a, keys, len(vecs))})
 
 
-def test_mul_matches_naive_oracle(monkeypatch):
-    # supports from a few keys to all of G; a right factor with more keys
-    # than the left one has (k of them in a stack of k) contracts over the
-    # left factor's support, the others over the right factor's keys.
-    # A budget of 200 entries makes the kernel take a stack of five a chunk
-    # of one or two vectors at a time
+def test_mul_matches_naive_oracle():
+    # supports from a few keys to all of G, on both sides
     rng = random.Random(1)
-    orders = set()
-    for budget, (spec, n, e) in itertools.product(
-            [algebra._STACK_BLOCK, 200],
-            [("GF(2,1)", 2, 1), ("GF(3,1)", 2, 3), ("GF(3,1)", 2, 8), ("Z/4", 2, 4)]):
-        monkeypatch.setattr(algebra, "_STACK_BLOCK", budget)
+    for spec, n, e in [("GF(2,1)", 2, 1), ("GF(3,1)", 2, 3), ("GF(3,1)", 2, 8), ("Z/4", 2, 4)]:
         t = table_for(spec, n)
         for support in [3, t.size // 2, t.size]:
             a = rand_elem(t, e, rng, support)
-            bs = [rand_elem(t, e, rng, s) for s in (2, 5, support, t.size)]
-            orders |= assert_products_match_oracle(a, bs)
-    assert orders == {"keys", "support"}
+            assert_products_match_oracle(
+                a, [rand_elem(t, e, rng, s) for s in (2, 5, support, t.size)])
 
 
 def linear_oracle(a, b, sign):
@@ -149,9 +129,8 @@ def full_width_elem(table, e, rng, support, M):
 def test_huge_coefficients_stay_exact():
     # the product kernel's bound is kf * max|a| * max|b| * min(|a|, |b|);
     # scales just below and just above 2^53 and 2^62 run its float64, int64
-    # and exact object matmuls, each in both contraction orders (a left
-    # factor of 9 keys and one of 2), and each must equal the naive
-    # convolution
+    # and exact object matmuls, each with a left factor of 9 keys and one of
+    # 2, and each must equal the naive convolution
     rng = random.Random(2)
     runs = set()
     for (spec, e), limit, side in itertools.product(
@@ -168,10 +147,9 @@ def test_huge_coefficients_stay_exact():
                 (full_width_elem(t, e, rng, support, M), kf * support * M * M),
                 (full_width_elem(t, e, rng, 2, small), kf * 2 * small * M)]:
             assert (bound >= limit) == bool(side)
-            orders = assert_products_match_oracle(a, bs)
-            runs |= {(algebra.matmul_dtype(bound), o) for o in orders}
-    assert runs == set(itertools.product([np.float64, np.int64, object],
-                                         ["keys", "support"]))
+            assert_products_match_oracle(a, bs)
+            runs.add(algebra.matmul_dtype(bound))
+    assert runs == {np.float64, np.int64, object}
     # past the int64 bound every other operation runs on exact Python ints
     # too; at 10^12 each entry fits in int64 but their products do not
     for big, (spec, e) in itertools.product(

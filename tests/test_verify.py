@@ -433,35 +433,90 @@ def test_intertwining_matrix_frozen_values(vget):
 
 
 def test_character_route_agrees_with_sandwich(vget):
-    for spec in ("GF(3,1)", "GF(2,2)", "Z/4"):
-        v = vget(spec, 2)
-        chars = all_levi_chars(v.ring, 2)
-        for chi in chars:
-            for sigma in chars:
-                assert v._character_dim(chi, sigma) == v._sandwich_rank(chi, sigma)
+    # the class route, the sandwich ranks and the Weyl orbit formula: three
+    # independent routes to every dim Hom
+    for spec, n in STANDARD_PAIRS + [("GF(2,2)", 2), ("Z/8", 2)]:
+        v = vget(spec, n)
+        for chi in v.chars:
+            for sigma in v.chars:
+                dim = v.intertwining_dim_formula(chi, sigma)
+                assert v._character_dim(chi, sigma) == v._sandwich_rank(chi, sigma) == dim
+
+
+def brute_classes(t):
+    """Each g's conjugacy class, numbered by least elements, from the set of
+    its conjugates x^-1 g x taken one product at a time."""
+    least = [min(t.mul(t.mul(t.inv(x), g), x) for x in range(t.size)) for g in range(t.size)]
+    firsts = sorted(set(least))
+    return [firsts.index(m) for m in least]
+
+
+@pytest.mark.parametrize("spec,n", STANDARD_PAIRS + [("GF(2,2)", 2), ("Z/2xZ/2", 2)])
+def test_classes_match_brute_force(vget, spec, n):
+    v = vget(spec, n)
+    assert v.classes.tolist() == brute_classes(v.table)
+
+
+@pytest.mark.parametrize("spec,n,q", [("GF(3,1)", 2, 3), ("GF(2,2)", 2, 4),
+                                      ("GF(7,1)", 2, 7), ("GF(2,1)", 3, 2)])
+def test_class_counts_of_gl_over_fields(vget, spec, n, q):
+    # GL_2(F_q) has q^2 - 1 conjugacy classes and GL_3(F_q) has q^3 - q
+    want = {2: q ** 2 - 1, 3: q ** 3 - q}[n]
+    assert int(vget(spec, n).classes.max()) + 1 == want
+
+
+@pytest.mark.parametrize("spec", ["GF(3,1)", "Z/4"])
+def test_thm1_never_passes_with_corrupted_classes(monkeypatch, vget, spec):
+    # each class of two or more elements split (its least element put in a
+    # class of its own), and each two classes merged: thm1 must fail, by a
+    # mismatch or an alarm, and every corrupted labelling must be the one the
+    # class sums read.  A labelling that leaves every E's class averages
+    # s(K) / |K| at every g as they were changes no term of any inner
+    # product (merging two classes on which every induced character takes
+    # one value), so it is no corruption and is not tried; any other split
+    # raises, and any other merge lowers, the sum of |s(K)|^2 / |K| of some E
+    # (Cauchy-Schwarz), so that character's dim Hom with itself moves
+    v = Verifier._on_table(vget(spec, 2).table, 0, 10 ** 8)
+    cls = v.classes
+    k, sizes = int(cls.max()) + 1, np.bincount(cls)
+
+    def averages(labels):
+        v._classes = labels
+        return np.bincount(labels)[labels], [v.pind_character(chi)[0][labels] for chi in v.chars]
+
+    size, sums = averages(cls)
+
+    def changes(labels):
+        n, got = averages(labels)
+        return any((a * size[:, None] != b * n[:, None]).any() for a, b in zip(got, sums))
+
+    splits, merges = [], []
+    for c in np.flatnonzero(sizes >= 2):
+        split = cls.copy()
+        split[np.flatnonzero(cls == c)[0]] = k
+        splits.append(split)
+    for i, j in itertools.combinations(range(k), 2):
+        merges.append(np.unique(np.where(cls == j, i, cls), return_inverse=True)[1])
+    splits, merges = ([x for x in xs if changes(x)] for xs in (splits, merges))
+    assert len(splits) == np.count_nonzero(sizes >= 2) and merges
+    read = []
+    real = Verifier.pind_character
+
+    def recording(self, chi):
+        read.append(self._classes)
+        return real(self, chi)
+
+    monkeypatch.setattr(Verifier, "pind_character", recording)
+    for labels in splits + merges:
+        v._classes, read[:] = labels, []
+        (result,) = v.run_checks(only=["thm1"]).checks
+        assert result.status == "fail", labels
+        assert read and all(r is labels for r in read)
 
 
 def basis_lists(red):
     """A reducer's pivot vectors as nested lists, comparable with ==."""
     return [(k.tolist(), r.tolist(), d) for k, r, d in red.basis_rows()]
-
-
-def wide_halmos_lists(spec):
-    """The |G|-wide Halmos reference's elements and dimension on a fresh
-    Verifier (it draws from v.rng), comparable with ==."""
-    h = wide_halmos(Verifier(parse_ring_spec(spec), 2))
-    return ([(x.keys.tolist(), x.rows.tolist(), x.den)
-             for x in (h.z, h.z_inv, h.unit, *h.basis)], h.solution_dim)
-
-
-def test_stack_budget_splits_keep_results(monkeypatch):
-    # a budget of one entry makes the kernel multiply every vector of a stack
-    # on its own; the |G|-wide Halmos reference multiplies stacks in its
-    # closure, its coordinate sweep and per candidate, and must give the
-    # arrays of the default budget
-    want = wide_halmos_lists("Z/4")
-    monkeypatch.setattr(algebra, "_STACK_BLOCK", 1)
-    assert wide_halmos_lists("Z/4") == want
 
 
 def test_module_reducer_matches_single_translates(vget):
@@ -600,21 +655,25 @@ def test_residue_check_per_factor_matches_whole_ring(monkeypatch):
 
 
 def test_pind_character_matches_definition(vget):
-    # chi(g) = sum_x E(x^-1 g^-1 x), summed term by term with CycloNum
-    for spec, n in [("GF(2,1)", 2), ("GF(3,1)", 2)]:
+    # chi(g) = sum_x E(x^-1 g^-1 x), summed term by term with CycloNum, is
+    # |C_G(g)| times the class sum of g^-1's class; on GF(2,2) (e = 3) some
+    # characters are not real, so a class read in place of its inverse shows
+    for spec, n in [("GF(2,1)", 2), ("GF(3,1)", 2), ("GF(2,2)", 2)]:
         v = vget(spec, n)
-        t = v.table
+        t, cls = v.table, v.classes
+        w = (t.size // np.bincount(cls)).tolist()
         for chi in all_levi_chars(v.ring, n):
-            E = v.E(chi)
+            E = [v.E(chi).coeff(h) for h in range(t.size)]
             want = []
             for g in range(t.size):
                 total = CycloNum.zero(v.e)
                 for x in range(t.size):
-                    total = total + E.coeff(t.mul(t.mul(t.inv(x), t.inv(g)), x))
+                    total = total + E[t.mul(t.mul(t.inv(x), t.inv(g)), x)]
                 want.append(total)
-            values, den = v.pind_character(chi)
-            assert [CycloNum(v.e, [Fraction(x, den) for x in row])
-                    for row in values.tolist()] == want
+            sums, den = v.pind_character(chi)
+            rows = sums.tolist()
+            assert [CycloNum(v.e, [Fraction(w[k] * x, den) for x in rows[k]])
+                    for k in cls[t._inv].tolist()] == want
 
 
 def test_end_algebra_shapes(vget):
