@@ -4,8 +4,9 @@ Most are the |G|-wide computation that a check ran before it moved to coset
 or Hecke coordinates: exact spans of group-algebra vectors over Q(zeta_e),
 the Halmos solve with its closure, coordinate tables and inverse systems
 taken from |G|-wide products, Lemma 3.3's identities as products, the left
-module spanned by the translates of E_chi, and thm1's sandwich ranks and the
-end algebras from the module bases.
+module spanned by the translates of E_chi, thm1's sandwich ranks and the
+end algebras from the module bases, and lem3.10's twist applied to the
+idempotents as group-algebra elements.
 The rest are plain references: a CycloNum elimination (rank, span_rank), the
 complex value of a CycloNum for float cross-checks, and the whole-ring
 residue map.
@@ -15,15 +16,17 @@ import cmath
 
 import numpy as np
 
-from pseries import (AlgElem, CycloNum, HalmosElement, SparseReducer, enumerate_gl,
-                     idempotent_subgroup)
-from pseries.algebra import AlgebraError, _mul_dense, stack
-from pseries.cyclo import CycloError, exact_dtype, max_abs, power_fold, solve_affine
-from pseries.groups import row_blocks
+from pseries import (AlgElem, CycloNum, HalmosElement, LeviChar, SparseReducer,
+                     enumerate_gl, idempotent_subgroup)
+from pseries.algebra import AlgebraError, _mul_dense, idempotent_char, stack
+from pseries.chars import factor_chars, unit_structures
+from pseries.cyclo import (CycloError, exact_dtype, fold_array, max_abs, power_fold,
+                           root_coords, solve_affine)
+from pseries.groups import ring_arrays, row_blocks
 from pseries.rings import RingSpec
 from pseries.verify import (CheckResult, EndAlgebra, VerifyAlarm, _block, _coords, _lift,
-                            _mask, _products, _unit_solution, _wedderburn_blocks,
-                            _z_solutions)
+                            _mask, _multiplicative_on_generators, _products,
+                            _unit_solution, _wedderburn_blocks, _z_solutions)
 
 # dense (|G|, phi) entries per stack that the references feed or multiply at
 # once (16 MB in float64), so a wide span is built a batch at a time
@@ -336,6 +339,42 @@ def wide_lin_independence(v):
     expect = len(t.subgroup("W")) * len(t.subgroup("L"))
     return CheckResult("prop3.7", "pass" if red.rank == expect else "fail",
                        {"rank": expect}, {"rank": red.rank})
+
+
+def twisted_scalar_failures(v):
+    """lem3.10's failure list by twisting e_U, e_V and e_chi themselves: the
+    coefficient of each element at g times zeta^t(g), t(g) chi1's exponent
+    at det g, compared with e_U, e_V and e_L as group-algebra elements, on a
+    Verifier per local factor."""
+    failures = []
+    for f, lv in enumerate(v.local_verifiers() if len(v.ring.locals) > 1 else [v]):
+        tf, ef, loc = lv.table, lv.ring.unit_exponent(), lv.ring.locals[0]
+        eL = idempotent_subgroup(tf, ef, tf.subgroup("L"))
+        units = np.array(loc.units)
+        unit_at = np.full(loc.size, -1)
+        unit_at[units] = np.arange(len(units))
+        umul = unit_at[ring_arrays(loc)[1][np.ix_(units, units)]]
+        d = unit_at[tf.det_codes[:, 0]]
+        ft, kf = fold_array(ef)
+        roots = (root_coords(ef) @ ft).reshape(ef, len(ft), len(ft))
+        det_ok = _multiplicative_on_generators(tf, d, umul)
+        for chi1 in factor_chars(unit_structures(lv.ring)[0], ef):
+            x = np.array([chi1.value_exponent(u) for u in loc.units])
+            if not (det_ok and ((x[:, None] + x) % ef == x[umul]).all()):
+                failures.append(f"factor{f}:exps{chi1.exps}:multiplicative")
+                continue
+            t = x[d]
+
+            def twist(a):
+                rows = a.rows.astype(object)[:, None] @ roots[t[a.keys]].astype(object)
+                return AlgElem.from_vec(tf, ef, (a.keys, rows[:, 0], a.den))
+
+            chi = LeviChar(lv.ring, v.n, ef, ((chi1,) * v.n,))
+            if twist(lv.eU) != lv.eU or twist(lv.eV) != lv.eV:
+                failures.append(f"factor{f}:exps{chi1.exps}:unipotent")
+            if twist(idempotent_char(tf, chi)) != eL:
+                failures.append(f"factor{f}:exps{chi1.exps}:echi")
+    return failures
 
 
 def whole_ring_residue(v):

@@ -15,12 +15,13 @@ from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
                      stabilizer, stabilizer_degrees)
 from pseries import algebra, cli, enumerate_gl, verify
 from pseries.algebra import AlgebraError
+from pseries.chars import factor_chars, unit_structures
 from pseries.cyclo import power_fold, root_coords
 from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
-from references import (translates, whole_ring_residue, wide_end_algebra, wide_halmos,
-                        wide_lemma33, wide_lin_independence, wide_module, wide_phi_data,
-                        wide_sandwich_ranks)
+from references import (translates, twisted_scalar_failures, whole_ring_residue,
+                        wide_end_algebra, wide_halmos, wide_lemma33, wide_lin_independence,
+                        wide_module, wide_phi_data, wide_sandwich_ranks)
 
 
 def test_halmos_identities_recomputed(vget):
@@ -508,10 +509,28 @@ def test_thm1_never_passes_with_corrupted_classes(monkeypatch, vget, spec):
 
     monkeypatch.setattr(Verifier, "pind_character", recording)
     for labels in splits + merges:
-        v._classes, read[:] = labels, []
+        v._classes, v._chardim, read[:] = labels, None, []
         (result,) = v.run_checks(only=["thm1"]).checks
         assert result.status == "fail", labels
         assert read and all(r is labels for r in read)
+
+
+@pytest.mark.parametrize("spec", ["GF(3,1)", "Z/4"])
+def test_thm1_builds_each_class_sum_once(monkeypatch, vget, spec):
+    # every pair's dim Hom is read from one table of all pairs, so thm1 sums
+    # each character's classes once, not twice per pair
+    v = Verifier._on_table(vget(spec, 2).table, 0, 10 ** 8)
+    calls = []
+    real = Verifier.pind_character
+
+    def counting(self, chi):
+        calls.append(chi.key())
+        return real(self, chi)
+
+    monkeypatch.setattr(Verifier, "pind_character", counting)
+    (result,) = v.run_checks(only=["thm1"]).checks
+    assert result.passed
+    assert sorted(calls) == sorted(c.key() for c in v.chars)
 
 
 def basis_lists(red):
@@ -856,6 +875,54 @@ def test_scalar_twist_fails_when_S_does_not_generate():
     r = v.check_scalar_twist()
     assert not r.passed and r.actual["failures"]
     assert all(f.endswith(":multiplicative") for f in r.actual["failures"])
+
+
+def test_scalar_twist_matches_twisted_idempotents(vget):
+    for spec, n in STANDARD_PAIRS + [("GF(5,1)", 2), ("Z/2xGF(2,2)", 2)]:
+        v = vget(spec, n)
+        assert v.check_scalar_twist().actual["failures"] == twisted_scalar_failures(v) == []
+
+
+def test_scalar_twist_matches_twisted_idempotents_on_a_moved_det():
+    v = Verifier(parse_ring_spec("Z/2xGF(2,2)"), 2)
+    t = v.table.factors[1]
+    units = list(t.ring.locals[0].units)
+    t.det_codes[0, 0] = units[(units.index(t.det_codes[0, 0]) + 1) % len(units)]
+    failures = v.check_scalar_twist().actual["failures"]
+    assert failures and failures == twisted_scalar_failures(v)
+
+
+@pytest.mark.parametrize("spec", ["GF(3,1)", "Z/2xGF(2,2)"])
+def test_scalar_twist_fails_on_a_unipotent_subgroup_with_L(spec):
+    # U of the last factor replaced by U | L: S = U | L | V is unchanged, so
+    # the multiplicativity gate passes, and every nontrivial chi1(det .) is
+    # nonzero on some l in L, so only the unipotent test fails
+    v = Verifier(parse_ring_spec(spec), 2)
+    f, t = len(v.table.factors) - 1, v.table.factors[-1]
+    t.subgroups["U"] = tuple(sorted(t.subgroup("U") + t.subgroup("L")))
+    chars = factor_chars(unit_structures(t.ring)[0], t.ring.unit_exponent())
+    r = v.check_scalar_twist()
+    assert r.actual["failures"] == [f"factor{f}:exps{c.exps}:unipotent"
+                                    for c in chars if not c.is_trivial()]
+
+
+@pytest.mark.parametrize("spec", ["GF(3,1)", "Z/2xGF(2,2)"])
+def test_scalar_twist_fails_on_a_moved_diagonal_entry(spec):
+    # one l in L with its first diagonal entry moved to another unit: det
+    # and the subgroups are unchanged, so only e_chi's test fails, for the
+    # chi1 that tell the two units apart; the twisted idempotents agree
+    v = Verifier(parse_ring_spec(spec), 2)
+    f, t = len(v.table.factors) - 1, v.table.factors[-1]
+    units = list(t.ring.locals[0].units)
+    l = t.subgroup("L")[-1]
+    a = int(t.codes[l, 0, 0, 0])
+    b = units[(units.index(a) + 1) % len(units)]
+    t.codes[l, 0, 0, 0] = b
+    chars = factor_chars(unit_structures(t.ring)[0], t.ring.unit_exponent())
+    failures = v.check_scalar_twist().actual["failures"]
+    assert failures == [f"factor{f}:exps{c.exps}:echi" for c in chars
+                        if c.value_exponent(a) != c.value_exponent(b)]
+    assert failures and failures == twisted_scalar_failures(v)
 
 
 def test_lemma34_matches_four_product_comparison(vget):
