@@ -214,32 +214,20 @@ class AlgElem:
             return NotImplemented
         return self.scale(other)
 
-    def _moved(self, keys, rows) -> "AlgElem":
-        """An element with new distinct keys and rows of the same content."""
-        order = np.argsort(keys)
-        return _elem(self.table, self.e, keys[order].astype(np.intp, copy=False),
-                     rows[order], self.den)
-
     def star(self) -> "AlgElem":
         """g -> g^-1 with conjugated coefficients (an anti-automorphism)."""
         conj = galois(self.e, -1)   # an involution of Z^phi keeps the content
         dtype = exact_dtype(max_abs(self.rows) * len(conj) * max_abs(conj))
-        return self._moved(self.table._inv[self.keys],
-                           self.rows.astype(dtype, copy=False)
-                           @ conj.astype(dtype, copy=False))
+        keys = self.table._inv[self.keys]
+        order = np.argsort(keys)
+        rows = self.rows.astype(dtype, copy=False) @ conj.astype(dtype, copy=False)
+        return _elem(self.table, self.e, keys[order].astype(np.intp, copy=False),
+                     rows[order], self.den)
 
     def inner(self, other: "AlgElem") -> CycloNum:
         """Hermitian inner product, conjugate-linear in self: the identity
         coefficient of self* other."""
         return (self.star() * other).coeff(self.table.identity)
-
-    def left_translate(self, g: int) -> "AlgElem":
-        """delta_g * self, computed without a full convolution."""
-        return self._moved(self.table._table[g, self.keys], self.rows)
-
-    def right_translate(self, g: int) -> "AlgElem":
-        """self * delta_g."""
-        return self._moved(self.table._table[self.keys, g], self.rows)
 
     def coeff(self, i: int) -> CycloNum:
         j = int(np.searchsorted(self.keys, i))

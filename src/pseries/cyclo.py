@@ -302,11 +302,6 @@ class CycloNum:
     def is_rational(self) -> bool:
         return all(x == 0 for x in self.c[1:])
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise CycloError(f"{self} is not rational")
-        return self.c[0]
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycloNum.rational(self.e, other)

@@ -394,9 +394,6 @@ class GroupTable(object):
         is the product of its factors' groups); [self] for a local ring."""
         return self._factors or [self]
 
-    def mul(self, i: int, j: int) -> int:
-        return int(self._table[i, j])
-
     def inv(self, i: int) -> int:
         return int(self._inv[i])
 

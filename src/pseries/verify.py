@@ -4,8 +4,9 @@ Everything that decides pass/fail is exact (rational or cyclotomic); a rank
 read mod a prime counts only where it is certified exact (_certified_rank).
 Wedderburn block sizes are ranks of trace forms (_wedderburn_blocks).  The
 one floating-point step is float64 integer matmuls (algebra.matmul_dtype:
-the U\\G/V contractions and E's sum over L), run only when an a-priori bound
-keeps every partial sum an integer below 2^53.
+the U\\G/V contractions, and the sums over L of E, e_chi^2 and the class
+sums), run only when an a-priori bound keeps every partial sum an integer
+below 2^53.
 
 No check multiplies two group-algebra elements.  A product of subgroup
 idempotents is a count of subgroup products (_products); v e_X and
@@ -16,13 +17,17 @@ solve_affine: zc = z e_U e_V, all that E needs of the Halmos element z, from
 a Krylov solve on U\\G/V count coordinates; z itself (Lemma 3.3 only) on the
 coordinates of the words of A, each word over G the sum of its parent over U
 or V; and the centre of each endomorphism algebra.  thm1's sandwich ranks
-(all character pairs at once) and each end algebra E_chi C[G] E_chi come
+(all character pairs at once) and the end algebras E_chi C[G] E_chi come
 from zc on the same U\\G/V coordinates, through one certified table
-(_uv_table).  thm1's character route is the inner product of class
-functions: one labelling of G by least conjugates (Verifier.classes), the
-class sums of each E (pind_character), and one contraction of their stack
-for every pair at once.  lem3.10 twists no element: it compares exponents of
-chi1(det .) on U, V and L with those of chi on L's diagonals.
+(_uv_table).  The per-character layer is built once, as stacks over every
+chi: the e_chi on L, certified in one batched pass, and every E from one
+gather of zc and one matmul (_chi_stack); every end algebra's spanning
+values from one contraction (_end_rows); every class sum from one sum over
+classes and one matmul (pind_character).  thm1's character route is the
+inner product of class functions: one labelling of G by least conjugates
+(Verifier.classes), the class sums of every E, and one contraction of their
+stack for every pair at once.  lem3.10 twists no element: it compares
+exponents of chi1(det .) on U, V and L with those of chi on L's diagonals.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .chars import (LeviChar, all_levi_chars, conjugacy_class_count,
                     principal_series_count, stabilizer, stabilizer_degrees,
                     stabilizer_irrep_count, stabilizer_order, unit_structures)
 from .cyclo import (SparseReducer, content, exact_dtype, fold_array, galois, max_abs,
-                    power_fold, root_coords, solve_affine, times)
+                    power_fold, root_coords, solve_affine)
 from .groups import (PermWord, enumerate_gl, factor_ulv_codes, ring_arrays,
                      row_blocks)
 from .rings import RingSpec
@@ -224,6 +229,10 @@ def _rank(e, M):
 
 # a prime whose residues multiply in int64
 _P = 2 ** 31 - 1
+
+# entries of the largest temporary that a blocked count or product makes, a
+# block of columns or of characters at a time (2 MB in float64)
+_SCRATCH = 1 << 18
 
 
 def _rank_mod_p(M):
@@ -447,14 +456,14 @@ def _sandwich_values(F, cls, S, e):
 def _uv_products(N, b, e, size):
     """P[i k + j, D] = (b_i b_j)(g_D) = sum_{D1, D2} N[D1, D2, D] b_i(D1)
     b_j(D2), for k elements b (k, n, phi) constant on U\\G/V, and N[D1, D2,
-    D] = #{h in D1 : h^-1 g_D in D2}, in matmul_dtype: N sums to size over
-    (D1, D2)."""
+    D] = #{h in D1 : h^-1 g_D in D2} (float64), in matmul_dtype: N sums to
+    size over (D1, D2).  N is cast only where matmul_dtype is not float64."""
     ft, kf = fold_array(e)
     bound = kf * size * max_abs(b) ** 2
     dtype = matmul_dtype(bound)
     b = b.astype(dtype)
     # Q[i, s, D, j, r] = sum_{D1, D2} b_i(D1)_s N[D1, D2, D] b_j(D2)_r
-    Q = np.tensordot(np.tensordot(b, N.astype(dtype), ([1], [0])), b, ([2], [1]))
+    Q = np.tensordot(np.tensordot(b, N.astype(dtype, copy=False), ([1], [0])), b, ([2], [1]))
     out = np.tensordot(Q, ft.reshape(len(ft), len(ft), -1).astype(dtype), ([1, 4], [0, 1]))
     return out.transpose(0, 2, 1, 3).astype(exact_dtype(bound)).reshape(-1, *b.shape[1:])
 
@@ -537,7 +546,9 @@ class Verifier:
         self._zc = None
         self._ulv = None
         self._echi = {}
-        self._E = {}
+        self._stack = None
+        self._sums = None
+        self._end_vals = None
         self._uv = None
         self._uv_mul = None
         self._sandwich = {}
@@ -730,16 +741,22 @@ class Verifier:
     def _uv_counts(self):
         """N[D1, D2, D] = #{h in D1 : h^-1 g_D in D2}, D over U\\G/V, built
         once: for a, b constant on U\\G/V, (a b)(g_D) = sum_{D1, D2} N[D1, D2,
-        D] a(D1) b(D2) (_uv_products)."""
+        D] a(D1) b(D2) (_uv_products).  Kept in float64, which holds every
+        count exactly: each is at most |G| < 2^53."""
         if self._uv_mul is None:
-            # one column per g_D: the classes of h and h^-1 g_D (a gather from
-            # t._table[t._inv] would copy the whole table)
+            # one column per g_D, a block of them at a time: the classes of h
+            # and h^-1 g_D (a gather from t._table[t._inv] would copy the
+            # whole table)
             t, c, n = self.table, self.uv_class, len(self.uv_first)
-            flat = c[t._table[t._inv[:, None], self.uv_first]]
-            flat += c[:, None] * n     # in place: one |G| x n array at a time
-            flat *= n
-            flat += np.arange(n)
-            self._uv_mul = np.bincount(flat.ravel(), minlength=n ** 3).reshape(n, n, n)
+            self._uv_mul = np.empty((n, n, n))
+            for ds in row_blocks(n, t.size, _SCRATCH):
+                w = ds.stop - ds.start
+                flat = c[t._table[t._inv[:, None], self.uv_first[ds]]]
+                flat += c[:, None] * n     # in place: one |G| x w array at a time
+                flat *= w
+                flat += np.arange(w)
+                self._uv_mul[..., ds] = np.bincount(flat.ravel(), minlength=n * n * w).reshape(
+                    n, n, w)
         return self._uv_mul
 
     @property
@@ -764,35 +781,73 @@ class Verifier:
         P = _uv_products(self._uv_counts(), np.stack([a, c])[..., None], 1, self.table.size)
         return _same(P[0, :, 0], zc.den, a, 1), _same(P[1, :, 0], zc.den, c, 1)
 
-    def E(self, chi: LeviChar) -> AlgElem:
-        """The idempotent E = zc e_chi, E(g) = sum_l zc(g l^-1) e_chi(l) over
-        l in L.  _uv_table certifies l zc = zc l for l in L, so e_chi zc = zc
-        e_chi for e_chi on L; with zc^2 = zc and e_chi^2 = e_chi (a product
-        on L) that gives E^2 = E."""
-        key = chi.key()
-        if key not in self._E:
-            t, ec = self.table, self.e_chi(chi)
+    def _chi_stack(self):
+        """(place, S, Es), built once for every chi of self.chars:
+        place[chi.key()] is chi's place c, S[c] e_chi's rows on L (in
+        increasing order) over e_chi.den, and Es[c] E_chi = zc e_chi, or the
+        alarm text of the certificate chi fails.
+
+        chi passes when e_chi lies in C[L], e_chi^2 = e_chi and E_chi != 0.
+        L is a group, so e_chi^2 lies in C[L]: e_chi^2(m) = sum_a e_chi(a)
+        e_chi(a^-1 m) over a in L, one gather of the stack.  _uv_table
+        certifies l zc = zc l for l in L, so e_chi zc = zc e_chi, and with
+        zc^2 = zc that gives E^2 = E.  E(g) = sum_l zc(g l^-1) e_chi(l): one
+        gather of zc and one matmul with the stack.  The products run a
+        block of characters at a time."""
+        if self._stack is None:
+            t, e, L = self.table, self.e, np.asarray(self.table.subgroup("L"))
             self._uv_table()
-            if not _mask(t, t.subgroup("L"))[ec.keys].all():
-                raise VerifyAlarm(f"e_chi does not commute with z e_U e_V for chi={key}")
-            _, kf = fold_array(self.e)
-            dtype = exact_dtype(kf * max_abs(ec.rows) ** 2 * len(ec.keys))
-            square = np.zeros((t.size, ec.rows.shape[1]), dtype=dtype)
-            # coefficient (a, b) of the pair is e_chi(a) e_chi(b), at a b
-            np.add.at(square, t._table[np.ix_(ec.keys, ec.keys)].ravel(),
-                      times(ec.rows, ec.rows, self.e, dtype).reshape(-1, square.shape[1]))
-            if not np.array_equal(square, _dense(ec, dtype) * ec.den):
-                raise VerifyAlarm(f"e_chi not idempotent for chi={key}")
+            ft, kf = fold_array(e)
+            ecs, k, nl, phi = [self.e_chi(c) for c in self.chars], len(self.chars), len(L), len(ft)
+            at = np.full(t.size, nl)
+            at[L] = np.arange(nl)
+            S = np.zeros((k, nl, phi), dtype=exact_dtype(max(max_abs(x.rows) for x in ecs)))
+            Es = [None] * k
+            for c, (chi, ec) in enumerate(zip(self.chars, ecs)):
+                if (at[ec.keys] == nl).any():
+                    Es[c] = f"e_chi does not commute with z e_U e_V for chi={chi.key()}"
+                else:
+                    S[c, at[ec.keys]] = ec.rows
+
+            # e_chi^2 on L: square[c, m, u] = sum_(a, r) S[c, at(a^-1 m), r]
+            # SF[c, (a, r), u], SF[c, (a, r), u] = sum_s S[c, a, s] ft[s, (r, u)]
+            bound = kf * nl * max_abs(S) ** 2
+            dens = [ec.den for ec in ecs]
+            dtype, exact = matmul_dtype(bound), exact_dtype(bound + max_abs(S) * max(dens))
+            dens = np.array(dens, dtype=exact)
+            pair, Sd = at[t._table[t._inv[L], L[:, None]]], S.astype(dtype)
+            SF = (Sd @ ft.astype(dtype)).reshape(k, nl * phi, phi)
+            for blk in row_blocks(k, nl * nl * phi, _SCRATCH):
+                square = (Sd[blk][:, pair].reshape(-1, nl, nl * phi) @ SF[blk]).astype(exact)
+                fixed = (square == S[blk].astype(exact) * dens[blk, None, None]).all(axis=(1, 2))
+                for c in np.flatnonzero(~fixed) + blk.start:
+                    Es[c] = Es[c] or f"e_chi not idempotent for chi={self.chars[c].key()}"
+
             zc = _dense(self.zc)[:, 0]
-            bound = max_abs(zc) * max_abs(ec.rows) * len(ec.keys)
+            bound = max_abs(zc) * max_abs(S) * nl
             dtype = matmul_dtype(bound)
-            rows = zc[t._table[:, t._inv[ec.keys]]].astype(dtype) @ ec.rows.astype(dtype)
-            E = AlgElem.from_vec(t, self.e, (np.arange(t.size), rows.astype(
-                exact_dtype(bound)), self.zc.den * ec.den))
-            if E.is_zero():
-                raise VerifyAlarm(f"z e_U e_V e_chi vanished for chi={key}")
-            self._E[key] = E
-        return self._E[key]
+            Z = zc.astype(dtype)[t._table[:, t._inv[L]]]
+            for blk in row_blocks(k, t.size * phi, _SCRATCH):
+                rows = (Z @ S[blk].astype(dtype).transpose(1, 0, 2).reshape(nl, -1)).reshape(
+                    t.size, -1, phi)
+                for c in range(blk.start, blk.stop):
+                    if Es[c] is None:
+                        E = AlgElem.from_vec(t, e, (np.arange(t.size), rows[:, c - blk.start]
+                                                    .astype(exact_dtype(bound)),
+                                                    self.zc.den * ecs[c].den))
+                        Es[c] = E if not E.is_zero() else (
+                            f"z e_U e_V e_chi vanished for chi={self.chars[c].key()}")
+            self._stack = {c.key(): i for i, c in enumerate(self.chars)}, S, Es
+        return self._stack
+
+    def E(self, chi: LeviChar) -> AlgElem:
+        """The idempotent E = zc e_chi, read from the stack of every
+        character (_chi_stack); VerifyAlarm when chi's certificate failed."""
+        place, _, Es = self._chi_stack()
+        E = Es[place[chi.key()]]
+        if isinstance(E, str):
+            raise VerifyAlarm(E)
+        return E
 
     def _uv_table(self):
         """(cls, reps, F), built once for thm1's sandwiches and the end algebras.
@@ -819,17 +874,46 @@ class Verifier:
             self._uv = cls, reps, F
         return self._uv
 
+    def _end_rows(self):
+        """M[c, y, D]: |L|^2 times the value at g_D of e_chi X_y e_chi, for
+        chi = chars[c] and X_y of _uv_table: sum_{a, b in L} e_chi(a) F[y,
+        cls[a, D, b]] e_chi(b), folded into Q(zeta_e), the diagonal of
+        _sandwich_values.  F gathered at cls and two matmuls with the stack
+        of _chi_stack, a block of double cosets and of characters at a time,
+        built once."""
+        if self._end_vals is None:
+            cls, _, F = self._uv_table()
+            S = self._chi_stack()[1]
+            ft, kf = fold_array(self.e)
+            k, nl, phi = S.shape
+            bound = kf * max_abs(F) * (nl * max_abs(S)) ** 2
+            dtype = matmul_dtype(bound)
+            # SF[c, (b, p), u] = sum_q S[c, b, q] ft[p, (q, u)], ft being
+            # symmetric in p and q
+            F, S = F.astype(dtype), S.astype(dtype)
+            SF = (S @ ft.astype(dtype)).reshape(k, nl * phi, phi)
+            out = np.empty((k, len(F), cls.shape[1], phi), dtype=exact_dtype(bound))
+            for ds in row_blocks(cls.shape[1], len(F) * nl * nl, _SCRATCH):
+                # X[(y, D, b), a] = F[y, cls[a, D, b]] for D in ds
+                X = F[:, cls[:, ds].transpose(1, 2, 0)].reshape(-1, nl)
+                for blk in row_blocks(k, len(X) * phi, _SCRATCH):
+                    # (X @ S[c])[(y, D, b), p] = sum_a e_chi(a)_p F[y, cls[a, D, b]]
+                    T = (X @ S[blk]).reshape(blk.stop - blk.start, -1, nl * phi)
+                    out[blk, :, ds] = (T @ SF[blk]).reshape(len(T), len(F), -1, phi)
+            self._end_vals = out
+        return self._end_vals
+
     def module_reducer(self, chi: LeviChar) -> SparseReducer:
         """B = E_chi C[G] E_chi as a SparseReducer on U\\G/V: key D holds the
         value at g_D, which fixes an element of B (U E = E = E V); the rows
-        are the e_chi X_y e_chi of _uv_table.  E(chi), certified on the
-        table, is the unit of B.  The name is that of the left-module route
+        are chi's e_chi X_y e_chi of _end_rows.  E(chi), certified on the
+        stack, is the unit of B.  The name is that of the left-module route
         this replaced, under which perfbench times it."""
-        cls, _, F = self._uv_table()
+        self._uv_table()     # first, as E's certificate and B's rows read it
         self.E(chi)
-        M = _sandwich_values(F, cls, self.e_chi(chi).rows[None], self.e)
+        M = self._end_rows()[self._chi_stack()[0][chi.key()]]
         red = SparseReducer(self.e)
-        red.feed((np.arange(M.shape[1]), M[:, :, 0, 0], 1))
+        red.feed((np.arange(M.shape[1]), M, 1))
         return red
 
     # -- intertwining dimensions ----------------------------------------------
@@ -871,12 +955,25 @@ class Verifier:
         integer array (#classes, phi) whose row K over den is the class sum
         sum_{h in K} E(h).  The value at g is sum_x E(x^-1 g^-1 x) =
         |C_G(g)| s[class(g^-1)] / den: x^-1 g^-1 x covers g^-1's class
-        |C_G(g)| times."""
+        |C_G(g)| times.
+
+        The class sums of every character come at once, for the labelling
+        self.classes holds, from Z[K, l] = sum_{g in K} zc(g l^-1) (np.add.at,
+        a row block of g at a time) and one matmul with the stack of
+        _chi_stack: s_chi(K) = sum_l Z[K, l] e_chi(l), over zc.den e_chi.den,
+        then divided by the content that E dropped."""
         E, cls = self.E(chi), self.classes
-        s = np.zeros((int(cls.max()) + 1, E.rows.shape[1]),
-                     dtype=exact_dtype(max_abs(E.rows) * len(E.keys)))
-        np.add.at(s, cls[E.keys], E.rows)
-        return s, E.den
+        if self._sums is None or self._sums[0] is not cls:
+            t, L, S = self.table, np.asarray(self.table.subgroup("L")), self._chi_stack()[1]
+            zc = _dense(self.zc)[:, 0]
+            Z = np.zeros((int(cls.max()) + 1, len(L)), dtype=exact_dtype(max_abs(zc) * t.size))
+            for gs in row_blocks(t.size, len(L)):
+                np.add.at(Z, cls[gs], zc[t._table[gs][:, t._inv[L]]])
+            bound = max_abs(Z) * max_abs(S) * len(L)
+            dtype = matmul_dtype(bound)
+            self._sums = cls, (Z.astype(dtype) @ S.astype(dtype)).astype(exact_dtype(bound))
+        c = self._chi_stack()[0][chi.key()]
+        return self._sums[1][c] // (self.zc.den * self.e_chi(chi).den // E.den), E.den
 
     def _character_dim(self, chi: LeviChar, sigma: LeviChar) -> int:
         """dim Hom via the averaged inner product of the two characters:

@@ -7,26 +7,30 @@ taken from |G|-wide products, Lemma 3.3's identities as products, the left
 module spanned by the translates of E_chi, thm1's sandwich ranks and the
 end algebras from the module bases, and lem3.10's twist applied to the
 idempotents as group-algebra elements.
+The per-character routes build E_chi, its class sums and the rows of its
+end algebra one character at a time, each with a gather of its own.
 The rest are plain references: a CycloNum elimination (rank, span_rank), the
-complex value of a CycloNum for float cross-checks, and the whole-ring
-residue map.
+complex value of a CycloNum for float cross-checks, the whole-ring residue
+map, and single products and translates read off the Cayley table.
 """
 
 import cmath
+from fractions import Fraction
 
 import numpy as np
 
 from pseries import (AlgElem, CycloNum, HalmosElement, LeviChar, SparseReducer,
                      enumerate_gl, idempotent_subgroup)
-from pseries.algebra import AlgebraError, _mul_dense, idempotent_char, stack
+from pseries.algebra import AlgebraError, _mul_dense, idempotent_char, matmul_dtype, stack
 from pseries.chars import factor_chars, unit_structures
 from pseries.cyclo import (CycloError, exact_dtype, fold_array, max_abs, power_fold,
-                           root_coords, solve_affine)
+                           root_coords, solve_affine, times)
 from pseries.groups import ring_arrays, row_blocks
 from pseries.rings import RingSpec
-from pseries.verify import (CheckResult, EndAlgebra, VerifyAlarm, _block, _coords, _lift,
-                            _mask, _multiplicative_on_generators, _products,
-                            _unit_solution, _wedderburn_blocks, _z_solutions)
+from pseries.verify import (CheckResult, EndAlgebra, VerifyAlarm, _block, _coords, _dense,
+                            _lift, _mask, _multiplicative_on_generators, _products,
+                            _sandwich_values, _unit_solution, _wedderburn_blocks,
+                            _z_solutions)
 
 # dense (|G|, phi) entries per stack that the references feed or multiply at
 # once (16 MB in float64), so a wide span is built a batch at a time
@@ -78,6 +82,28 @@ def to_complex(a: CycloNum) -> complex:
     """a's value with zeta_e = exp(2 pi i / e), in floating point."""
     return sum(float(x) * cmath.exp(2j * cmath.pi * j / a.e)
                for j, x in enumerate(a.c) if x)
+
+
+def as_fraction(a: CycloNum) -> Fraction:
+    """a as a Fraction; CycloError unless a is rational."""
+    if not a.is_rational():
+        raise CycloError(f"{a} is not rational")
+    return a.c[0]
+
+
+def mul(t, i: int, j: int) -> int:
+    """The product of group elements i and j, one read of the Cayley table."""
+    return int(t._table[i, j])
+
+
+def left_translate(a, g: int):
+    """delta_g a: a's coefficients moved to the keys g x."""
+    return AlgElem.from_vec(a.table, a.e, (a.table._table[g, a.keys], a.rows, a.den))
+
+
+def right_translate(a, g: int):
+    """a delta_g: a's coefficients moved to the keys x g."""
+    return AlgElem.from_vec(a.table, a.e, (a.table._table[a.keys, g], a.rows, a.den))
 
 
 def span_rank(elems) -> int:
@@ -391,3 +417,52 @@ def whole_ring_residue(v):
     actual = {"image_size": int(_mask(rtab, images).sum())}
     return CheckResult("prop3.2b", "pass" if expected == actual else "fail",
                        expected, actual)
+
+
+def single_E(v, chi):
+    """Verifier.E one character at a time: e_chi must lie on L and square to
+    itself over G (np.add.at of the products of every pair of its keys),
+    and E = zc e_chi is one gather of zc at g l^-1 for e_chi's keys and one
+    matmul, with the stack's alarm texts."""
+    key, t, ec = chi.key(), v.table, v.e_chi(chi)
+    v._uv_table()
+    if not _mask(t, t.subgroup("L"))[ec.keys].all():
+        raise VerifyAlarm(f"e_chi does not commute with z e_U e_V for chi={key}")
+    _, kf = fold_array(v.e)
+    dtype = exact_dtype(kf * max_abs(ec.rows) ** 2 * len(ec.keys))
+    square = np.zeros((t.size, ec.rows.shape[1]), dtype=dtype)
+    if len(ec.keys):   # times takes no empty stack; the square of 0 is 0
+        np.add.at(square, t._table[np.ix_(ec.keys, ec.keys)].ravel(),
+                  times(ec.rows, ec.rows, v.e, dtype).reshape(-1, square.shape[1]))
+    if not np.array_equal(square, _dense(ec, dtype) * ec.den):
+        raise VerifyAlarm(f"e_chi not idempotent for chi={key}")
+    zc = _dense(v.zc)[:, 0]
+    bound = max_abs(zc) * max_abs(ec.rows) * len(ec.keys)
+    dtype = matmul_dtype(bound)
+    rows = zc[t._table[:, t._inv[ec.keys]]].astype(dtype) @ ec.rows.astype(dtype)
+    E = AlgElem.from_vec(t, v.e, (np.arange(t.size), rows.astype(exact_dtype(bound)),
+                                  v.zc.den * ec.den))
+    if E.is_zero():
+        raise VerifyAlarm(f"z e_U e_V e_chi vanished for chi={key}")
+    return E
+
+
+def single_class_sums(v, chi):
+    """Verifier.pind_character one character at a time: np.add.at of single_E's
+    rows at the classes of its keys, over its denominator."""
+    E, cls = single_E(v, chi), v.classes
+    s = np.zeros((int(cls.max()) + 1, E.rows.shape[1]),
+                 dtype=exact_dtype(max_abs(E.rows) * len(E.keys)))
+    np.add.at(s, cls[E.keys], E.rows)
+    return s, E.den
+
+
+def single_module(v, chi):
+    """Verifier.module_reducer one character at a time: its e_chi X_y e_chi
+    from a _sandwich_values call of its own, after single_E's certificate."""
+    cls, _, F = v._uv_table()
+    single_E(v, chi)
+    M = _sandwich_values(F, cls, v.e_chi(chi).rows[None], v.e)
+    red = SparseReducer(v.e)
+    red.feed((np.arange(M.shape[1]), M[:, :, 0, 0], 1))
+    return red

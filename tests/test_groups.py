@@ -11,6 +11,7 @@ from pseries import (PermWord, RingSpec, SizeGuardError, enumerate_gl, factor_ul
                      parse_ring_spec, weyl_matrix)
 from pseries import groups
 from pseries.groups import factor_ulv_codes, gl_order
+from references import mul
 
 
 def mat_mul(ring, a, b):
@@ -59,13 +60,13 @@ def test_group_axioms_small():
         t = enumerate_gl(parse_ring_spec(spec), n)
         e = t.identity
         for i in range(t.size):
-            assert t.mul(e, i) == i == t.mul(i, e)
-            assert t.mul(i, t.inv(i)) == e == t.mul(t.inv(i), i)
+            assert mul(t, e, i) == i == mul(t, i, e)
+            assert mul(t, i, t.inv(i)) == e == mul(t, t.inv(i), i)
         if t.size <= 48:
             for i in range(t.size):
                 for j in range(t.size):
                     for k in range(t.size):
-                        assert t.mul(t.mul(i, j), k) == t.mul(i, t.mul(j, k))
+                        assert mul(t, mul(t, i, j), k) == mul(t, i, mul(t, j, k))
 
 
 def test_table_matches_matrix_product():
@@ -81,7 +82,7 @@ def test_table_matches_matrix_product():
         step = 7 if t.size > 50 else 1
         for i in range(0, t.size, step):
             for j in range(0, t.size, step):
-                assert t.mul(i, j) == idx[mat_mul(ring, t.mat(i), t.mat(j))]
+                assert mul(t, i, j) == idx[mat_mul(ring, t.mat(i), t.mat(j))]
         for i in range(t.size):
             assert mat_mul(ring, t.mat(i), t.mat(t.inv(i))) == ident
             assert mat_mul(ring, t.mat(t.inv(i)), t.mat(i)) == ident
@@ -106,7 +107,7 @@ def test_dets_are_multiplicative():
         assert dets[i] == det2(ring, t.mat(i))
     for i in range(0, t.size, 5):
         for j in range(0, t.size, 3):
-            assert dets[t.mul(i, j)] == ring.mul(dets[i], dets[j])
+            assert dets[mul(t, i, j)] == ring.mul(dets[i], dets[j])
 
 
 def test_subgroup_shapes_and_closure():
@@ -126,7 +127,7 @@ def test_subgroup_shapes_and_closure():
             for a in H:
                 assert t.inv(a) in Hset
                 for b in H:
-                    assert t.mul(a, b) in Hset
+                    assert mul(t, a, b) in Hset
         for u in t.subgroup("U"):
             m = t.mat(u)
             for i in range(n):
@@ -163,7 +164,7 @@ def test_factor_ulv_round_trip():
         for u in U:
             for l in L:
                 for v in V:
-                    g = t.mul(t.mul(u, l), v)
+                    g = mul(t, mul(t, u, l), v)
                     assert g not in products  # distinctness of the triple product
                     products[g] = (t.mat(u), t.mat(l), t.mat(v))
         for g in range(t.size):
@@ -187,7 +188,7 @@ def test_factor_ulv_codes_match_scalar_call_and_table():
             got = factor_ulv(ring, t.mat(g))
             if ok[g]:
                 assert got == (t.mat(ui[g]), t.mat(li[g]), t.mat(vi[g]))
-                assert t.mul(t.mul(ui[g], li[g]), vi[g]) == g
+                assert mul(t, mul(t, ui[g], li[g]), vi[g]) == g
             else:
                 assert got is None
 

@@ -19,9 +19,11 @@ from pseries.chars import factor_chars, unit_structures
 from pseries.cyclo import power_fold, root_coords
 from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
-from references import (translates, twisted_scalar_failures, whole_ring_residue,
-                        wide_end_algebra, wide_halmos, wide_lemma33, wide_lin_independence,
-                        wide_module, wide_phi_data, wide_sandwich_ranks)
+from references import (left_translate, mul, right_translate, single_class_sums, single_E,
+                        single_module, translates, twisted_scalar_failures,
+                        whole_ring_residue, wide_end_algebra, wide_halmos, wide_lemma33,
+                        wide_lin_independence, wide_module, wide_phi_data,
+                        wide_sandwich_ranks)
 
 
 def test_halmos_identities_recomputed(vget):
@@ -280,8 +282,8 @@ def test_E_is_idempotent_and_spans_like_cuv(vget):
             red_e = SparseReducer(v.e)
             red_b = SparseReducer(v.e)
             for g in range(v.table.size):
-                red_e.feed(E.left_translate(g).vec)
-                red_b.feed(base.left_translate(g).vec)
+                red_e.feed(left_translate(E, g).vec)
+                red_b.feed(left_translate(base, g).vec)
             assert red_e.rank == red_b.rank
             for row in red_b.basis_rows():
                 assert red_e.contains(row)
@@ -331,6 +333,42 @@ def test_E_alarms_when_e_chi_does_not_commute(monkeypatch):
         v.E(chi)
 
 
+@pytest.mark.parametrize("corrupt,alarm", [
+    (lambda ec: ec.scale(2), "e_chi not idempotent"),
+    (lambda ec: AlgElem.zero(ec.table, ec.e), "z e_U e_V e_chi vanished"),
+], ids=["not-idempotent", "vanishing"])
+@pytest.mark.parametrize("spec", ["GF(3,1)", "Z/4"])
+def test_E_alarms_for_one_corrupted_e_chi_only(vget, spec, corrupt, alarm):
+    # one character's e_chi doubled (on L, but 2 e_chi squares to 4 e_chi) or
+    # zero (idempotent, but z e_U e_V 0 = 0): E of that character raises the
+    # alarm with its key, as the per-character route does, and every other
+    # character's E is the one of an uncorrupted Verifier
+    ref = vget(spec, 2)
+    v = Verifier._on_table(ref.table, 0, 10 ** 8)
+    chi = v.chars[1]
+    v._echi[chi.key()] = corrupt(v.e_chi(chi))
+    for route in (v.E, lambda c: single_E(v, c)):
+        with pytest.raises(VerifyAlarm, match=f"^{alarm} for chi={re.escape(chi.key())}$"):
+            route(chi)
+    for other in v.chars:
+        if other != chi:
+            assert v.E(other) == ref.E(other) == single_E(ref, other)
+
+
+@pytest.mark.parametrize("spec,n", [("GF(2,1)", 2), ("GF(3,1)", 2), ("GF(2,2)", 2), ("Z/4", 2),
+                                    ("Z/6", 2), ("Z/2xZ/2", 2), ("GF(2,1)", 3)])
+def test_character_stack_matches_per_character_route(vget, spec, n):
+    # E, its class sums and the end algebra's spanning rows of every
+    # character from the stack against one gather and one contraction per
+    # character
+    v = vget(spec, n)
+    for chi in v.chars:
+        assert as_arrays(v.E(chi)) == as_arrays(single_E(v, chi)), chi.key()
+        (s, den), (want, want_den) = v.pind_character(chi), single_class_sums(v, chi)
+        assert (s.tolist(), den) == (want.tolist(), want_den), chi.key()
+        assert basis_lists(v.module_reducer(chi)) == basis_lists(single_module(v, chi))
+
+
 def test_sandwich_shortcut_matches_full_sweep(vget):
     # the sandwich table's rank must be that of E_sigma g E_chi over all of G
     for spec, n in [("GF(2,1)", 2), ("GF(3,1)", 2), ("GF(2,2)", 2), ("Z/4", 2),
@@ -341,7 +379,7 @@ def test_sandwich_shortcut_matches_full_sweep(vget):
             for sigma in chars:
                 # E_sigma g E_chi for every g, from one stacked product
                 keys, prods, den = algebra._mul_dense(v.E(sigma), algebra.stack(
-                    v.E(chi).left_translate(g).vec for g in range(v.table.size)))
+                    left_translate(v.E(chi), g).vec for g in range(v.table.size)))
                 red = SparseReducer(v.e)
                 for row in prods:
                     red.feed((keys, row, den))
@@ -447,7 +485,7 @@ def test_character_route_agrees_with_sandwich(vget):
 def brute_classes(t):
     """Each g's conjugacy class, numbered by least elements, from the set of
     its conjugates x^-1 g x taken one product at a time."""
-    least = [min(t.mul(t.mul(t.inv(x), g), x) for x in range(t.size)) for g in range(t.size)]
+    least = [min(mul(t, mul(t, t.inv(x), g), x) for x in range(t.size)) for g in range(t.size)]
     firsts = sorted(set(least))
     return [firsts.index(m) for m in least]
 
@@ -550,7 +588,7 @@ def test_module_reducer_matches_single_translates(vget):
             for g in range(v.table.size):
                 if one.rank == red.rank:
                     break
-                one.feed(v.E(chi).left_translate(g).vec)
+                one.feed(left_translate(v.E(chi), g).vec)
             assert basis_lists(red) == basis_lists(one)
 
 
@@ -567,11 +605,11 @@ def test_coset_sweeps_match_full_sweeps(vget):
             vcw = v.eV * cw
             red_cw, red_vcw, phi_red = (SparseReducer(e) for _ in range(3))
             for g in range(t.size):
-                red_cw.feed(cw.right_translate(g).vec)
-                red_vcw.feed(vcw.right_translate(g).vec)
+                red_cw.feed(right_translate(cw, g).vec)
+                red_vcw.feed(right_translate(vcw, g).vec)
             for l in t.subgroup("L"):
-                phi_red.feed((c_uv.right_translate(t.mul(widx, l)) * c_uv).vec)
-            cell_in_span = all(phi_red.contains((c_uv.right_translate(g) * c_uv).vec)
+                phi_red.feed((right_translate(c_uv, mul(t, widx, l)) * c_uv).vec)
+            cell_in_span = all(phi_red.contains((right_translate(c_uv, g) * c_uv).vec)
                                for g in t.cells.get(w, ()))
             assert v._phi_data(w) == {
                 "rank_cw": red_cw.rank, "rank_vcw": red_vcw.rank,
@@ -687,7 +725,7 @@ def test_pind_character_matches_definition(vget):
             for g in range(t.size):
                 total = CycloNum.zero(v.e)
                 for x in range(t.size):
-                    total = total + E[t.mul(t.mul(t.inv(x), t.inv(g)), x)]
+                    total = total + E[mul(t, mul(t, t.inv(x), t.inv(g)), x)]
                 want.append(total)
             sums, den = v.pind_character(chi)
             rows = sums.tolist()
@@ -1015,7 +1053,7 @@ def loop_products(t, *factors):
     """Products f_1 ... f_k by nested loops over t.mul, last factor fastest."""
     out = [t.identity]
     for f in factors:
-        out = [t.mul(a, b) for a in out for b in f]
+        out = [mul(t, a, b) for a in out for b in f]
     return out
 
 
@@ -1038,7 +1076,7 @@ def nested_loop_check(v, cid):
             else:
                 ui, li, vi = (int(t.index_of(m)) for m in f)
                 mismatch += not (g in seen and ui in U and li in L and vi in V
-                                 and t.mul(t.mul(ui, li), vi) == g)
+                                 and mul(t, mul(t, ui, li), vi) == g)
         return (status(mismatch), {"distinct_products": size, "mismatches": 0},
                 {"distinct_products": len(seen), "mismatches": mismatch})
     if cid == "prop3.2c":
@@ -1054,7 +1092,7 @@ def nested_loop_check(v, cid):
     if cid == "prop3.2d":
         bad = []
         for w, widx in t.weyl_to_index.items():
-            conj = lambda H: {t.mul(t.mul(t.inv(widx), h), widx) for h in H}
+            conj = lambda H: {mul(t, mul(t, t.inv(widx), h), widx) for h in H}
             uw, vw = conj(U), conj(V)
             prods = loop_products(t, [u for u in U if u in uw],
                                   [u for u in U if u in vw])
