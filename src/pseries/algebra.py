@@ -272,6 +272,5 @@ def idempotent_char(table: GroupTable, chi) -> AlgElem:
     e = chi.e
     L = np.array(table.subgroup("L"), dtype=np.intp)
     diag = np.arange(table.n)
-    ts = [-chi.value_exponent_on_diag(d) % e
-          for d in table.codes[L][:, diag, diag].tolist()]
+    ts = -chi.value_exponents(table.codes[L][:, diag, diag]) % e
     return AlgElem.from_vec(table, e, (L, root_coords(e)[ts], len(L)))

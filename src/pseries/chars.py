@@ -11,6 +11,8 @@ import itertools
 import math
 from functools import lru_cache
 
+import numpy as np
+
 from .cyclo import CycloNum
 from .groups import PermWord, weyl_elements
 from .rings import RingSpec
@@ -145,11 +147,17 @@ class LeviChar:
         self.grid = tuple(tuple(row) for row in grid)
 
     def value_exponent_on_diag(self, diag) -> int:
-        t = 0
-        for f in range(len(self.ring.locals)):
-            row = self.grid[f]
-            for i in range(self.n):
-                t += row[i].value_exponent(diag[i][f])
+        return int(self.value_exponents([diag])[0])
+
+    def value_exponents(self, diags):
+        """t with chi(diag(d)) = zeta_e^t for each d in a code array (k, n, m):
+        per factor a table of each position's unit exponents, gathered."""
+        diags, pos = np.asarray(diags), np.arange(self.n)
+        t = np.zeros(len(diags), dtype=np.int64)
+        for f, (loc, row) in enumerate(zip(self.ring.locals, self.grid)):
+            table = np.zeros((self.n, loc.size), dtype=np.int64)
+            table[:, list(loc.units)] = [[c.value_exponent(u) for u in loc.units] for c in row]
+            t += table[pos, diags[..., f]].sum(axis=1)
         return t % self.e
 
     def acted(self, w: PermWord) -> "LeviChar":

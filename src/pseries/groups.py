@@ -3,11 +3,13 @@
 A matrix is held as an integer code array of shape (n, n, m): entry (i, j)
 in local factor f at [i, j, f] (see rings.py for the codes).  Its public
 form, tuples of tuples of ring elements, is built from that on demand.  A
-GroupTable fixes an indexing of the whole group, with the identity at index
-0 and all other elements in lexicographic order of their (row, column,
-factor) codes.  It holds one array per element field (codes, determinant
-codes, Bruhat label), the index-level multiplication and inverse tables,
-and the standard subgroups.
+GroupTable fixes an indexing of the whole group with the identity at index
+0: over a local ring the rest in increasing order of their base-q entry
+codes, over a product ring g = sum_f g_f prod_{f' > f} |G_f'| (mixed radix
+over the factors' indices g_f, the first factor most significant).  It
+holds one array per element field (codes, determinant codes, Bruhat label),
+the index-level multiplication and inverse tables, and the standard
+subgroups.
 """
 
 from __future__ import annotations
@@ -362,11 +364,12 @@ class GroupTable(object):
     determinant, and label_index[g] the position of its Bruhat label in
     weyl.  mat, diag and bruhat_label build one element's tuple form from
     them on demand.  The Cayley table _table is in _index_dtype(|G|), so
-    everything gathered from it is int16 up to 2^15 elements.
+    everything gathered from it is int16 up to 2^15 elements.  Element g of
+    a product ring is np.unravel_index(g, [f.size for f in factors]).
     """
 
     def __init__(self, ring, n, codes, det_codes, label_index, table, inv,
-                 subgroups, weyl, lookups, enc):
+                 subgroups, weyl, lookups, factors=None):
         self.ring = ring
         self.n = n
         self.size = len(codes)
@@ -377,9 +380,8 @@ class GroupTable(object):
         self._inv = inv
         self.weyl = weyl
         self._lookups = lookups
-        self._enc = enc
+        self._factors = factors
         self._pyrows = None
-        self._factors = None
         wcodes = np.array([weyl_matrix(ring, w) for w in weyl], dtype=np.int32)
         self.weyl_to_index = dict(zip(weyl, self.index_of(wcodes).tolist()))
         self.subgroups = dict(subgroups, W=tuple(sorted(self.weyl_to_index.values())))
@@ -403,7 +405,7 @@ class GroupTable(object):
     def index_of(self, codes):
         """Index of every matrix in a code array of shape (..., n, n, m), -1
         where the matrix is not in the group; looked up factor by factor
-        through each factor's base-q code and combined."""
+        through each factor's base-q code and combined in mixed radix."""
         codes = np.asarray(codes)
         m, nn = len(self.ring.locals), self.n * self.n
         flat = codes.reshape(-1, nn, m)
@@ -415,7 +417,8 @@ class GroupTable(object):
             pos = lookup[_encode(np.where(ok[:, None], x, 0).T, loc.size)]
             ok &= pos >= 0
             local.append(np.where(ok, pos, 0))
-        return np.where(ok, self._enc[tuple(local)], -1).reshape(codes.shape[:-3])
+        index = np.ravel_multi_index(local, [f.size for f in self.factors])
+        return np.where(ok, index, -1).reshape(codes.shape[:-3])
 
     def py_rows(self):
         """Multiplication table as nested Python-int lists.
@@ -459,7 +462,7 @@ def _factor_table(ring: RingSpec, n: int) -> GroupTable:
     subgroups = {name: tuple(s.tolist()) for name, s in _local_subgroups(loc, A).items()}
     return GroupTable(ring, n, A[..., None], dets[:, None],
                       _local_labels(loc, A), table, inv, subgroups,
-                      weyl_elements(1, n), (lookup,), np.arange(len(A), dtype=np.int32))
+                      weyl_elements(1, n), (lookup,))
 
 
 def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
@@ -468,7 +471,8 @@ def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
     Refuses (SizeGuardError) when the candidate count |R|^(n^2) or the
     multiplication table size |G|^2 exceeds max_cost; |G| is taken from the
     order formula, so a refusal enumerates nothing.  Each local factor's
-    group is built as a one-factor GroupTable and kept on `factors`.
+    group is built as a one-factor GroupTable and kept on `factors`, and a
+    product ring's fields are the factors' combined in mixed radix.
     """
     if n < 1:
         raise GroupError(f"matrix size must be >= 1, got {n}")
@@ -488,50 +492,28 @@ def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
         raise GroupError(f"enumerated {math.prod(sizes)} elements, not {total}")
     if len(factors) == 1:
         return factors[0]
-    m = len(factors)
 
-    # every combination of local matrices; the identity (local index 0 in
-    # every factor) first, then lexicographic in the (row, column, factor)
-    # entry codes
-    combos = np.indices(sizes, dtype=np.int32).reshape(m, total)
-    elems = np.concatenate([f.codes[c] for f, c in zip(factors, combos)], axis=-1)
-    flat = elems.reshape(total, n * n * m)
-    order = np.lexsort((*flat.T[::-1], combos.any(axis=0)))
-    dec = combos[:, order]
-    elems = elems[order]
-    enc = np.empty(tuple(sizes), dtype=np.int32)
-    enc[tuple(dec)] = np.arange(total, dtype=np.int32)
+    def mixed(parts, radix=sizes):   # every combination, in increasing order
+        return np.ravel_multi_index(np.ix_(*parts), radix).ravel()
 
-    # a row block of each local table, its columns put in G's order,
-    # combined into a position in enc; the local tables may be int16 even
-    # when G's is not, so the position is widened before it is scaled
-    local_tables = [f._table for f in factors]
-    table = np.empty((total, total), dtype=_index_dtype(total))
-    for rows in _table_blocks(total, total):
-        pos = local_tables[0][dec[0][rows]][:, dec[0]].astype(np.int32)
-        for T, d, size in zip(local_tables[1:], dec[1:], sizes[1:]):
-            pos *= size
-            pos += T[d[rows]][:, d]
-        table[rows] = np.take(enc, pos)
-    inv = enc[tuple(f._inv[d] for f, d in zip(factors, dec))]
-    det_codes = np.concatenate([f.det_codes[d] for f, d in zip(factors, dec)], axis=1)
-
-    # standard subgroups, combined through enc
-    subgroups = {}
-    for name in ("U", "V", "L", "N", "G0"):
-        grid = enc[np.ix_(*(f.subgroups[name] for f in factors))]
-        subgroups[name] = tuple(sorted(grid.ravel().tolist()))
-
-    # Bruhat labels combined as the position in weyl_elements' order (the
-    # first factor most significant)
-    label_index = np.zeros(total, dtype=np.intp)
-    for f, d in zip(factors, dec):
-        label_index = label_index * math.factorial(n) + f.label_index[d]
-
-    out = GroupTable(ring, n, elems, det_codes, label_index, table, inv, subgroups,
-                     weyl_elements(m, n), tuple(f._lookups[0] for f in factors), enc)
-    out._factors = factors
-    return out
+    # g has the factor indices np.unravel_index(g, sizes); the table is built
+    # a factor at a time, each partial index below |G| in the table's dtype
+    combos = np.unravel_index(np.arange(total), sizes)
+    codes = np.concatenate([f.codes[c] for f, c in zip(factors, combos)], axis=-1)
+    det_codes = np.concatenate([f.det_codes[c] for f, c in zip(factors, combos)], axis=1)
+    table = np.zeros((1, 1), dtype=_index_dtype(total))
+    for f in factors:
+        table = (table[:, None, :, None] * f.size + f._table[None, :, None, :]).reshape(
+            len(table) * f.size, -1)
+    subgroups = {name: tuple(mixed([f.subgroups[name] for f in factors]).tolist())
+                 for name in ("U", "V", "L", "N", "G0")}
+    # Bruhat labels combined as the position in weyl_elements' order, also
+    # the first factor most significant
+    label_index = mixed([f.label_index for f in factors], [math.factorial(n)] * len(factors))
+    return GroupTable(ring, n, codes, det_codes, label_index, table,
+                      mixed([f._inv for f in factors]), subgroups,
+                      weyl_elements(len(factors), n),
+                      tuple(f._lookups[0] for f in factors), factors)
 
 
 def weyl_matrix(ring: RingSpec, w: PermWord):

@@ -457,13 +457,15 @@ def _uv_products(N, b, e, size):
     """P[i k + j, D] = (b_i b_j)(g_D) = sum_{D1, D2} N[D1, D2, D] b_i(D1)
     b_j(D2), for k elements b (k, n, phi) constant on U\\G/V, and N[D1, D2,
     D] = #{h in D1 : h^-1 g_D in D2} (float64), in matmul_dtype: N sums to
-    size over (D1, D2).  N is cast only where matmul_dtype is not float64."""
+    size over (D1, D2).  N is cast through int64 where matmul_dtype is not
+    float64, so that exact Python ints never meet a float."""
     ft, kf = fold_array(e)
     bound = kf * size * max_abs(b) ** 2
     dtype = matmul_dtype(bound)
     b = b.astype(dtype)
+    N = N if dtype is np.float64 else N.astype(np.int64).astype(dtype, copy=False)
     # Q[i, s, D, j, r] = sum_{D1, D2} b_i(D1)_s N[D1, D2, D] b_j(D2)_r
-    Q = np.tensordot(np.tensordot(b, N.astype(dtype, copy=False), ([1], [0])), b, ([2], [1]))
+    Q = np.tensordot(np.tensordot(b, N, ([1], [0])), b, ([2], [1]))
     out = np.tensordot(Q, ft.reshape(len(ft), len(ft), -1).astype(dtype), ([1, 4], [0, 1]))
     return out.transpose(0, 2, 1, 3).astype(exact_dtype(bound)).reshape(-1, *b.shape[1:])
 
@@ -742,7 +744,8 @@ class Verifier:
         """N[D1, D2, D] = #{h in D1 : h^-1 g_D in D2}, D over U\\G/V, built
         once: for a, b constant on U\\G/V, (a b)(g_D) = sum_{D1, D2} N[D1, D2,
         D] a(D1) b(D2) (_uv_products).  Kept in float64, which holds every
-        count exactly: each is at most |G| < 2^53."""
+        count exactly (each is at most |G| < 2^53); _uv_products casts it
+        through int64 for its integer dtypes."""
         if self._uv_mul is None:
             # one column per g_D, a block of them at a time: the classes of h
             # and h^-1 g_D (a gather from t._table[t._inv] would copy the
@@ -1418,7 +1421,6 @@ class Verifier:
             umul = unit_at[ring_arrays(loc)[1][np.ix_(units, units)]]
             d = unit_at[tf.det_codes[:, 0]]
             U, L, V = (np.asarray(tf.subgroup(h), dtype=np.intp) for h in "ULV")
-            diags = tf.codes[L][:, i, i].tolist()
             det_ok = _multiplicative_on_generators(tf, d, umul)
             for chi1 in factor_chars(unit_structures(tf.ring)[0], ef):
                 v = np.array([chi1.value_exponent(u) for u in loc.units])
@@ -1429,7 +1431,7 @@ class Verifier:
                 chi = LeviChar(tf.ring, self.n, ef, ((chi1,) * self.n,))
                 if t[U].any() or t[V].any():
                     failures.append(f"factor{f}:exps{chi1.exps}:unipotent")
-                if (t[L] != [chi.value_exponent_on_diag(x) for x in diags]).any():
+                if (t[L] != chi.value_exponents(tf.codes[L][:, i, i])).any():
                     failures.append(f"factor{f}:exps{chi1.exps}:echi")
         return CheckResult("lem3.10", "pass" if not failures else "fail",
                            {"failures": []}, {"failures": failures})

@@ -127,6 +127,18 @@ def test_levi_char_values_multiply_on_torus():
                     + chi.value_exponent_on_diag(db)) % chi.e
 
 
+def test_levi_char_exponents_are_sums_of_unit_exponents():
+    # the gathered tables against each position's unit character, on every
+    # diagonal of units, product rings included
+    for spec, n in [("Z/4", 2), ("GF(2,2)", 2), ("Z/6", 2), ("Z/2xGF(2,2)", 3)]:
+        ring = parse_ring_spec(spec)
+        diags = list(product(ring.units(), repeat=n))
+        for chi in all_levi_chars(ring, n):
+            want = [sum(c.value_exponent(d[i][f]) for f, row in enumerate(chi.grid)
+                        for i, c in enumerate(row)) % chi.e for d in diags]
+            assert chi.value_exponents(diags).tolist() == want, chi.key()
+
+
 def test_orbit_stabilizer_theorem():
     for spec, n in [("GF(3,1)", 2), ("Z/6", 2), ("GF(2,1)", 3)]:
         ring = parse_ring_spec(spec)

@@ -88,15 +88,35 @@ def test_table_matches_matrix_product():
             assert mat_mul(ring, t.mat(t.inv(i)), t.mat(i)) == ident
 
 
-def test_elements_are_identity_then_lexicographic():
-    # the order GroupTable promises: identity at 0, then lexicographic in the
-    # (row, column, factor) entry codes
-    for spec, n in [("Z/6", 1), ("GF(2,1)", 3), ("Z/2xGF(2,2)", 2)]:
+def test_elements_are_identity_then_mixed_radix():
+    # the order GroupTable promises: over a local ring the identity at 0, then
+    # increasing base-q codes (lexicographic in the row-major entry codes);
+    # over a product ring, g has the factor indices np.unravel_index(g,
+    # sizes), the first factor most significant, so every field, index_of,
+    # the subgroups and the Cayley table are the factors' combined that way
+    for spec, n in [("GF(2,1)", 3), ("Z/4", 2), ("Z/6", 1), ("Z/2xGF(2,2)", 2),
+                    ("Z/2xZ/2xZ/3", 2)]:
         ring = parse_ring_spec(spec)
         t = enumerate_gl(ring, n)
         assert t.mat(0) == weyl_matrix(ring, PermWord.identity(len(ring.locals), n))
-        flat = [tuple(t.codes[i].ravel().tolist()) for i in range(1, t.size)]
-        assert flat == sorted(flat)
+        assert np.array_equal(t.index_of(t.codes), np.arange(t.size)), spec
+        if len(t.factors) == 1:
+            flat = [tuple(t.codes[i].ravel().tolist()) for i in range(1, t.size)]
+            assert flat == sorted(flat), spec
+            continue
+        sizes = [f.size for f in t.factors]
+        pos = np.unravel_index(np.arange(t.size), sizes)
+        for f, (factor, p) in enumerate(zip(t.factors, pos)):
+            assert np.array_equal(t.codes[..., f], factor.codes[p, ..., 0]), spec
+            assert np.array_equal(t.det_codes[:, f], factor.det_codes[p, 0]), spec
+            assert np.array_equal(factor._inv[p], pos[f][t._inv]), spec
+        for name in ("U", "V", "L", "N", "G0"):
+            grid = itertools.product(*(f.subgroup(name) for f in t.factors))
+            assert list(t.subgroup(name)) == [int(np.ravel_multi_index(x, sizes))
+                                              for x in grid], (spec, name)
+        want = np.ravel_multi_index(
+            tuple(f._table[np.ix_(p, p)] for f, p in zip(t.factors, pos)), sizes)
+        assert t._table.dtype == np.int16 and np.array_equal(t._table, want), spec
 
 
 def test_dets_are_multiplicative():
@@ -293,16 +313,16 @@ def test_size_guard():
 
 
 FACTOR_FIELDS = ("codes", "det_codes", "label_index", "_table", "_inv", "_lookups",
-                 "_enc", "subgroups", "weyl_to_index", "cells")
+                 "subgroups", "weyl_to_index", "cells")
 
 
 def test_factor_tables_match_fresh_enumeration():
     # enumerate_gl keeps each factor's group; it must be the group a fresh
     # enumeration of the local ring gives, field by field
-    for spec in ("Z/2xZ/2", "Z/2xZ/3", "Z/2xGF(2,2)", "Z/4xZ/2"):
+    for spec in ("Z/2xZ/2", "Z/2xZ/3", "Z/2xGF(2,2)", "Z/4xZ/2", "Z/2xZ/2xZ/3"):
         ring = parse_ring_spec(spec)
         t = enumerate_gl(ring, 2)
-        assert len(t.factors) == len(ring.locals) == 2
+        assert len(t.factors) == len(ring.locals) == spec.count("x") + 1
         for factor, loc in zip(t.factors, ring.locals):
             fresh = enumerate_gl(RingSpec([loc]), 2)
             assert factor.ring == fresh.ring and factor.factors == [factor]

@@ -137,7 +137,8 @@ def test_halmos_solve_reads_no_double_coset_counts(monkeypatch, vget, spec, n):
 
 
 @pytest.mark.parametrize("spec,n", [("GF(2,1)", 2), ("GF(3,1)", 2), ("Z/4", 2), ("Z/6", 2),
-                                    ("Z/2xZ/2", 2), ("GF(2,2)", 2), ("GF(2,1)", 3)])
+                                    ("Z/2xZ/2", 2), ("GF(2,2)", 2), ("GF(2,1)", 3),
+                                    ("Z/2xZ/2xZ/3", 2)])
 def test_lemma33_matches_product_route(vget, spec, n):
     # the certificate on the Cayley table against the same identities as
     # |G|-wide products, on a fresh Verifier
@@ -774,6 +775,26 @@ def test_uv_contractions_agree_in_every_dtype(vget, monkeypatch, dtype):
             v = Verifier._on_table(ref.table, 0, 10 ** 8)
             assert want == ([v.end_algebra(c).structure for c in v.chars],
                             [[v._sandwich_rank(c, s) for s in v.chars] for c in v.chars])
+
+
+def test_uv_products_are_exact_on_the_python_int_path(vget):
+    # entries near 3^40 put the bound past 2^62, so the products run on
+    # Python ints; N's float64 counts must enter them as ints, or every
+    # product is a float (7.094823811888605e+39 for the constant rows)
+    v = vget("GF(3,1)", 2)
+    N, big = v._uv_counts(), 3 ** 40 + 1
+    k = len(N)
+    b = np.empty((2, k, 1), dtype=object)
+    b[0, :, 0] = big
+    b[1, :, 0] = [big + D for D in range(k)]
+    P = verify._uv_products(N, b, v.e, v.table.size)
+    counts = N.astype(np.int64).tolist()
+    want = [[sum(counts[D1][D2][D] * int(x[D1, 0]) * int(y[D2, 0])
+                 for D1 in range(k) for D2 in range(k)) for D in range(k)]
+            for x in b for y in b]
+    assert want[0][0] == 7094823811888604320339129973975863449792
+    assert all(type(p) is int for p in P.ravel())
+    assert P[..., 0].tolist() == want
 
 
 def test_end_algebra_split_takes_one_rank_and_no_draw():
