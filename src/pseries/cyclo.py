@@ -113,6 +113,8 @@ def times(rows, c, e, dtype):
     """rows * c in Z[zeta_e]: integer rows (k, phi) times integer coordinates
     c (phi,), or times each of a stack c (m, phi), giving (m, k, phi)."""
     ft, _ = fold_array(e)
+    if len(ft) == 1:   # phi = 1: the fold is 1 * 1 = 1, a broadcast product
+        return rows.astype(dtype, copy=False) * np.asarray(c, dtype=dtype)[..., None, :]
     m = np.asarray(c, dtype=dtype) @ ft.astype(dtype, copy=False)
     return rows.astype(dtype, copy=False) @ m.reshape(*m.shape[:-1], len(ft), -1)
 

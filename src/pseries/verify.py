@@ -24,10 +24,11 @@ chi: the e_chi on L, certified in one batched pass, and every E from one
 gather of zc and one matmul (_chi_stack); every end algebra's spanning
 values from one contraction (_end_rows); every class sum from one sum over
 classes and one matmul (pind_character).  thm1's character route is the
-inner product of class functions: one labelling of G by least conjugates
-(Verifier.classes), the class sums of every E, and one contraction of their
-stack for every pair at once.  lem3.10 twists no element: it compares
-exponents of chi1(det .) on U, V and L with those of chi on L's diagonals.
+inner product of class functions: G's classes by propagation over the
+generating set U | L | V (Verifier.classes), the class sums of every E, and
+one contraction of their stack for every pair at once.  lem3.10 twists no
+element: it tests det on G x (U | L | V) and compares the exponents of
+chi1(det .) on U, V and L with those of chi on L's diagonals.
 """
 
 from __future__ import annotations
@@ -168,30 +169,14 @@ def _mask(t, idx):
     return out
 
 
-def _multiplicative_on_generators(t, d, mul):
-    """Whether d(g h) = mul[d(g), d(h)] for all g, h in G, for an integer
-    array d over G and a multiplication table mul of its values.
-
-    S = U | L | V contains the identity.  Walking out from {1} by right
-    multiplication by S, each front is gathered once, so every g in G is
-    tested against every s in S, |G| |S| products, and the walk certifies
-    that S generates G.  d(g s) = d(g) d(s) for all g and s in S then gives
-    d(1) = 1 and, by induction on word length, d(g h) = d(g) d(h).  A walk
-    that does not reach all of G fails.
-    """
-    S = np.flatnonzero(_mask(t, t.subgroup("U") + t.subgroup("L") + t.subgroup("V")))
-    reached = _mask(t, [t.identity])
-    front, ok = np.array([t.identity]), True
-    while len(front):
-        grown = np.zeros(t.size, dtype=bool)
-        for rows in row_blocks(len(front), len(S)):
-            g = front[rows]
-            prods = t._table[np.ix_(g, S)]
-            ok &= bool((mul[d[g, None], d[S]] == d[prods]).all())
-            grown[prods] = True
-        front = np.flatnonzero(grown & ~reached)
-        reached |= grown
-    return ok and bool(reached.all())
+def _multiplicative_on_generators(t, d, mul, S):
+    """Whether d(g s) = mul[d(g), d(s)] for all g in G and s in S (one G x S
+    gather, a block of rows at a time), for an integer array d over G and a
+    multiplication table mul of its values.  For a generating set S holding
+    1 (Verifier.generators) that gives d(1) = 1 and, by induction on word
+    length, d(g h) = d(g) d(h) for all g, h in G."""
+    return all(bool((mul[d[rows, None], d[S]] == d[t._table[rows][:, S]]).all())
+               for rows in row_blocks(t.size, len(S)))
 
 
 def _labels(t, X, Y=()):
@@ -236,23 +221,27 @@ _SCRATCH = 1 << 18
 
 
 def _rank_mod_p(M):
-    """The rank mod _P of an integer matrix, by elimination that updates only
-    the trailing block right of each pivot, and in it only the rows below
-    the pivot that are nonzero in its column (count matrices stay sparse)."""
-    A = (M % _P).astype(np.int64)
+    """The rank mod _P of an integer matrix, by elimination over its shorter
+    side (rank M = rank M^T) that stops once the rank reaches it: a pivot a
+    = A[r, c] takes each row below it nonzero in column c (count matrices
+    stay sparse) to a A[row] - A[row, c] A[r] mod p right of c, with no
+    inverse and products below p^2 < 2^62, reduced as B - B // p * p (int64
+    // by a scalar is several times faster than %)."""
+    A = np.ascontiguousarray((M if M.shape[0] <= M.shape[1] else M.T) % _P, dtype=np.int64)
     rank = 0
     for c in range(A.shape[1]):
-        if rank == len(A):
-            break
         nz = np.flatnonzero(A[rank:, c])
         if not len(nz):
             continue
-        A[[rank, rank + nz[0]]] = A[[rank + nz[0], rank]]
-        A[rank, c + 1:] = A[rank, c + 1:] * pow(int(A[rank, c]), _P - 2, _P) % _P
-        rows = rank + 1 + np.flatnonzero(A[rank + 1:, c])
-        # residues below p: each entry stays above -p^2 > -2^63 before the mod
-        A[rows, c + 1:] = (A[rows, c + 1:] - A[rows, c, None] * A[rank, c + 1:]) % _P
+        if nz[0]:
+            A[[rank, rank + nz[0]]] = A[[rank + nz[0], rank]]
+        rows = rank + nz[1:]   # the row swapped down, if any, is zero in column c
+        B = A[rows, c + 1:] * A[rank, c]
+        B -= A[rows, c, None] * A[rank, c + 1:]
+        A[rows, c + 1:] = B - B // _P * _P
         rank += 1
+        if rank == len(A):
+            break
     return rank
 
 
@@ -545,7 +534,7 @@ class Verifier:
             np.arange(t.size), np.bincount(_products(t, X, Y), minlength=t.size)[:, None]
             * root_coords(e)[:1], len(X) * len(Y))) for X, Y in ((U, V), (V, U)))
         self._halmos = None
-        self._zc = None
+        self._zc = self._zc_ids = None
         self._ulv = None
         self._echi = {}
         self._stack = None
@@ -554,6 +543,7 @@ class Verifier:
         self._uv = None
         self._uv_mul = None
         self._sandwich = {}
+        self._gens = {}
         self._classes = None
         self._chardim = None
         self._end = {}
@@ -571,6 +561,25 @@ class Verifier:
             self._ulv = _products(t, t.subgroup("U"), t.subgroup("L"),
                                   t.subgroup("V"))
         return self._ulv
+
+    def generators(self, t):
+        """S = U | L | V of t (self.table or a factor; a local ring's group is
+        its own), a sorted index array, certified once per table to generate
+        t: the walk from {1} by right multiplication by S, each front gathered
+        once (|t| |S| products), reaches all of t, or VerifyAlarm."""
+        if t not in self._gens:
+            S = np.flatnonzero(_mask(t, t.subgroup("U") + t.subgroup("L") + t.subgroup("V")))
+            reached, front = _mask(t, [t.identity]), np.array([t.identity])
+            while len(front):
+                grown = np.zeros(t.size, dtype=bool)
+                for rows in row_blocks(len(front), len(S)):
+                    grown[t._table[np.ix_(front[rows], S)]] = True
+                front = np.flatnonzero(grown & ~reached)
+                reached |= grown
+            if not reached.all():
+                raise VerifyAlarm(f"U, L and V do not generate {t!r}")
+            self._gens[t] = S
+        return self._gens[t]
 
     def e_chi(self, chi: LeviChar) -> AlgElem:
         key = chi.key()
@@ -765,24 +774,20 @@ class Verifier:
     @property
     def zc(self) -> AlgElem:
         """z e_U e_V from _krylov_zc, certified by zc^2 = zc and zc e_U e_V =
-        e_U e_V.  zc (by its lift) and e_U e_V are constant on U\\G/V, so
-        are their products, which N gives at each g_D."""
+        e_U e_V (the pair kept in _zc_ids).  zc (by its lift) and e_U e_V are
+        constant on U\\G/V, so are their products, which N gives at each g_D."""
         if self._zc is None:
             zc = self._krylov_zc()
-            idempotent, fixes = self._uv_identities(zc)
+            a, c = (_dense(x)[self.uv_first, 0] for x in (zc, self.c_uv))
+            P = _uv_products(self._uv_counts(), np.stack([a, c])[..., None], 1, self.table.size)
+            idempotent, fixes = self._zc_ids = (_same(P[0, :, 0], zc.den, a, 1),
+                                                _same(P[1, :, 0], zc.den, c, 1))
             if not idempotent:
                 raise VerifyAlarm("z e_U e_V not idempotent")
             if not fixes:
                 raise VerifyAlarm("z e_U e_V does not fix e_U e_V")
             self._zc = zc
         return self._zc
-
-    def _uv_identities(self, zc):
-        """(zc^2 == zc, zc e_U e_V == e_U e_V) for a zc constant on U\\G/V,
-        by _uv_products: zc zc over zc.den^2, zc c_uv over zc.den c_uv.den."""
-        a, c = (_dense(x)[self.uv_first, 0] for x in (zc, self.c_uv))
-        P = _uv_products(self._uv_counts(), np.stack([a, c])[..., None], 1, self.table.size)
-        return _same(P[0, :, 0], zc.den, a, 1), _same(P[1, :, 0], zc.den, c, 1)
 
     def _chi_stack(self):
         """(place, S, Es), built once for every chi of self.chars:
@@ -942,15 +947,23 @@ class Verifier:
     @property
     def classes(self):
         """cls[g], the number of g's conjugacy class, the classes numbered in
-        increasing order of their least elements: min over x of x^-1 g x,
-        gathered for a block of g at a time."""
+        increasing order of their least elements.  S (self.generators) generates
+        G and is closed under inverses, so a class is a component of the graph
+        g -- s^-1 g s, whose least element propagation finds (Shiloach and
+        Vishkin, J. Algorithms 1982): from lab[g] = g, a round takes lab to its
+        min with every lab[s^-1 g s] (one (|S|, |G|) gather), then lab <-
+        lab[lab] until stable; lab[g] stays in g's class, and a round that
+        changes nothing leaves it constant there."""
         if self._classes is None:
-            t, xs = self.table, np.arange(self.table.size)
-            label = np.empty(t.size, dtype=np.intp)
-            for gs in row_blocks(t.size, t.size):
-                # entry (g, x) is x^-1 g x
-                label[gs] = t._table[t._table[t._inv, xs[gs, None]], xs].min(axis=1)
-            self._classes = np.searchsorted(np.flatnonzero(label == xs), label)
+            t, S = self.table, self.generators(self.table)
+            conj = t._table[t._table[t._inv[S]], S[:, None]]   # entry (s, g) is s^-1 g s
+            lab, new = None, np.arange(t.size, dtype=t._table.dtype)
+            while not np.array_equal(lab, new):
+                lab = new
+                new = np.minimum(lab, lab[conj].min(axis=0))
+                while not np.array_equal(new, new[new]):
+                    new = new[new]
+            self._classes = np.searchsorted(np.flatnonzero(lab == np.arange(t.size)), lab)
         return self._classes
 
     def pind_character(self, chi: LeviChar):
@@ -1243,7 +1256,7 @@ class Verifier:
             "self_adjoint": h.z.star() == h.z,
             "central": all(np.array_equal(_average(z, r), _average(z, l))
                            for r, l in zip(right, left)),
-            "uv_identity": self._uv_identities(self.zc)[1],
+            "uv_identity": self._zc_ids[1],
             "vu_identity": _same(vu, vud, cvu, cvud),
             "invertible": (_same(*_combination(*h.z_coords, words), z, zd)
                            and _same(*_combination(*h.z_inv_coords, words), zi, zid)
@@ -1408,9 +1421,9 @@ class Verifier:
         chi = (chi1, ..., chi1) on l's diagonal, for every l in L.
 
         chi1(det .) is multiplicative on G when det is and chi1 is, so det
-        is tested once per factor, on G x S for a generating set S
-        (_multiplicative_on_generators), and each chi1 only on the |R^x|^2
-        pairs of units.
+        is tested once per factor, on G x S for the factor's certified
+        generating set S (self.generators, _multiplicative_on_generators),
+        and each chi1 only on the |R^x|^2 pairs of units.
         """
         failures, i = [], np.arange(self.n)
         for f, tf in enumerate(self.table.factors):
@@ -1421,7 +1434,7 @@ class Verifier:
             umul = unit_at[ring_arrays(loc)[1][np.ix_(units, units)]]
             d = unit_at[tf.det_codes[:, 0]]
             U, L, V = (np.asarray(tf.subgroup(h), dtype=np.intp) for h in "ULV")
-            det_ok = _multiplicative_on_generators(tf, d, umul)
+            det_ok = _multiplicative_on_generators(tf, d, umul, self.generators(tf))
             for chi1 in factor_chars(unit_structures(tf.ring)[0], ef):
                 v = np.array([chi1.value_exponent(u) for u in loc.units])
                 if not (det_ok and ((v[:, None] + v) % ef == v[umul]).all()):

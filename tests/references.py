@@ -5,8 +5,9 @@ or Hecke coordinates: exact spans of group-algebra vectors over Q(zeta_e),
 the Halmos solve with its closure, coordinate tables and inverse systems
 taken from |G|-wide products, Lemma 3.3's identities as products, the left
 module spanned by the translates of E_chi, thm1's sandwich ranks and the
-end algebras from the module bases, and lem3.10's twist applied to the
-idempotents as group-algebra elements.
+end algebras from the module bases, lem3.10's twist applied to the
+idempotents as group-algebra elements, and the conjugacy classes from every
+conjugate x^-1 g x rather than from conjugation by a generating set.
 The per-character routes build E_chi, its class sums and the rows of its
 end algebra one character at a time, each with a gather of its own.
 The rest are plain references: a CycloNum elimination (rank, span_rank), the
@@ -383,7 +384,7 @@ def twisted_scalar_failures(v):
         d = unit_at[tf.det_codes[:, 0]]
         ft, kf = fold_array(ef)
         roots = (root_coords(ef) @ ft).reshape(ef, len(ft), len(ft))
-        det_ok = _multiplicative_on_generators(tf, d, umul)
+        det_ok = _multiplicative_on_generators(tf, d, umul, lv.generators(tf))
         for chi1 in factor_chars(unit_structures(lv.ring)[0], ef):
             x = np.array([chi1.value_exponent(u) for u in loc.units])
             if not (det_ok and ((x[:, None] + x) % ef == x[umul]).all()):
@@ -401,6 +402,18 @@ def twisted_scalar_failures(v):
             if twist(idempotent_char(tf, chi)) != eL:
                 failures.append(f"factor{f}:exps{chi1.exps}:echi")
     return failures
+
+
+def least_conjugate_classes(v):
+    """Verifier.classes from the least element min over x of x^-1 g x of
+    each g's class, gathered for a block of g at a time: |G|^2 reads, and no
+    generating set."""
+    t, xs = v.table, np.arange(v.table.size)
+    label = np.empty(t.size, dtype=np.intp)
+    for gs in row_blocks(t.size, t.size):
+        # entry (g, x) is x^-1 g x
+        label[gs] = t._table[t._table[t._inv, xs[gs, None]], xs].min(axis=1)
+    return np.searchsorted(np.flatnonzero(label == xs), label)
 
 
 def whole_ring_residue(v):

@@ -19,7 +19,8 @@ from pseries.chars import factor_chars, unit_structures
 from pseries.cyclo import power_fold, root_coords
 from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
-from references import (left_translate, mul, right_translate, single_class_sums, single_E,
+from references import (least_conjugate_classes, left_translate, mul, right_translate,
+                        single_class_sums, single_E,
                         single_module, translates, twisted_scalar_failures,
                         whole_ring_residue, wide_end_algebra, wide_halmos, wide_lemma33,
                         wide_lin_independence, wide_module, wide_phi_data,
@@ -497,6 +498,24 @@ def test_classes_match_brute_force(vget, spec, n):
     assert v.classes.tolist() == brute_classes(v.table)
 
 
+@pytest.mark.parametrize("spec,n", STANDARD_PAIRS + [("GF(2,2)", 2), ("Z/2xZ/2", 2),
+                                     ("Z/2xZ/2xZ/3", 2)])
+def test_classes_match_least_conjugates(vget, spec, n):
+    v = vget(spec, n)
+    assert np.array_equal(v.classes, least_conjugate_classes(v))
+
+
+@pytest.mark.parametrize("spec", ["GF(3,1)", "Z/2xGF(2,2)"])
+def test_classes_alarm_when_S_does_not_generate(spec):
+    # with V = {1}, S = U | L lies in the Borel subgroup, whose conjugation
+    # orbits are finer than G's classes: the walk must raise, never label
+    v = Verifier(parse_ring_spec(spec), 2)
+    v.table.subgroups["V"] = (v.table.identity,)
+    with pytest.raises(VerifyAlarm, match="do not generate"):
+        v.classes
+    assert v._classes is None
+
+
 @pytest.mark.parametrize("spec,n,q", [("GF(3,1)", 2, 3), ("GF(2,2)", 2, 4),
                                       ("GF(7,1)", 2, 7), ("GF(2,1)", 3, 2)])
 def test_class_counts_of_gl_over_fields(vget, spec, n, q):
@@ -673,9 +692,20 @@ def test_certified_rank_matches_exact_sweep():
 
 def test_rank_mod_p_is_not_trusted_below_the_certificate():
     p = verify._P
-    for M in ([[p, 0], [0, 1]], [[p, 0, 0], [0, 1, 0], [0, 1, 0]], [[p * p, 1], [0, 1]]):
-        M = np.array(M, dtype=np.int64)
-        assert verify._rank_mod_p(M) < exact_rank(M) == verify._certified_rank(M)
+    for M in ([[p, 0], [0, 1]], [[p, 0, 0], [0, 1, 0], [0, 1, 0]], [[p * p, 1], [0, 1]],
+              [[p, 0, 0], [0, 1, 1]]):
+        for M in (np.array(M, dtype=np.int64), np.array(M, dtype=np.int64).T):
+            assert verify._rank_mod_p(M) < exact_rank(M) == verify._certified_rank(M)
+
+
+def test_rank_mod_p_matches_exact_rank_on_either_side():
+    # wide and tall (eliminated as its transpose), full rank, rank-deficient
+    # and all-zero; small entries, so no minor is a multiple of p
+    rng = np.random.default_rng(7)
+    for m, n, r in [(5, 9, 5), (9, 5, 5), (6, 10, 3), (10, 6, 3), (7, 7, 4), (1, 6, 1),
+                    (6, 1, 1), (8, 3, 0), (3, 8, 0)]:
+        M = rng.integers(-3, 4, (m, r)) @ rng.integers(-2, 3, (r, n))
+        assert verify._rank_mod_p(M) == verify._rank_mod_p(M.T) == exact_rank(M) == r
 
 
 def test_hadamard_bound_certifies_without_the_sweep(monkeypatch):
@@ -906,7 +936,7 @@ def test_det_generator_test_matches_all_pairs(vget):
     for spec, n in STANDARD_PAIRS + [("GF(5,1)", 2), ("Z/2xGF(2,2)", 2)]:
         v = vget(spec, n)
         for t in v.table.factors:
-            gen = verify._multiplicative_on_generators(t, *_det_units(t))
+            gen = verify._multiplicative_on_generators(t, *_det_units(t), v.generators(t))
             assert (gen, _det_all_pairs(t)) == (True, True), spec
         assert v.check_scalar_twist().passed, spec
 
@@ -918,7 +948,7 @@ def test_scalar_twist_fails_on_a_moved_det():
     g = t.size // 2
     t.det_codes[g, 0] = units[(units.index(t.det_codes[g, 0]) + 1) % len(units)]
     assert not _det_all_pairs(t)
-    assert not verify._multiplicative_on_generators(t, *_det_units(t))
+    assert not verify._multiplicative_on_generators(t, *_det_units(t), v.generators(t))
     r = v.check_scalar_twist()
     assert not r.passed
     assert all(f.startswith("factor1:") and f.endswith(":multiplicative")
@@ -927,13 +957,30 @@ def test_scalar_twist_fails_on_a_moved_det():
 
 def test_scalar_twist_fails_when_S_does_not_generate():
     # with V = {1}, S = U L is the Borel subgroup: det is still multiplicative
-    # (the all-pairs oracle passes), but the test on S would be partial
+    # (the all-pairs oracle passes), but the test on S would be partial, so
+    # the walk raises and lem3.10 fails by the alarm
     v = Verifier(parse_ring_spec("GF(3,1)"), 2)
     v.table.subgroups["V"] = (v.table.identity,)
     assert _det_all_pairs(v.table)
-    r = v.check_scalar_twist()
-    assert not r.passed and r.actual["failures"]
-    assert all(f.endswith(":multiplicative") for f in r.actual["failures"])
+    (r,) = v.run_checks(only=["lem3.10"]).checks
+    assert not r.passed and "do not generate" in r.actual["alarm"]
+
+
+@pytest.mark.parametrize("spec", ["GF(3,1)", "Z/2xZ/2xZ/3"])
+def test_scalar_twist_fails_on_a_moved_det_after_classes(spec):
+    # classes walks S over G first; a local ring's group is its own factor,
+    # so lem3.10 reads that walk, and a product ring's factors walk their
+    # own: either way the G x S test of det still runs and fails
+    v = Verifier(parse_ring_spec(spec), 2)
+    v.classes
+    f, t = len(v.table.factors) - 1, v.table.factors[-1]
+    units = list(t.ring.locals[0].units)
+    g = t.size // 2
+    t.det_codes[g, 0] = units[(units.index(t.det_codes[g, 0]) + 1) % len(units)]
+    (r,) = v.run_checks(only=["lem3.10"]).checks
+    assert r.status == "fail" and r.actual["failures"]
+    assert all(x.startswith(f"factor{f}:") and x.endswith(":multiplicative")
+               for x in r.actual["failures"])
 
 
 def test_scalar_twist_matches_twisted_idempotents(vget):
