@@ -22,8 +22,11 @@ from zc on the same U\\G/V coordinates, through one certified table
 (_uv_table).  The per-character layer is built once, as stacks over every
 chi: the e_chi on L, certified in one batched pass, and every E from one
 gather of zc and one matmul (_chi_stack); every end algebra's spanning
-values from one contraction (_end_rows); every class sum from one sum over
-classes and one matmul (pind_character).  thm1's character route is the
+values from one contraction (_end_rows), and the end algebras a run reads
+from one reducer, one contraction with N, one coordinate sweep, one centre
+solve and one certified trace-form rank per block of characters
+(_end_block); every class sum from one sum over classes and one matmul
+(pind_character).  thm1's character route is the
 inner product of class functions: G's classes by propagation over the
 generating set U | L | V (Verifier.classes), the class sums of every E, and
 one contraction of their stack for every pair at once.  lem3.10 twists no
@@ -245,36 +248,46 @@ def _rank_mod_p(M):
     return rank
 
 
+def _cyclo_rank(e, M):
+    """The rank over Q(zeta_e) of an integer matrix M (m, n, phi), certified:
+    _certified_rank of its Q-embedding over phi.  The embedding (m phi, n
+    phi) has as block (i, j) the matrix of multiplication by M[i, j] on the
+    power basis, so it is x -> x M on Q(zeta_e)^m as a map over Q, of rank
+    phi times M's rank over Q(zeta_e)."""
+    ft, kf = fold_array(e)
+    m, n, phi = M.shape
+    X = M.astype(exact_dtype(kf * max_abs(M)), copy=False).reshape(-1, phi) @ ft
+    return _certified_rank(X.reshape(m, n, phi, phi).transpose(0, 2, 1, 3).reshape(
+        m * phi, n * phi)) // phi
+
+
 def _certified_rank(M, upper=None):
     """The rank over Q of an integer matrix M: its rank mod _P where that is
     certified, else an exact sweep over its rows.
 
     rank mod p <= rank over Q <= upper (min(M.shape) when None), so a rank
-    mod p that reaches upper is exact.  So is any rank mod p when the k =
-    min(M.shape) largest squared row norms, each taken as at least 1,
-    multiply to less than p^2: by Hadamard's bound every minor is then
-    smaller than p in absolute value, so none that is nonzero vanishes mod p.
+    mod p that reaches upper is exact.  Short of it, each row is divided by
+    its content, which keeps the rank over Q, and the rank mod p taken
+    again; that rank is exact when the k = min(M.shape) largest squared row
+    norms, each taken as at least 1, multiply to less than p^2: by
+    Hadamard's bound every minor is then smaller than p in absolute value,
+    so none that is nonzero vanishes mod p.
     """
     k = min(M.shape)
+    upper = k if upper is None else upper
     rank = _rank_mod_p(M)
-    if rank == (k if upper is None else upper):
+    if rank < upper:
+        g = np.abs(np.gcd.reduce(M, axis=1))
+        if (g > 1).any():
+            M = M // np.maximum(g, 1)[:, None]
+            rank = _rank_mod_p(M)
+    if rank == upper:
         return rank
     M2 = M.astype(exact_dtype(max_abs(M) ** 2 * M.shape[1]))
     norms = sorted(np.maximum((M2 * M2).sum(axis=1), 1).tolist(), reverse=True)
     if math.prod(norms[:k]) < _P * _P:
         return rank
     return _rank(1, M[:, :, None])
-
-
-def _coords(red, vecs, alarm):
-    """(coords, den): the coordinates of a stack of vectors on red's pivots,
-    an integer array (k, rank, phi) over one denominator; VerifyAlarm(alarm)
-    when a vector lies outside red's span."""
-    coords, dens, inside = red.coords_list(vecs)
-    if not inside.all():
-        raise VerifyAlarm(alarm)
-    den = math.lcm(*dens.tolist())
-    return coords * (den // dens)[:, None, None], den
 
 
 def _block(cols, rhs):
@@ -383,15 +396,19 @@ def _z_solutions(sides, star_fixed, *identities):
     return sol
 
 
-def _wedderburn_blocks(struct, e, centre):
-    """(blocks, ranks): the sorted Wedderburn block sizes of a semisimple B
-    over Q(zeta_e), from struct[i, j, t] = coordinate t of b_i b_j times some
-    s > 0 and solve_affine's basis z_i of B's centre Z (z_i alone nonzero at
-    its last key f_i, and rational there).  In the basis of Z's primitive
-    idempotents G(z, z') = Tr_B(L_{z z'}) is diag(d_i^2) and T(z, z') =
-    Tr_Z(L_{z z'}) the identity: rank T = c certifies that Z is semisimple,
-    and d occurs c - rank(G - d^2 T) times, ranked for d = 1, 2, ... until
-    the blocks left fill the dimension left.
+def _wedderburn_blocks(algebras, e):
+    """[(blocks, ranks)]: the sorted Wedderburn block sizes of each
+    semisimple B of algebras = [(key, struct, centre)] over Q(zeta_e), from
+    struct[i, j, t] = coordinate t of b_i b_j times some s > 0 and
+    solve_affine's basis z_i of B's centre Z (z_i alone nonzero at its last
+    key f_i, and rational there), and the ranks taken for each.  In the
+    basis of Z's primitive idempotents G(z, z') = Tr_B(L_{z z'}) is
+    diag(d_i^2) and T(z, z') = Tr_Z(L_{z z'}) the identity: rank T = c
+    certifies that Z is semisimple, for every B at once, as one
+    block-diagonal matrix has full rank exactly when each block has
+    (_cyclo_rank); VerifyAlarm names the key of a degenerate T.  d occurs
+    c - rank(G - d^2 T) times, ranked exactly for d = 1, 2, ... until the
+    blocks left fill the dimension left.
     """
     ft, kf = fold_array(e)
 
@@ -402,30 +419,43 @@ def _wedderburn_blocks(struct, e, centre):
         F = ft.reshape(len(ft), len(ft), -1).astype(dtype)
         return np.einsum(spec, a.astype(dtype), b.astype(dtype), F)
 
-    k, c = len(struct), len(centre)
-    # Q[a, b] = z_a z_b times s, and Tr_Z(L_y) = sum_t y[t] tr_z[t] / (N s)
-    # on Z, so N s^2 T and N s^2 G are Q contracted with tr_z and N tr_b
-    tr_b = struct[:, range(k), range(k)].sum(axis=1).astype(object)
-    Z = np.array(centre, dtype=object)
-    free = [int(np.flatnonzero(z.any(axis=1))[-1]) for z in Z]
-    n = Z[range(c), free, 0]
-    if (Z[:, free, 0] != np.diag(n)).any() or Z[:, free, 1:].any():
-        raise VerifyAlarm("the basis of the centre is not in echelon form")
-    # scaled to z_i[f_i] = N, y[f_i] / N is y's coordinate on z_i
-    N = math.lcm(*n.tolist())
-    Z *= (N // n)[:, None, None]
-    Q = mul("bjs,ajtr,sru->abtu", Z, mul("ais,ijtr,sru->ajtu", Z, struct))
-    tr_z = mul("ijs,tjir,sru->tu", Z, struct[:, :, free])
-    if _rank(e, mul("abts,tr,sru->abu", Q, tr_z)) != c:
-        raise VerifyAlarm("the trace form of the centre is degenerate")
-    blocks, d = [], 1
-    while len(blocks) < c and k - sum(x * x for x in blocks) > (c - len(blocks)) * d * d:
-        blocks += [d] * (c - _rank(e, mul("abts,tr,sru->abu", Q, N * tr_b - d * d * tr_z)))
-        d += 1
-    blocks += [d] * (c - len(blocks))
-    if sum(x * x for x in blocks) != k:
-        raise VerifyAlarm(f"Wedderburn blocks do not fill dimension {k}")
-    return tuple(blocks), d - 1
+    forms = []
+    for key, struct, centre in algebras:
+        k, c = len(struct), len(centre)
+        # Q[a, b] = z_a z_b times s, and Tr_Z(L_y) = sum_t y[t] tr_z[t] / (N s)
+        # on Z, so N s^2 T and N s^2 G are Q contracted with tr_z and N tr_b
+        tr_b = struct[:, range(k), range(k)].sum(axis=1).astype(object)
+        Z = np.array(centre, dtype=object)
+        free = [int(np.flatnonzero(z.any(axis=1))[-1]) for z in Z]
+        n = Z[range(c), free, 0]
+        if (Z[:, free, 0] != np.diag(n)).any() or Z[:, free, 1:].any():
+            raise VerifyAlarm(f"the basis of the centre is not in echelon form for chi={key}")
+        # scaled to z_i[f_i] = N, y[f_i] / N is y's coordinate on z_i
+        N = math.lcm(*n.tolist())
+        Z *= (N // n)[:, None, None]
+        Q = mul("bjs,ajtr,sru->abtu", Z, mul("ais,ijtr,sru->ajtu", Z, struct))
+        tr_z = mul("ijs,tjir,sru->tu", Z, struct[:, :, free])
+        forms.append((Q, N * tr_b, tr_z, mul("abts,tr,sru->abu", Q, tr_z)))
+    sizes = [len(T) for *_, T in forms]
+    T = np.zeros((sum(sizes), sum(sizes), len(ft)), dtype=object)
+    for at, (*_, t) in zip(np.cumsum(sizes) - sizes, forms):
+        T[at:at + len(t), at:at + len(t)] = t
+    if _cyclo_rank(e, T) != len(T):
+        key = next(key for (key, *_), (*_, t) in zip(algebras, forms)
+                   if _cyclo_rank(e, t) != len(t))
+        raise VerifyAlarm(f"the trace form of the centre is degenerate for chi={key}")
+    out = []
+    for (key, struct, _), (Q, tr_b, tr_z, T) in zip(algebras, forms):
+        k, c = len(struct), len(T)
+        blocks, d = [], 1
+        while len(blocks) < c and k - sum(x * x for x in blocks) > (c - len(blocks)) * d * d:
+            blocks += [d] * (c - _rank(e, mul("abts,tr,sru->abu", Q, tr_b - d * d * tr_z)))
+            d += 1
+        blocks += [d] * (c - len(blocks))
+        if sum(x * x for x in blocks) != k:
+            raise VerifyAlarm(f"Wedderburn blocks do not fill dimension {k} for chi={key}")
+        out.append((tuple(blocks), d - 1))
+    return out
 
 
 def _sandwich_values(F, cls, S, e):
@@ -442,21 +472,41 @@ def _sandwich_values(F, cls, S, e):
                      optimize=True).astype(exact_dtype(bound))
 
 
-def _uv_products(N, b, e, size):
-    """P[i k + j, D] = (b_i b_j)(g_D) = sum_{D1, D2} N[D1, D2, D] b_i(D1)
-    b_j(D2), for k elements b (k, n, phi) constant on U\\G/V, and N[D1, D2,
-    D] = #{h in D1 : h^-1 g_D in D2} (float64), in matmul_dtype: N sums to
-    size over (D1, D2).  N is cast through int64 where matmul_dtype is not
-    float64, so that exact Python ints never meet a float."""
+def _uv_products(N, b, e, size, pairs=None):
+    """P[p, D] = (b_i b_j)(g_D) = sum_{D1, D2} N[D1, D2, D] b_i(D1) b_j(D2)
+    for (i, j) = pairs[p] (every (i, j) at p = i k + j when None), for k
+    elements b (k, n, phi) constant on U\\G/V, and N[D1, D2, D] = #{h in D1 :
+    h^-1 g_D in D2} (float64), in matmul_dtype: N sums to size over (D1,
+    D2).  N is cast through int64 where matmul_dtype is not float64, so that
+    exact Python ints never meet a float.  A block of the g_D at a time, so
+    no temporary passes _SCRATCH entries; each block of N[..., D] is
+    contiguous when N is _uv_counts' view."""
     ft, kf = fold_array(e)
     bound = kf * size * max_abs(b) ** 2
     dtype = matmul_dtype(bound)
-    b = b.astype(dtype)
-    N = N if dtype is np.float64 else N.astype(np.int64).astype(dtype, copy=False)
-    # Q[i, s, D, j, r] = sum_{D1, D2} b_i(D1)_s N[D1, D2, D] b_j(D2)_r
-    Q = np.tensordot(np.tensordot(b, N, ([1], [0])), b, ([2], [1]))
-    out = np.tensordot(Q, ft.reshape(len(ft), len(ft), -1).astype(dtype), ([1, 4], [0, 1]))
-    return out.transpose(0, 2, 1, 3).astype(exact_dtype(bound)).reshape(-1, *b.shape[1:])
+    k, n, phi = b.shape
+    i, j = np.divmod(np.arange(k * k), k) if pairs is None else pairs
+    b, F = b.astype(dtype), ft.reshape(phi, phi, phi).astype(dtype)
+    left, right = b.transpose(0, 2, 1).reshape(-1, n), b.transpose(1, 0, 2).reshape(n, -1)
+    T = np.moveaxis(N, 2, 0)
+    out = np.empty((len(i), n, phi), dtype=exact_dtype(bound))
+    for ds in row_blocks(n, max(n * n, k * phi * n, (k * phi) ** 2), _SCRATCH):
+        Td = T[ds] if dtype is np.float64 else T[ds].astype(np.int64).astype(dtype)
+        # Q[D, i, s, j, r] = sum_{D1, D2} b_i(D1)_s N[D1, D2, D] b_j(D2)_r
+        Q = (left @ Td @ right).reshape(-1, k, phi, k, phi)
+        out[:, ds] = np.tensordot(Q, F, ([2, 4], [0, 1]))[:, i, j].transpose(1, 0, 2)
+    return out
+
+
+def _orbit_partner(reps):
+    """(rep, other): the first of the orbit representatives reps whose Weyl
+    orbit has another member, and the last such member, whose end algebra
+    thm2 compares with rep's; None when every orbit is a point."""
+    for rep in reps:
+        others = [c for c in orbit(rep) if c != rep]
+        if others:
+            return rep, others[-1]
+    return None
 
 
 # check id -> Verifier method, in report order; lem3.1 runs on product
@@ -754,22 +804,22 @@ class Verifier:
         once: for a, b constant on U\\G/V, (a b)(g_D) = sum_{D1, D2} N[D1, D2,
         D] a(D1) b(D2) (_uv_products).  Kept in float64, which holds every
         count exactly (each is at most |G| < 2^53); _uv_products casts it
-        through int64 for its integer dtypes."""
+        through int64 for its integer dtypes.  Stored D first, N being its
+        transposed view, so that each g_D's counts are contiguous."""
         if self._uv_mul is None:
-            # one column per g_D, a block of them at a time: the classes of h
-            # and h^-1 g_D (a gather from t._table[t._inv] would copy the
-            # whole table)
+            # one g_D at a time per row, a block of them at a time: the
+            # classes of h and h^-1 g_D (a gather from t._table[t._inv] would
+            # copy the whole table)
             t, c, n = self.table, self.uv_class, len(self.uv_first)
             self._uv_mul = np.empty((n, n, n))
             for ds in row_blocks(n, t.size, _SCRATCH):
                 w = ds.stop - ds.start
                 flat = c[t._table[t._inv[:, None], self.uv_first[ds]]]
                 flat += c[:, None] * n     # in place: one |G| x w array at a time
-                flat *= w
-                flat += np.arange(w)
-                self._uv_mul[..., ds] = np.bincount(flat.ravel(), minlength=n * n * w).reshape(
-                    n, n, w)
-        return self._uv_mul
+                flat += np.arange(w) * (n * n)
+                self._uv_mul[ds] = np.bincount(flat.ravel(), minlength=n * n * w).reshape(
+                    w, n, n)
+        return self._uv_mul.transpose(1, 2, 0)
 
     @property
     def zc(self) -> AlgElem:
@@ -915,8 +965,10 @@ class Verifier:
         """B = E_chi C[G] E_chi as a SparseReducer on U\\G/V: key D holds the
         value at g_D, which fixes an element of B (U E = E = E V); the rows
         are chi's e_chi X_y e_chi of _end_rows.  E(chi), certified on the
-        stack, is the unit of B.  The name is that of the left-module route
-        this replaced, under which perfbench times it."""
+        stack, is the unit of B.  end_algebra feeds these rows of a block of
+        characters into one reducer, chi's at keys c #(U\\G/V) + D, whose
+        pivots for chi are this reducer's, shifted.  The name is that of the
+        left-module route this replaced, under which perfbench times it."""
         self._uv_table()     # first, as E's certificate and B's rows read it
         self.E(chi)
         M = self._end_rows()[self._chi_stack()[0][chi.key()]]
@@ -933,14 +985,15 @@ class Verifier:
         """rank{E_sigma g E_chi : g in G}, from one table of every pair: the
         rank of the e_sigma X_y e_chi of _uv_table, each fixed by its values
         at the g_D of reps, one per orbit of L x L on U\\G/V (its value at
-        a^-1 g c^-1 is sigma(a) chi(c) times that at g)."""
+        a^-1 g c^-1 is sigma(a) chi(c) times that at g), each a certified
+        rank over Q(zeta_e) (_cyclo_rank)."""
         if not self._sandwich:
             cls, reps, F = self._uv_table()
             S = np.array([self.e_chi(c).rows for c in self.chars])
             M = _sandwich_values(F, cls[:, reps], S, self.e)
             keys, live = [c.key() for c in self.chars], M.any(axis=(0, 1, 4))
             for (s, left), (x, right) in itertools.product(enumerate(keys), repeat=2):
-                rank = _rank(self.e, M[:, :, s, x]) if live[s, x] else 0
+                rank = _cyclo_rank(self.e, M[:, :, s, x]) if live[s, x] else 0
                 self._sandwich[right, left] = rank
         return self._sandwich[chi.key(), sigma.key()]
 
@@ -997,8 +1050,9 @@ class Verifier:
         the class sums, from one table of every pair.  With S the stack of
         every character's class sums, w the centraliser orders and C the
         matrix of complex conjugation, that is one contraction of w S with
-        S C and the fold tensor; each pair is divided once, at the end, and
-        a pair that does not divide into an integer is kept as an alarm.
+        S C and the fold tensor, as two matmuls in matmul_dtype; each pair is
+        divided once, at the end, and a pair that does not divide into an
+        integer is kept as an alarm.
         """
         if self._chardim is None:
             sums, dens = zip(*(self.pind_character(c) for c in self.chars))
@@ -1006,10 +1060,15 @@ class Verifier:
             ft, kf = fold_array(self.e)
             phi, w = len(ft), self.table.size // np.bincount(self.classes)
             conj = galois(self.e, -1)
-            dtype = exact_dtype(kf * int(w.sum()) * phi * max_abs(conj) * max_abs(S) ** 2)
+            bound = kf * int(w.sum()) * phi * max_abs(conj) * max_abs(S) ** 2
+            dtype = matmul_dtype(bound)
             S, conj, ft, w = (x.astype(dtype, copy=False) for x in (S, conj, ft, w))
-            total = np.einsum("aks,bkr,sru->abu", w[:, None] * S, S @ conj,
-                              ft.reshape(phi, phi, phi), optimize=True)
+            # total[a, b, u] = sum_(k, s) (w S)[a, k, s] Y[(k, s), (b, u)], with
+            # Y[b, k, (s, u)] = sum_r (S C)[b, k, r] ft[r, (s, u)] (ft symmetric)
+            a, k = S.shape[:2]
+            Y = ((S @ conj) @ ft).reshape(a, k, phi, phi).transpose(1, 2, 0, 3)
+            total = ((w[:, None] * S).reshape(a, -1) @ Y.reshape(k * phi, -1)).reshape(
+                a, a, phi).astype(exact_dtype(bound))
             den = np.array(dens, dtype=object)
             tot, dd = total[..., 0].astype(object), np.outer(den, den)
             q = tot // dd
@@ -1043,26 +1102,88 @@ class Verifier:
     # -- endomorphism algebras -------------------------------------------------
 
     def end_algebra(self, chi: LeviChar) -> EndAlgebra:
+        """B = E_chi C[G] E_chi: its dimension, the dimension of its centre,
+        its Wedderburn block sizes and its structure constants, read from the
+        stack that _end_block builds on first use for chi and the next of
+        the characters a run reads (_end_chars), as many as _SCRATCH holds
+        in its block-diagonal arrays; VerifyAlarm when E(chi)'s certificate
+        failed."""
         key = chi.key()
-        if key in self._end:
-            return self._end[key]
-        e, t, bred = self.e, self.table, self.module_reducer(chi)
-        N, (keys, rows, den) = self._uv_counts(), stack(bred.basis_rows())
-        k, basis = len(rows), np.zeros((len(rows), len(N), rows.shape[2]), dtype=rows.dtype)
-        basis[:, keys] = rows
-        # struct[i, j, t]: coordinate t of b_i b_j, over den
-        struct, den = _coords(bred, (np.arange(len(N)), _uv_products(N, basis, e, t.size),
-                                     den * den), "product left the endomorphism algebra")
-        struct = struct.reshape(k, k, k, -1)
+        if key not in self._end:
+            self.E(chi)
+            place, _, Es = self._chi_stack()
+            cls, _, F = self._uv_table()
+            # the feed and the products are (K m, K n, phi) with m <= len(F)
+            # rows per character and n = #(U\\G/V)
+            size = math.isqrt(_SCRATCH // (len(F) ** 2 * cls.shape[1] * len(power_fold(self.e))))
+            more = [c for c in self._end_chars() if (k := c.key()) != key and k not in self._end
+                    and not isinstance(Es[place[k]], str)]
+            self._end_block([chi] + more[:max(size - 1, 0)])
+        return self._end[key]
 
-        # center: exact nullity of the commutation system, one equation per
-        # (j, t): sum_i (struct[i, j, t] - struct[j, i, t]) x_i = 0
-        comm = (struct - struct.transpose(1, 0, 2, 3)).reshape(k, k * k, -1)
-        sol = solve_affine(e, _block(comm, np.zeros_like(comm[0])))
-        blocks, ranks = _wedderburn_blocks(struct, e, sol.nullspace)
-        out = EndAlgebra(key, k, sol.dimension, blocks, ranks, struct.tolist(), den)
-        self._end[key] = out
-        return out
+    def _end_chars(self):
+        """The characters whose end algebras a run reads: the orbit
+        representatives, then thm2's orbit partner (_orbit_partner)."""
+        reps = orbit_reps(self.ring, self.n)
+        partner = _orbit_partner(reps)
+        return reps + ([partner[1]] if partner else [])
+
+    def _end_block(self, chis):
+        """The EndAlgebra of every chi of chis (each E certified) into
+        self._end, as one stack: the rows of module_reducer for character c
+        at keys c n + D (n = #(U\\G/V)) in one SparseReducer, whose pivots
+        for each chi are those of feeding its rows alone; the products of
+        every pair of basis elements of one chi from one contraction with N
+        (_uv_products) and their coordinates from one coords_list sweep; the
+        centres from one block-diagonal system, the commutators of each chi a
+        block; and every trace form certified at once (_wedderburn_blocks)."""
+        e, keys = self.e, [c.key() for c in chis]
+        place = self._chi_stack()[0]
+        M = self._end_rows()[[place[k] for k in keys]]
+        K, m, n, phi = M.shape
+        rows = np.zeros((K, m, K, n, phi), dtype=M.dtype)
+        rows[np.arange(K), :, np.arange(K)] = M
+        red = SparseReducer(e)
+        red.feed((np.arange(K * n), rows.reshape(K * m, K * n, phi), 1))
+
+        # the pivots on U\\G/V, over one den; coords_list puts each product
+        # in lowest terms, so the den taken does not show in the coordinates
+        piv = red.basis_rows()
+        owner = np.array([int(k[0]) // n for k, _, _ in piv])
+        at, vals, den = stack(piv)
+        b = np.zeros((len(vals), K * n, phi), dtype=vals.dtype)
+        b[:, at] = vals
+        b = b.reshape(-1, K, n, phi)[np.arange(len(b)), owner]
+        pi, pj = np.nonzero(owner[:, None] == owner)    # pairs within one chi
+        P = _uv_products(self._uv_counts(), b, e, self.table.size, (pi, pj))
+        po = owner[pi]
+        vecs = np.zeros((len(P), K, n, phi), dtype=P.dtype)
+        vecs[np.arange(len(P)), po] = P
+        coords, cdens, inside = red.coords_list((np.arange(K * n), vecs.reshape(len(P), -1, phi),
+                                                 den * den))
+        if not inside.all():
+            raise VerifyAlarm("product left the endomorphism algebra")
+
+        # struct[i, j, t]: coordinate t of b_i b_j, over den; the centre is
+        # the nullspace of sum_i (struct[i, j, t] - struct[j, i, t]) x_i = 0,
+        # one equation per (j, t), each chi's system a block of one solve
+        structs, cols = [], np.zeros((len(piv), len(P), phi), dtype=object)
+        for c in range(K):
+            mine, prods = owner == c, po == c
+            k, den = int(mine.sum()), math.lcm(*cdens[prods].tolist())
+            struct = (coords[prods][:, mine] * (den // cdens[prods])[:, None, None]).reshape(
+                k, k, k, phi)
+            cols[np.ix_(mine, prods)] = (struct - struct.transpose(1, 0, 2, 3)).reshape(k, -1, phi)
+            structs.append((struct, den))
+        sol = solve_affine(e, _block(cols, np.zeros((len(P), phi), dtype=np.int64)))
+        homes = [owner[np.flatnonzero(z.any(axis=1))[0]] for z in sol.nullspace]
+        centres = [[z[owner == c] for z, h in zip(sol.nullspace, homes) if h == c]
+                   for c in range(K)]
+        split = _wedderburn_blocks([(key, struct, centre) for key, (struct, _), centre
+                                    in zip(keys, structs, centres)], e)
+        for key, (struct, den), centre, (blocks, ranks) in zip(keys, structs, centres, split):
+            self._end[key] = EndAlgebra(key, len(struct), len(centre), blocks, ranks,
+                                        struct.tolist(), den)
 
     # -- counting ---------------------------------------------------------------
 
@@ -1383,8 +1504,8 @@ class Verifier:
 
     def check_theorem2(self) -> CheckResult:
         reps = orbit_reps(self.ring, self.n)
+        partner = _orbit_partner(reps)
         expected, actual = {}, {}
-        invariance_done = False
         for rep in reps:
             ea = self.end_algebra(rep)
             st = stabilizer(rep)
@@ -1400,14 +1521,10 @@ class Verifier:
                 "num_blocks": ea.center_dim,
                 "sum_d2": sum(d * d for d in ea.blocks),
             }
-            if not invariance_done:
-                orb = orbit(rep)
-                others = [c for c in orb if c != rep]
-                if others:
-                    ea2 = self.end_algebra(others[-1])
-                    expected[rep.key()]["unsorted_blocks"] = list(ea.blocks)
-                    actual[rep.key()]["unsorted_blocks"] = list(ea2.blocks)
-                    invariance_done = True
+            if partner and rep == partner[0]:
+                ea2 = self.end_algebra(partner[1])
+                expected[rep.key()]["unsorted_blocks"] = list(ea.blocks)
+                actual[rep.key()]["unsorted_blocks"] = list(ea2.blocks)
         status = "pass" if expected == actual else "fail"
         return CheckResult("thm2", status, expected, actual)
 

@@ -8,14 +8,17 @@ module spanned by the translates of E_chi, thm1's sandwich ranks and the
 end algebras from the module bases, lem3.10's twist applied to the
 idempotents as group-algebra elements, and the conjugacy classes from every
 conjugate x^-1 g x rather than from conjugation by a generating set.
-The per-character routes build E_chi, its class sums and the rows of its
-end algebra one character at a time, each with a gather of its own.
+The per-character routes build E_chi, its class sums, the rows of its end
+algebra and the end algebra itself one character at a time, each with a
+gather, a reducer and a centre solve of its own and every trace-form rank
+exact.
 The rest are plain references: a CycloNum elimination (rank, span_rank), the
 complex value of a CycloNum for float cross-checks, the whole-ring residue
 map, and single products and translates read off the Cayley table.
 """
 
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,14 +31,24 @@ from pseries.cyclo import (CycloError, exact_dtype, fold_array, max_abs, power_f
                            root_coords, solve_affine, times)
 from pseries.groups import ring_arrays, row_blocks
 from pseries.rings import RingSpec
-from pseries.verify import (CheckResult, EndAlgebra, VerifyAlarm, _block, _coords, _dense,
-                            _lift, _mask, _multiplicative_on_generators, _products,
-                            _sandwich_values, _unit_solution, _wedderburn_blocks,
-                            _z_solutions)
+from pseries.verify import (CheckResult, EndAlgebra, VerifyAlarm, _block, _dense,
+                            _lift, _mask, _multiplicative_on_generators, _products, _rank,
+                            _sandwich_values, _unit_solution, _uv_products, _z_solutions)
 
 # dense (|G|, phi) entries per stack that the references feed or multiply at
 # once (16 MB in float64), so a wide span is built a batch at a time
 _BATCH = 1 << 21
+
+
+def _coords(red, vecs, alarm):
+    """(coords, den): the coordinates of a stack of vectors on red's pivots,
+    an integer array (k, rank, phi) over one denominator; VerifyAlarm(alarm)
+    when a vector lies outside red's span."""
+    coords, dens, inside = red.coords_list(vecs)
+    if not inside.all():
+        raise VerifyAlarm(alarm)
+    den = math.lcm(*dens.tolist())
+    return coords * (den // dens)[:, None, None], den
 
 
 class CycloMatrix:
@@ -274,11 +287,51 @@ def wide_end_algebra(v, chi):
     struct, den = _coords(bred, stack(
         _mul_dense(AlgElem.from_vec(v.table, e, b), bstack) for b in basis),
         "product left the endomorphism algebra")
-    struct = struct.reshape(k, k, k, -1)
+    return single_end_fields(chi.key(), struct.reshape(k, k, k, -1), den, e)
+
+
+def single_end_fields(key, struct, den, e):
+    """The EndAlgebra of B from its structure constants over den: the centre
+    from a commutation system of its own, the blocks from
+    single_wedderburn_blocks."""
+    k = len(struct)
     comm = (struct - struct.transpose(1, 0, 2, 3)).reshape(k, k * k, -1)
     sol = solve_affine(e, _block(comm, np.zeros_like(comm[0])))
-    blocks, ranks = _wedderburn_blocks(struct, e, sol.nullspace)
-    return EndAlgebra(chi.key(), k, sol.dimension, blocks, ranks, struct.tolist(), den)
+    blocks, ranks = single_wedderburn_blocks(struct, e, sol.nullspace)
+    return EndAlgebra(key, k, sol.dimension, blocks, ranks, struct.tolist(), den)
+
+
+def single_wedderburn_blocks(struct, e, centre):
+    """verify._wedderburn_blocks for one algebra, every rank exact (_rank):
+    (blocks, ranks), the trace form T of the centre ranked on its own."""
+    ft, kf = fold_array(e)
+
+    def mul(spec, a, b):
+        dtype = exact_dtype(kf * max_abs(a) * max_abs(b) * a.size * b.size)
+        F = ft.reshape(len(ft), len(ft), -1).astype(dtype)
+        return np.einsum(spec, a.astype(dtype), b.astype(dtype), F)
+
+    k, c = len(struct), len(centre)
+    tr_b = struct[:, range(k), range(k)].sum(axis=1).astype(object)
+    Z = np.array(centre, dtype=object)
+    free = [int(np.flatnonzero(z.any(axis=1))[-1]) for z in Z]
+    n = Z[range(c), free, 0]
+    if (Z[:, free, 0] != np.diag(n)).any() or Z[:, free, 1:].any():
+        raise VerifyAlarm("the basis of the centre is not in echelon form")
+    N = math.lcm(*n.tolist())
+    Z *= (N // n)[:, None, None]
+    Q = mul("bjs,ajtr,sru->abtu", Z, mul("ais,ijtr,sru->ajtu", Z, struct))
+    tr_z = mul("ijs,tjir,sru->tu", Z, struct[:, :, free])
+    if _rank(e, mul("abts,tr,sru->abu", Q, tr_z)) != c:
+        raise VerifyAlarm("the trace form of the centre is degenerate")
+    blocks, d = [], 1
+    while len(blocks) < c and k - sum(x * x for x in blocks) > (c - len(blocks)) * d * d:
+        blocks += [d] * (c - _rank(e, mul("abts,tr,sru->abu", Q, N * tr_b - d * d * tr_z)))
+        d += 1
+    blocks += [d] * (c - len(blocks))
+    if sum(x * x for x in blocks) != k:
+        raise VerifyAlarm(f"Wedderburn blocks do not fill dimension {k}")
+    return tuple(blocks), d - 1
 
 
 def wide_sandwich_ranks(v):
@@ -468,6 +521,20 @@ def single_class_sums(v, chi):
                  dtype=exact_dtype(max_abs(E.rows) * len(E.keys)))
     np.add.at(s, cls[E.keys], E.rows)
     return s, E.den
+
+
+def single_end_algebra(v, chi):
+    """Verifier.end_algebra one character at a time: single_module's pivots
+    as B's basis, every product of two of them from one contraction with N
+    of their own, their coordinates from one coords_list sweep on that
+    reducer, and single_end_fields."""
+    e, bred = v.e, single_module(v, chi)
+    N, (keys, rows, den) = v._uv_counts(), stack(bred.basis_rows())
+    k, basis = len(rows), np.zeros((len(rows), len(N), rows.shape[2]), dtype=rows.dtype)
+    basis[:, keys] = rows
+    struct, den = _coords(bred, (np.arange(len(N)), _uv_products(N, basis, e, v.table.size),
+                                 den * den), "product left the endomorphism algebra")
+    return single_end_fields(chi.key(), struct.reshape(k, k, k, -1), den, e)
 
 
 def single_module(v, chi):

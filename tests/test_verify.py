@@ -16,12 +16,12 @@ from pseries import (AlgElem, CycloNum, SparseReducer, Verifier, all_levi_chars,
 from pseries import algebra, cli, enumerate_gl, verify
 from pseries.algebra import AlgebraError
 from pseries.chars import factor_chars, unit_structures
-from pseries.cyclo import power_fold, root_coords
+from pseries.cyclo import fold_array, power_fold, root_coords
 from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
 from references import (least_conjugate_classes, left_translate, mul, right_translate,
-                        single_class_sums, single_E,
-                        single_module, translates, twisted_scalar_failures,
+                        single_class_sums, single_E, single_end_algebra, single_module,
+                        single_wedderburn_blocks, translates, twisted_scalar_failures,
                         whole_ring_residue, wide_end_algebra, wide_halmos, wide_lemma33,
                         wide_lin_independence, wide_module, wide_phi_data,
                         wide_sandwich_ranks)
@@ -690,6 +690,37 @@ def test_certified_rank_matches_exact_sweep():
         assert verify._certified_rank(M) == exact_rank(M), (m, n, r, hi)
 
 
+def cyclo_matrix(rng, e, m, n, r):
+    """An integer matrix (m, n, phi) over Q(zeta_e) of rank at most r: the
+    product in Q(zeta_e) of random (m, r) and (r, n) ones."""
+    ft, _ = fold_array(e)
+    phi = len(ft)
+    A, B = rng.integers(-3, 4, (m, r, phi)), rng.integers(-3, 4, (r, n, phi))
+    return np.einsum("ils,ljr,sru->iju", A, B, ft.reshape(phi, phi, phi))
+
+
+def test_cyclo_rank_matches_exact_rank(monkeypatch):
+    # full rank (certified mod p), rank-deficient and all-zero (by Hadamard's
+    # bound or the exact sweep), over Q(zeta_e) with phi = 1, 2, 2, 4; and
+    # [[p, 1], [0, 1]], whose rank mod p falls short and whose rows of
+    # content 1 pass the bound, so the exact sweep of its Q-embedding decides
+    exact, sweeps = verify._rank, []
+    monkeypatch.setattr(verify, "_rank", lambda e, M: sweeps.append(M.shape) or exact(e, M))
+    rng = np.random.default_rng(11)
+    p = verify._P
+    for e in (1, 3, 4, 8):
+        phi = len(power_fold(e))
+        for m, n, r in [(4, 4, 4), (3, 5, 3), (5, 3, 3), (5, 5, 2), (4, 6, 1), (3, 3, 0)]:
+            M = cyclo_matrix(rng, e, m, n, r)
+            assert verify._cyclo_rank(e, M) == exact(e, M) == r, (e, m, n, r)
+        M = np.zeros((2, 2, phi), dtype=np.int64)
+        M[0, 0, 0] = p
+        M[0, 1, 0] = M[1, 1, 0] = 1
+        sweeps.clear()
+        assert verify._cyclo_rank(e, M) == exact(e, M) == 2
+        assert sweeps == [(2 * phi, 2 * phi, 1)]   # the sweep of the Q-embedding ran
+
+
 def test_rank_mod_p_is_not_trusted_below_the_certificate():
     p = verify._P
     for M in ([[p, 0], [0, 1]], [[p, 0, 0], [0, 1, 0], [0, 1, 0]], [[p * p, 1], [0, 1]],
@@ -807,6 +838,23 @@ def test_uv_contractions_agree_in_every_dtype(vget, monkeypatch, dtype):
                             [[v._sandwich_rank(c, s) for s in v.chars] for c in v.chars])
 
 
+@pytest.mark.parametrize("spec,n", STANDARD_PAIRS + [("GF(2,2)", 2), ("Z/8", 2),
+                                                    ("Z/2xGF(2,2)", 2)])
+def test_end_algebra_matches_per_character_oracle(vget, spec, n):
+    # every field of the stacked end algebras, for the orbit representatives
+    # and thm2's orbit partner, against one reducer, one contraction, one
+    # centre solve and exact trace-form ranks per character
+    v = vget(spec, n)
+    chis = v._end_chars()
+    reps = orbit_reps(v.ring, n)
+    assert len(chis) == len(reps) + (verify._orbit_partner(reps) is not None)
+    for chi in chis:
+        got, want = v.end_algebra(chi), single_end_algebra(v, chi)
+        assert ((got.dim, got.center_dim, got.blocks, got.attempts, got.structure, got.den)
+                == (want.dim, want.center_dim, want.blocks, want.attempts, want.structure,
+                    want.den)), chi.key()
+
+
 def test_uv_products_are_exact_on_the_python_int_path(vget):
     # entries near 3^40 put the bound past 2^62, so the products run on
     # Python ints; N's float64 counts must enter them as ints, or every
@@ -861,19 +909,27 @@ def group_algebra(spec, e):
 ])
 def test_wedderburn_blocks_of_group_algebras(spec, e, degrees):
     struct, centre = group_algebra(spec, e)
-    blocks, ranks = verify._wedderburn_blocks(struct, e, centre)
+    ((blocks, ranks),) = verify._wedderburn_blocks([("G", struct, centre)], e)
     assert blocks == degrees
     assert 1 <= ranks < len(set(degrees))
+    assert (blocks, ranks) == single_wedderburn_blocks(struct, e, centre)
 
 
 def test_wedderburn_blocks_alarm_on_a_radical():
     # the dual numbers Q[x]/(x^2), basis (1, x): commutative (c = k = 2) but
-    # not semisimple, so the trace form of the centre has rank 1
+    # not semisimple, so the trace form of the centre has rank 1; alone, or
+    # as one block of a stack next to the semisimple Q[S_3], the alarm names it
     struct = np.zeros((2, 2, 2, 1), dtype=np.int64)
     struct[0, 0, 0] = struct[0, 1, 1] = struct[1, 0, 1] = 1
     centre = [np.eye(2, dtype=np.int64)[:, :1], np.eye(2, dtype=np.int64)[:, 1:]]
+    dual, s3 = ("dual", struct, centre), ("S3", *group_algebra("GF(2,1)", 1))
+    for algebras in ([dual], [s3, dual], [dual, s3]):
+        with pytest.raises(VerifyAlarm,
+                           match="trace form of the centre is degenerate for chi=dual$"):
+            verify._wedderburn_blocks(algebras, 1)
     with pytest.raises(VerifyAlarm, match="trace form"):
-        verify._wedderburn_blocks(struct, 1, centre)
+        single_wedderburn_blocks(struct, 1, centre)
+    assert verify._wedderburn_blocks([s3, s3], 1) == [((1, 1, 2), 1)] * 2
 
 
 def test_wedderburn_blocks_alarm_off_echelon_form():
@@ -881,7 +937,7 @@ def test_wedderburn_blocks_alarm_off_echelon_form():
     # basis in which two vectors share theirs is refused
     struct, centre = group_algebra("GF(2,1)", 1)
     with pytest.raises(VerifyAlarm, match="echelon"):
-        verify._wedderburn_blocks(struct, 1, [centre[0] + centre[1], *centre[1:]])
+        verify._wedderburn_blocks([("G", struct, [centre[0] + centre[1], *centre[1:]])], 1)
 
 
 def test_end_algebra_center_of_commutative_case(vget):
