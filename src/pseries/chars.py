@@ -228,8 +228,14 @@ def orbit(chi: LeviChar) -> list[LeviChar]:
 
 def orbit_reps(ring: RingSpec, n: int) -> list[LeviChar]:
     """Canonical representatives (sorted grids), in lexicographic order."""
+    return canonical_reps(all_levi_chars(ring, n))
+
+
+def canonical_reps(chars) -> list[LeviChar]:
+    """The canonical representatives of the Weyl orbits of chars, in
+    lexicographic order."""
     reps = {}
-    for chi in all_levi_chars(ring, n):
+    for chi in chars:
         c = chi.canonical()
         reps.setdefault(c.sort_key(), c)
     return [reps[k] for k in sorted(reps)]

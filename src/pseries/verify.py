@@ -9,27 +9,27 @@ sums), run only when an a-priori bound keeps every partial sum an integer
 below 2^53.
 
 No check multiplies two group-algebra elements.  A product of subgroup
-idempotents is a count of subgroup products (_products); v e_X and
-e_X v are sums over X (_average); products of elements constant on U\\G/V
-are contractions with one double-coset count table (_uv_counts).  The linear
-systems are built as integer arrays and solved by the array form of
-solve_affine: zc = z e_U e_V, all that E needs of the Halmos element z, from
-a Krylov solve on U\\G/V count coordinates; z itself (Lemma 3.3 only) on the
-coordinates of the words of A, each word over G the sum of its parent over U
-or V; and the centre of each endomorphism algebra.  thm1's sandwich ranks
-(all character pairs at once) and the end algebras E_chi C[G] E_chi come
-from zc on the same U\\G/V coordinates, through one certified table
-(_uv_table).  The per-character layer is built once, as stacks over every
-chi: the e_chi on L, certified in one batched pass, and every E from one
-gather of zc and one matmul (_chi_stack); every end algebra's spanning
-values from one contraction (_end_rows), and the end algebras a run reads
-from one reducer, one contraction with N, one coordinate sweep, one centre
-solve and one certified trace-form rank per block of characters
-(_end_block); every class sum from one sum over classes and one matmul
-(pind_character).  thm1's character route is the
-inner product of class functions: G's classes by propagation over the
-generating set U | L | V (Verifier.classes), the class sums of every E, and
-one contraction of their stack for every pair at once.  lem3.10 twists no
+idempotents is a count of subgroup products (_products); v e_X and e_X v are
+sums over X (_average); products of elements constant on U\\G/V are
+contractions with one double-coset count table (_uv_counts).  zc = z e_U
+e_V, all that E needs of the Halmos element z, is read off the tags of a
+Krylov sequence on U\\G/V count coordinates.  The other linear systems are
+built as integer arrays and solved by the array form of solve_affine: z
+itself (Lemma 3.3 only) on the coordinates of the words of A, each word over
+G the sum of its parent over U or V; and the centre of each endomorphism
+algebra.  thm1's sandwich ranks (all character pairs at once) and the end
+algebras E_chi C[G] E_chi come from zc on the same U\\G/V coordinates,
+through one certified table (_uv_table).  The per-character layer is built
+once, as stacks over every chi: the e_chi on L, certified in one batched
+pass, and every E from one gather of zc and one matmul (_chi_stack); every
+end algebra's spanning values from one contraction (_end_rows), and the end
+algebras a caller reads from one reducer, one contraction with N, one
+coordinate sweep, one centre solve and one certified trace-form rank per
+block of characters (_end_block); every class sum from one sum over classes
+and one matmul (pind_character).  thm1's character route is the inner
+product of class functions: G's classes by propagation over the generating
+set U | L | V (Verifier.classes), the class sums of every E, and one
+contraction of their stack for every pair at once.  lem3.10 twists no
 element: it tests det on G x (U | L | V) and compares the exponents of
 chi1(det .) on U, V and L with those of chi on L's diagonals.
 """
@@ -50,10 +50,10 @@ import numpy as np
 
 from .algebra import (AlgElem, idempotent_char, idempotent_subgroup, matmul_dtype,
                       stack)
-from .chars import (LeviChar, all_levi_chars, conjugacy_class_count,
-                    factor_chars, orbit, orbit_reps, partition_count,
-                    principal_series_count, stabilizer, stabilizer_degrees,
-                    stabilizer_irrep_count, stabilizer_order, unit_structures)
+from .chars import (LeviChar, all_levi_chars, canonical_reps, conjugacy_class_count,
+                    factor_chars, orbit, partition_count, principal_series_count,
+                    stabilizer, stabilizer_degrees, stabilizer_irrep_count,
+                    stabilizer_order, unit_structures)
 from .cyclo import (SparseReducer, content, exact_dtype, fold_array, galois, max_abs,
                     power_fold, root_coords, solve_affine)
 from .groups import (PermWord, enumerate_gl, factor_ulv_codes, ring_arrays,
@@ -267,11 +267,13 @@ def _certified_rank(M, upper=None):
 
     rank mod p <= rank over Q <= upper (min(M.shape) when None), so a rank
     mod p that reaches upper is exact.  Short of it, each row is divided by
-    its content, which keeps the rank over Q, and the rank mod p taken
-    again; that rank is exact when the k = min(M.shape) largest squared row
-    norms, each taken as at least 1, multiply to less than p^2: by
-    Hadamard's bound every minor is then smaller than p in absolute value,
-    so none that is nonzero vanishes mod p.
+    its content, which keeps the rank over Q; a row whose content p does not
+    divide is multiplied by a unit mod p, so the rank mod p is taken again
+    only when some content is a nonzero multiple of p.  That rank is exact
+    when the k = min(M.shape) largest squared row norms, each taken as at
+    least 1, multiply to less than p^2: by Hadamard's bound every minor is
+    then smaller than p in absolute value, so none that is nonzero vanishes
+    mod p.
     """
     k = min(M.shape)
     upper = k if upper is None else upper
@@ -280,7 +282,8 @@ def _certified_rank(M, upper=None):
         g = np.abs(np.gcd.reduce(M, axis=1))
         if (g > 1).any():
             M = M // np.maximum(g, 1)[:, None]
-            rank = _rank_mod_p(M)
+            if ((g % _P == 0) & (g > 0)).any():
+                rank = _rank_mod_p(M)
     if rank == upper:
         return rank
     M2 = M.astype(exact_dtype(max_abs(M) ** 2 * M.shape[1]))
@@ -600,8 +603,17 @@ class Verifier:
         self._conj = {}
         self._phi = {}
         self._local_verifiers = None
+        self._reps = None
 
     # -- basic cached objects ------------------------------------------------
+
+    @property
+    def reps(self):
+        """The Weyl orbit representatives of self.chars (orbit_reps), built
+        once."""
+        if self._reps is None:
+            self._reps = canonical_reps(self.chars)
+        return self._reps
 
     @property
     def ulv(self):
@@ -773,31 +785,38 @@ class Verifier:
         the basis e_U y_D e_V of e_U C[G] e_V, D over U\\G/V, right
         multiplication by c is R / s, R[D, D'] = #{(v, u) in V x U : y_D v u
         in D'} and s = |U| |V|, so v_m = s^(m-1) c^m are integer vectors,
-        v_1 at the class of 1 and v_(m+1) = v_m R, taken until one adds
-        nothing.  sum_m b_m v_(m+1) = v_1 gives x = s sum_m b_m v_m, and
-        e_U y_D e_V is the indicator of D over |D|.
+        v_1 at the class of 1 and v_(m+1) = v_m R, each fed with a tag key of
+        its own (_tagged) until one adds nothing.  That one's remainder is
+        zero on U\\G/V, so its tags read sum_m t_m v_m = 0 over m <= M + 1,
+        with t_(M+1) > 0; v_1, ..., v_M are independent, so this relation is
+        unique up to scale.  x c = c has a solution x = s y in the span of
+        v_1, ..., v_M exactly when t_1 != 0: y = sum_(j >= 2) t_j v_(j-1) /
+        (-t_1) has y R = v_1.  e_U y_D e_V is the indicator of D over |D|.
         """
         t = self.table
         U, V, cls = t.subgroup("U"), t.subgroup("V"), self.uv_class
         R = _counts(t, self.uv_label, [t.identity], self.uv_first, _products(t, V, U))
-        s = len(U) * len(V)
-        krylov = [np.zeros(len(R), dtype=np.int64)]
+        s, n = len(U) * len(V), len(R)
+        krylov = [np.zeros(n, dtype=np.int64)]
         krylov[0][cls[t.identity]] = 1
         red = SparseReducer(1)
-        while red.feed(_rows(krylov[-1][None])):
+        while True:
+            rem, _, grown, _ = red._sweep(_tagged(krylov[-1][None], len(krylov) - 1), grow=n)
+            if not grown:
+                break
             # R's rows sum to s, so v_(m+1) >= 0 sums to s^m
             dtype = exact_dtype(s ** len(krylov))
             krylov.append(krylov[-1].astype(dtype) @ R.astype(dtype))
-        P = np.array(krylov, dtype=object)[..., None]
-        sol = solve_affine(1, _block(P[1:], P[0]))
-        if sol is None:
+        tags = [int(x) for x in rem[0, n:, 0]]
+        if not tags[0]:
             raise VerifyAlarm("no x in e_U A e_V with x e_U e_V = e_U e_V")
-        # x = s y / sol.den with y = sum_m particular_m v_m, so x_D / |D| at
-        # each g in D is y_D (s / |D|) / sol.den; |D| divides s
-        y = sol.particular[:, 0].astype(object) @ P[:-1, :, 0]
-        at = y[cls] * (s // np.bincount(cls)[cls])
+        sign = -1 if tags[0] > 0 else 1
+        y, den = _combination([sign * x for x in tags[1:]], abs(tags[0]),
+                              [(v, 1) for v in krylov[:-1]])
+        # x_D / |D| at each g in D is y_D (s / |D|) / den; |D| divides s
+        at = y.astype(exact_dtype(max_abs(y) * s), copy=False)[cls] * (s // np.bincount(cls)[cls])
         keys = np.flatnonzero(at != 0)
-        return _lift(AlgElem.from_vec(t, 1, (keys, at[keys, None], sol.den)), self.e)
+        return _lift(AlgElem.from_vec(t, 1, (keys, at[keys, None], den)), self.e)
 
     def _uv_counts(self):
         """N[D1, D2, D] = #{h in D1 : h^-1 g_D in D2}, D over U\\G/V, built
@@ -1104,10 +1123,12 @@ class Verifier:
     def end_algebra(self, chi: LeviChar) -> EndAlgebra:
         """B = E_chi C[G] E_chi: its dimension, the dimension of its centre,
         its Wedderburn block sizes and its structure constants, read from the
-        stack that _end_block builds on first use for chi and the next of
-        the characters a run reads (_end_chars), as many as _SCRATCH holds
-        in its block-diagonal arrays; VerifyAlarm when E(chi)'s certificate
-        failed."""
+        stack that _end_block builds on first use for chi and the next orbit
+        representatives not yet built (self.reps, which every count reads),
+        as many as _SCRATCH holds in its block-diagonal arrays; VerifyAlarm
+        when E(chi)'s certificate failed.  A character outside self.reps,
+        such as thm2's orbit partner, is built only when it is asked for, so
+        the caller's first read decides whether it shares a stack."""
         key = chi.key()
         if key not in self._end:
             self.E(chi)
@@ -1116,17 +1137,10 @@ class Verifier:
             # the feed and the products are (K m, K n, phi) with m <= len(F)
             # rows per character and n = #(U\\G/V)
             size = math.isqrt(_SCRATCH // (len(F) ** 2 * cls.shape[1] * len(power_fold(self.e))))
-            more = [c for c in self._end_chars() if (k := c.key()) != key and k not in self._end
+            more = [c for c in self.reps if (k := c.key()) != key and k not in self._end
                     and not isinstance(Es[place[k]], str)]
             self._end_block([chi] + more[:max(size - 1, 0)])
         return self._end[key]
-
-    def _end_chars(self):
-        """The characters whose end algebras a run reads: the orbit
-        representatives, then thm2's orbit partner (_orbit_partner)."""
-        reps = orbit_reps(self.ring, self.n)
-        partner = _orbit_partner(reps)
-        return reps + ([partner[1]] if partner else [])
 
     def _end_block(self, chis):
         """The EndAlgebra of every chi of chis (each E certified) into
@@ -1189,15 +1203,13 @@ class Verifier:
 
     def pipeline_count(self) -> int:
         """Distinct irreducible constituents across all induced modules."""
-        return sum(self.end_algebra(rep).center_dim
-                   for rep in orbit_reps(self.ring, self.n))
+        return sum(self.end_algebra(rep).center_dim for rep in self.reps)
 
     def count_principal_series(self):
         """(pipeline count, formula count); also checks the cheap variant."""
         pipeline = self.pipeline_count()
         formula = principal_series_count(self.ring, self.n)
-        cheap = sum(stabilizer_irrep_count(rep)
-                    for rep in orbit_reps(self.ring, self.n))
+        cheap = sum(stabilizer_irrep_count(rep) for rep in self.reps)
         if cheap != pipeline:
             raise VerifyAlarm(
                 f"stabilizer irrep count {cheap} disagrees with pipeline {pipeline}")
@@ -1503,10 +1515,12 @@ class Verifier:
         return CheckResult("thm1", status, {"dims": formula}, {"dims": oracle})
 
     def check_theorem2(self) -> CheckResult:
-        reps = orbit_reps(self.ring, self.n)
-        partner = _orbit_partner(reps)
+        partner = _orbit_partner(self.reps)
+        # the partner read first shares the first stack with the
+        # representatives (end_algebra)
+        ea2 = self.end_algebra(partner[1]) if partner else None
         expected, actual = {}, {}
-        for rep in reps:
+        for rep in self.reps:
             ea = self.end_algebra(rep)
             st = stabilizer(rep)
             expected[rep.key()] = {
@@ -1522,7 +1536,6 @@ class Verifier:
                 "sum_d2": sum(d * d for d in ea.blocks),
             }
             if partner and rep == partner[0]:
-                ea2 = self.end_algebra(partner[1])
                 expected[rep.key()]["unsorted_blocks"] = list(ea.blocks)
                 actual[rep.key()]["unsorted_blocks"] = list(ea2.blocks)
         status = "pass" if expected == actual else "fail"

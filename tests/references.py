@@ -12,6 +12,8 @@ The per-character routes build E_chi, its class sums, the rows of its end
 algebra and the end algebra itself one character at a time, each with a
 gather, a reducer and a centre solve of its own and every trace-form rank
 exact.
+zc's Krylov relation is also found by a solve_affine sweep over the powers
+of e_U e_V, as it was before the relation was read off their tags.
 The rest are plain references: a CycloNum elimination (rank, span_rank), the
 complex value of a CycloNum for float cross-checks, the whole-ring residue
 map, and single products and translates read off the Cayley table.
@@ -31,9 +33,10 @@ from pseries.cyclo import (CycloError, exact_dtype, fold_array, max_abs, power_f
                            root_coords, solve_affine, times)
 from pseries.groups import ring_arrays, row_blocks
 from pseries.rings import RingSpec
-from pseries.verify import (CheckResult, EndAlgebra, VerifyAlarm, _block, _dense,
+from pseries.verify import (CheckResult, EndAlgebra, VerifyAlarm, _block, _counts, _dense,
                             _lift, _mask, _multiplicative_on_generators, _products, _rank,
-                            _sandwich_values, _unit_solution, _uv_products, _z_solutions)
+                            _rows, _sandwich_values, _unit_solution, _uv_products,
+                            _z_solutions)
 
 # dense (|G|, phi) entries per stack that the references feed or multiply at
 # once (16 MB in float64), so a wide span is built a batch at a time
@@ -546,3 +549,28 @@ def single_module(v, chi):
     red = SparseReducer(v.e)
     red.feed((np.arange(M.shape[1]), M[:, :, 0, 0], 1))
     return red
+
+
+def solved_krylov_zc(v):
+    """Verifier._krylov_zc by a second solve: the powers v_m = s^(m-1) c^m
+    of c = e_U e_V on U\\G/V fed untagged until one adds nothing, then
+    sum_m b_m v_(m+1) = v_1 solved by solve_affine on an object Krylov
+    matrix, and x = s sum_m b_m v_m."""
+    t = v.table
+    U, V, cls = t.subgroup("U"), t.subgroup("V"), v.uv_class
+    R = _counts(t, v.uv_label, [t.identity], v.uv_first, _products(t, V, U))
+    s = len(U) * len(V)
+    krylov = [np.zeros(len(R), dtype=np.int64)]
+    krylov[0][cls[t.identity]] = 1
+    red = SparseReducer(1)
+    while red.feed(_rows(krylov[-1][None])):
+        dtype = exact_dtype(s ** len(krylov))
+        krylov.append(krylov[-1].astype(dtype) @ R.astype(dtype))
+    P = np.array(krylov, dtype=object)[..., None]
+    sol = solve_affine(1, _block(P[1:], P[0]))
+    if sol is None:
+        raise VerifyAlarm("no x in e_U A e_V with x e_U e_V = e_U e_V")
+    y = sol.particular[:, 0].astype(object) @ P[:-1, :, 0]
+    at = y[cls] * (s // np.bincount(cls)[cls])
+    keys = np.flatnonzero(at != 0)
+    return _lift(AlgElem.from_vec(t, 1, (keys, at[keys, None], sol.den)), v.e)

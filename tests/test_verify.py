@@ -21,6 +21,7 @@ from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
 from references import (least_conjugate_classes, left_translate, mul, right_translate,
                         single_class_sums, single_E, single_end_algebra, single_module,
+                        solved_krylov_zc,
                         single_wedderburn_blocks, translates, twisted_scalar_failures,
                         whole_ring_residue, wide_end_algebra, wide_halmos, wide_lemma33,
                         wide_lin_independence, wide_module, wide_phi_data,
@@ -315,6 +316,26 @@ def test_E_is_borel_equivariant(vget):
             multiples = [E.scale(c) for c in roots]
             assert all(AlgElem.from_vec(t, e, (keys, r, den)) in multiples
                        for r in rows)
+
+
+@pytest.mark.parametrize("spec,n", [("Z/4", 2), ("Z/9", 2), ("GF(2,2)", 2), ("GF(3,1)", 2),
+                                    ("GF(2,1)", 3), ("Z/2xZ/2xZ/3", 2)])
+def test_krylov_relation_matches_solved_route(vget, spec, n):
+    # x c = c read off the tags of the first power of c that adds nothing,
+    # against solve_affine on the Krylov matrix: the same zc, entry for entry
+    got, want = vget(spec, n)._krylov_zc(), solved_krylov_zc(vget(spec, n))
+    assert (got.keys.tolist(), got.rows.tolist(), got.den) == (
+        want.keys.tolist(), want.rows.tolist(), want.den)
+
+
+def test_krylov_alarms_without_a_relation(monkeypatch):
+    # with R = 0 the powers of c stop at v_2 = 0, whose relation has t_1 = 0:
+    # v_1 = c is no combination of the later powers, so x c = c has no x
+    v = Verifier(parse_ring_spec("GF(3,1)"), 2)
+    monkeypatch.setattr(verify, "_counts", lambda t, label, left, xs, right: np.zeros(
+        (len(xs), len(v.uv_first)), dtype=np.int64))
+    with pytest.raises(VerifyAlarm, match="^no x in e_U A e_V with x e_U e_V = e_U e_V$"):
+        v._krylov_zc()
 
 
 def test_E_alarms_when_zc_is_not_idempotent(monkeypatch):
@@ -729,6 +750,23 @@ def test_rank_mod_p_is_not_trusted_below_the_certificate():
             assert verify._rank_mod_p(M) < exact_rank(M) == verify._certified_rank(M)
 
 
+def test_certified_rank_reranks_only_for_a_content_divisible_by_p(monkeypatch):
+    # dividing a row by a content prime to p keeps the rank mod p, so a
+    # rank-deficient matrix with small entries takes one modular rank (its
+    # rows have contents 1 and 2); a row of content p, zero mod p, takes a
+    # second after the division
+    inner, calls = verify._rank_mod_p, []
+    monkeypatch.setattr(verify, "_rank_mod_p", lambda M: calls.append(M.shape) or inner(M))
+    M = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
+    assert verify._certified_rank(M) == exact_rank(M) == 2
+    assert len(calls) == 1
+    calls.clear()
+    p = verify._P
+    M = np.array([[p, 0, p], [0, 1, 1], [0, 2, 2]], dtype=np.int64)
+    assert verify._certified_rank(M) == exact_rank(M) == 2
+    assert len(calls) == 2
+
+
 def test_rank_mod_p_matches_exact_rank_on_either_side():
     # wide and tall (eliminated as its transpose), full rank, rank-deficient
     # and all-zero; small entries, so no minor is a multiple of p
@@ -845,14 +883,42 @@ def test_end_algebra_matches_per_character_oracle(vget, spec, n):
     # and thm2's orbit partner, against one reducer, one contraction, one
     # centre solve and exact trace-form ranks per character
     v = vget(spec, n)
-    chis = v._end_chars()
     reps = orbit_reps(v.ring, n)
-    assert len(chis) == len(reps) + (verify._orbit_partner(reps) is not None)
+    partner = verify._orbit_partner(reps)
+    chis = reps + ([partner[1]] if partner else [])
     for chi in chis:
         got, want = v.end_algebra(chi), single_end_algebra(v, chi)
         assert ((got.dim, got.center_dim, got.blocks, got.attempts, got.structure, got.den)
                 == (want.dim, want.center_dim, want.blocks, want.attempts, want.structure,
                     want.den)), chi.key()
+
+
+def test_count_builds_only_the_representatives(monkeypatch):
+    # count reads the end algebras of the orbit representatives alone, here
+    # in one stack; thm2 reads its orbit partner first, so after a count the
+    # partner is built alone, and in a verify run it shares the one stack
+    stacks, inner = [], Verifier._end_block
+    monkeypatch.setattr(Verifier, "_end_block", lambda self, chis: stacks.append(
+        [c.key() for c in chis]) or inner(self, chis))
+    v = Verifier(parse_ring_spec("GF(2,2)"), 2)
+    reps = [c.key() for c in orbit_reps(v.ring, 2)]
+    partner = verify._orbit_partner(v.reps)[1].key()
+    v.count_principal_series()
+    assert set(v._end) == set(reps) and len(reps) == 6
+    assert v.check_theorem2().passed
+    assert set(v._end) == set(reps) | {partner}
+    assert stacks == [reps, [partner]]
+    stacks.clear()
+    w = Verifier._on_table(v.table, 0, 10 ** 8)
+    assert w.check_theorem2().passed and w.check_corollary().passed
+    assert stacks == [[partner] + reps]
+
+
+@pytest.mark.parametrize("spec,n", STANDARD_PAIRS + [("Z/2xGF(2,2)", 2)])
+def test_verifier_reps_are_the_orbit_reps(vget, spec, n):
+    v = vget(spec, n)
+    assert v.reps == orbit_reps(v.ring, n)
+    assert v.reps is v.reps
 
 
 def test_uv_products_are_exact_on_the_python_int_path(vget):
