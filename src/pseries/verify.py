@@ -9,27 +9,28 @@ sums), run only when an a-priori bound keeps every partial sum an integer
 below 2^53.
 
 No check multiplies two group-algebra elements.  A product of subgroup
-idempotents is a count of subgroup products (_products); v e_X and e_X v are
-sums over X (_average); products of elements constant on U\\G/V are
-contractions with one double-coset count table (_uv_counts).  zc = z e_U
-e_V, all that E needs of the Halmos element z, is read off the tags of a
+idempotents is a count of subgroup products (_products); v e_X and
+e_X v are sums over X (_average); products of elements constant on U\\G/V
+are contractions with one double-coset count table (_uv_counts).  zc = z
+e_U e_V, all that E needs of the Halmos element z, is read off the tags of a
 Krylov sequence on U\\G/V count coordinates.  The other linear systems are
 built as integer arrays and solved by the array form of solve_affine: z
-itself (Lemma 3.3 only) on the coordinates of the words of A, each word over
-G the sum of its parent over U or V; and the centre of each endomorphism
-algebra.  thm1's sandwich ranks (all character pairs at once) and the end
-algebras E_chi C[G] E_chi come from zc on the same U\\G/V coordinates,
-through one certified table (_uv_table).  The per-character layer is built
-once, as stacks over every chi: the e_chi on L, certified in one batched
-pass, and every E from one gather of zc and one matmul (_chi_stack); every
-end algebra's spanning values from one contraction (_end_rows), and the end
-algebras a caller reads from one reducer, one contraction with N, one
-coordinate sweep, one centre solve and one certified trace-form rank per
-block of characters (_end_block); every class sum from one sum over classes
-and one matmul (pind_character).  thm1's character route is the inner
-product of class functions: G's classes by propagation over the generating
-set U | L | V (Verifier.classes), the class sums of every E, and one
-contraction of their stack for every pair at once.  lem3.10 twists no
+itself (Lemma 3.3 only) on the
+coordinates of the words of A, each word over G the sum of its parent over U
+or V; and the centre of each endomorphism algebra.  thm1's sandwich ranks
+(all character pairs at once) and the end algebras E_chi C[G] E_chi come
+from zc on the same U\\G/V coordinates, through one certified table
+(_uv_table).  The per-character layer is built once, as stacks over every
+chi: the e_chi on L, certified in one batched pass, and every E from one
+gather of zc and one matmul (_chi_stack); every end algebra's spanning
+values from one contraction (_end_rows), and the end algebras a caller reads
+from one reducer, one contraction with N, one coordinate sweep, one centre
+solve and one certified trace-form rank per block of characters
+(_end_block); every class sum from one sum over classes and one matmul
+(pind_character).  thm1's character route is the
+inner product of class functions: G's classes by propagation over the
+generating set U | L | V (Verifier.classes), the class sums of every E, and
+one contraction of their stack for every pair at once.  lem3.10 twists no
 element: it tests det on G x (U | L | V) and compares the exponents of
 chi1(det .) on U, V and L with those of chi on L's diagonals.
 """

@@ -21,11 +21,10 @@ from pseries.groups import ring_arrays
 from pseries.verify import HalmosElement, VerifyAlarm, compositions
 from references import (least_conjugate_classes, left_translate, mul, right_translate,
                         single_class_sums, single_E, single_end_algebra, single_module,
-                        solved_krylov_zc,
-                        single_wedderburn_blocks, translates, twisted_scalar_failures,
-                        whole_ring_residue, wide_end_algebra, wide_halmos, wide_lemma33,
-                        wide_lin_independence, wide_module, wide_phi_data,
-                        wide_sandwich_ranks)
+                        single_wedderburn_blocks, solved_krylov_zc, translates,
+                        twisted_scalar_failures, whole_ring_residue, wide_end_algebra,
+                        wide_halmos, wide_lemma33, wide_lin_independence, wide_module,
+                        wide_phi_data, wide_sandwich_ranks)
 
 
 def test_halmos_identities_recomputed(vget):
