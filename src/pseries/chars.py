@@ -75,16 +75,10 @@ class AbelianStructure:
         return f"AbelianStructure(orders={self.orders})"
 
 
-_unit_structures_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def unit_structures(ring: RingSpec):
     """AbelianStructure of the unit group of each local factor; cached."""
-    key = ring
-    if key not in _unit_structures_cache:
-        _unit_structures_cache[key] = tuple(
-            AbelianStructure(loc.units, loc.mul, loc.one) for loc in ring.locals)
-    return _unit_structures_cache[key]
+    return tuple(AbelianStructure(loc.units, loc.mul, loc.one) for loc in ring.locals)
 
 
 class UnitChar:

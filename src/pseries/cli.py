@@ -9,7 +9,7 @@ import math
 import sys
 
 from .chars import principal_series_count
-from .groups import SizeGuardError
+from .groups import MAX_COST, SizeGuardError
 from .rings import RingSpecError, parse_ring_spec
 from .verify import Verifier, VerifyAlarm
 
@@ -17,8 +17,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-
-DEFAULT_COST = 10 ** 8
 
 
 def _add_common(p, with_n=True):
@@ -32,7 +30,7 @@ def _add_common(p, with_n=True):
     p.add_argument("--seed", type=int, default=0,
                    help="PRNG seed recorded in the report")
     p.add_argument("--max-group", type=int, default=None, metavar="M",
-                   help="largest group order to tabulate (default 10000)")
+                   help=f"largest group order to tabulate (default {math.isqrt(MAX_COST)})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,9 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _max_cost(args) -> int:
-    if args.max_group is None:
-        return DEFAULT_COST
-    return args.max_group ** 2
+    return MAX_COST if args.max_group is None else args.max_group ** 2
 
 
 def _split(ids):

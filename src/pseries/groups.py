@@ -31,6 +31,10 @@ class SizeGuardError(GroupError):
     """Requested group is larger than the configured safety bound."""
 
 
+# the default bound on the candidate count and on the table size |G|^2
+MAX_COST = 10 ** 8
+
+
 class PermWord:
     """A tuple of permutations, one per local factor of the ring.
 
@@ -465,7 +469,7 @@ def _factor_table(ring: RingSpec, n: int) -> GroupTable:
                       weyl_elements(1, n), (lookup,))
 
 
-def enumerate_gl(ring: RingSpec, n: int, max_cost: int = 10 ** 8) -> GroupTable:
+def enumerate_gl(ring: RingSpec, n: int, max_cost: int = MAX_COST) -> GroupTable:
     """Enumerate GL_n(ring) and tabulate everything the rest of the code needs.
 
     Refuses (SizeGuardError) when the candidate count |R|^(n^2) or the

@@ -21,23 +21,27 @@ or V; and the centre of each endomorphism algebra.  thm1's sandwich ranks
 (all character pairs at once) and the end algebras E_chi C[G] E_chi come
 from zc on the same U\\G/V coordinates, through one certified table
 (_uv_table).  The per-character layer is built once, as stacks over every
-chi: the e_chi on L, certified in one batched pass, and every E from one
-gather of zc and one matmul (_chi_stack); every end algebra's spanning
+chi: the e_chi on L, certified in one batched pass, and every E, constant
+on U\\G/V, as its values at the g_D, from one (#U\\G/V, |L|) gather of zc
+and one matmul (_chi_stack); every end algebra's spanning
 values from one contraction (_end_rows), and the end algebras a caller reads
 from one reducer, one contraction with N, one coordinate sweep, one centre
 solve and one certified trace-form rank per block of characters
-(_end_block); every class sum from one sum over classes and one matmul
-(pind_character).  thm1's character route is the
+(_end_block); every class sum from one bincount over G of #(K cap D) and
+one matmul (_class_sums).  thm1's character route is the
 inner product of class functions: G's classes by propagation over the
 generating set U | L | V (Verifier.classes), the class sums of every E, and
 one contraction of their stack for every pair at once.  lem3.10 twists no
 element: it tests det on G x (U | L | V) and compares the exponents of
-chi1(det .) on U, V and L with those of chi on L's diagonals.
+chi1(det .) on U, V and L with those of chi on L's diagonals.  Each
+run-wide intermediate of a Verifier is a cached property, built on its
+first read.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -57,7 +61,7 @@ from .chars import (LeviChar, all_levi_chars, canonical_reps, conjugacy_class_co
                     stabilizer_order, unit_structures)
 from .cyclo import (SparseReducer, content, exact_dtype, fold_array, galois, max_abs,
                     power_fold, root_coords, solve_affine)
-from .groups import (PermWord, enumerate_gl, factor_ulv_codes, ring_arrays,
+from .groups import (MAX_COST, PermWord, enumerate_gl, factor_ulv_codes, ring_arrays,
                      row_blocks)
 from .rings import RingSpec
 
@@ -557,7 +561,7 @@ class Verifier:
     """Holds one tabulated group and runs every check against it."""
 
     def __init__(self, ring: RingSpec, n: int, seed: int = 0,
-                 max_cost: int = 10 ** 8):
+                 max_cost: int = MAX_COST):
         self._setup(enumerate_gl(ring, n, max_cost), seed, max_cost)
 
     @classmethod
@@ -587,43 +591,23 @@ class Verifier:
         self.c_uv, self.c_vu = (AlgElem.from_vec(t, e, (
             np.arange(t.size), np.bincount(_products(t, X, Y), minlength=t.size)[:, None]
             * root_coords(e)[:1], len(X) * len(Y))) for X, Y in ((U, V), (V, U)))
-        self._halmos = None
-        self._zc = self._zc_ids = None
-        self._ulv = None
         self._echi = {}
-        self._stack = None
-        self._sums = None
-        self._end_vals = None
-        self._uv = None
-        self._uv_mul = None
-        self._sandwich = {}
         self._gens = {}
-        self._classes = None
-        self._chardim = None
         self._end = {}
-        self._conj = {}
         self._phi = {}
-        self._local_verifiers = None
-        self._reps = None
 
     # -- basic cached objects ------------------------------------------------
 
-    @property
+    @functools.cached_property
     def reps(self):
-        """The Weyl orbit representatives of self.chars (orbit_reps), built
-        once."""
-        if self._reps is None:
-            self._reps = canonical_reps(self.chars)
-        return self._reps
+        """The Weyl orbit representatives of self.chars (orbit_reps)."""
+        return canonical_reps(self.chars)
 
-    @property
+    @functools.cached_property
     def ulv(self):
         """Every product u l v, in (u, l, v) loop order."""
-        if self._ulv is None:
-            t = self.table
-            self._ulv = _products(t, t.subgroup("U"), t.subgroup("L"),
-                                  t.subgroup("V"))
-        return self._ulv
+        t = self.table
+        return _products(t, t.subgroup("U"), t.subgroup("L"), t.subgroup("V"))
 
     def generators(self, t):
         """S = U | L | V of t (self.table or a factor; a local ring's group is
@@ -650,11 +634,9 @@ class Verifier:
             self._echi[key] = idempotent_char(self.table, chi)
         return self._echi[key]
 
-    @property
+    @functools.cached_property
     def halmos(self) -> HalmosElement:
-        if self._halmos is None:
-            self._halmos = self._solve_halmos()
-        return self._halmos
+        return self._solve_halmos()
 
     def _solve_halmos(self) -> HalmosElement:
         # A is the span of the nonempty words in e_U, e_V; asking for z there
@@ -819,116 +801,120 @@ class Verifier:
         keys = np.flatnonzero(at != 0)
         return _lift(AlgElem.from_vec(t, 1, (keys, at[keys, None], den)), self.e)
 
+    @functools.cached_property
     def _uv_counts(self):
-        """N[D1, D2, D] = #{h in D1 : h^-1 g_D in D2}, D over U\\G/V, built
-        once: for a, b constant on U\\G/V, (a b)(g_D) = sum_{D1, D2} N[D1, D2,
-        D] a(D1) b(D2) (_uv_products).  Kept in float64, which holds every
-        count exactly (each is at most |G| < 2^53); _uv_products casts it
-        through int64 for its integer dtypes.  Stored D first, N being its
-        transposed view, so that each g_D's counts are contiguous."""
-        if self._uv_mul is None:
-            # one g_D at a time per row, a block of them at a time: the
-            # classes of h and h^-1 g_D (a gather from t._table[t._inv] would
-            # copy the whole table)
-            t, c, n = self.table, self.uv_class, len(self.uv_first)
-            self._uv_mul = np.empty((n, n, n))
-            for ds in row_blocks(n, t.size, _SCRATCH):
-                w = ds.stop - ds.start
-                flat = c[t._table[t._inv[:, None], self.uv_first[ds]]]
-                flat += c[:, None] * n     # in place: one |G| x w array at a time
-                flat += np.arange(w) * (n * n)
-                self._uv_mul[ds] = np.bincount(flat.ravel(), minlength=n * n * w).reshape(
-                    w, n, n)
-        return self._uv_mul.transpose(1, 2, 0)
+        """N[D1, D2, D] = #{h in D1 : h^-1 g_D in D2}, D over U\\G/V: for a, b
+        constant on U\\G/V, (a b)(g_D) = sum_{D1, D2} N[D1, D2, D] a(D1)
+        b(D2) (_uv_products).  Kept in float64, which holds every count
+        exactly (each is at most |G| < 2^53); _uv_products casts it through
+        int64 for its integer dtypes.  Stored D first, N being its transposed
+        view, so that each g_D's counts are contiguous."""
+        # one g_D at a time per row, a block of them at a time: the classes
+        # of h and h^-1 g_D (a gather from t._table[t._inv] would copy the
+        # whole table)
+        t, c, n = self.table, self.uv_class, len(self.uv_first)
+        out = np.empty((n, n, n))
+        for ds in row_blocks(n, t.size, _SCRATCH):
+            w = ds.stop - ds.start
+            flat = c[t._table[t._inv[:, None], self.uv_first[ds]]]
+            flat += c[:, None] * n     # in place: one |G| x w array at a time
+            flat += np.arange(w) * (n * n)
+            out[ds] = np.bincount(flat.ravel(), minlength=n * n * w).reshape(w, n, n)
+        return out.transpose(1, 2, 0)
 
-    @property
+    @functools.cached_property
     def zc(self) -> AlgElem:
         """z e_U e_V from _krylov_zc, certified by zc^2 = zc and zc e_U e_V =
-        e_U e_V (the pair kept in _zc_ids).  zc (by its lift) and e_U e_V are
-        constant on U\\G/V, so are their products, which N gives at each g_D."""
-        if self._zc is None:
-            zc = self._krylov_zc()
-            a, c = (_dense(x)[self.uv_first, 0] for x in (zc, self.c_uv))
-            P = _uv_products(self._uv_counts(), np.stack([a, c])[..., None], 1, self.table.size)
-            idempotent, fixes = self._zc_ids = (_same(P[0, :, 0], zc.den, a, 1),
-                                                _same(P[1, :, 0], zc.den, c, 1))
-            if not idempotent:
-                raise VerifyAlarm("z e_U e_V not idempotent")
-            if not fixes:
-                raise VerifyAlarm("z e_U e_V does not fix e_U e_V")
-            self._zc = zc
-        return self._zc
+        e_U e_V.  zc (by its lift) and e_U e_V are constant on U\\G/V, so are
+        their products, which N gives at each g_D."""
+        zc = self._krylov_zc()
+        a, c = (_dense(x)[self.uv_first, 0] for x in (zc, self.c_uv))
+        P = _uv_products(self._uv_counts, np.stack([a, c])[..., None], 1, self.table.size)
+        if not _same(P[0, :, 0], zc.den, a, 1):
+            raise VerifyAlarm("z e_U e_V not idempotent")
+        if not _same(P[1, :, 0], zc.den, c, 1):
+            raise VerifyAlarm("z e_U e_V does not fix e_U e_V")
+        return zc
 
+    @functools.cached_property
     def _chi_stack(self):
-        """(place, S, Es), built once for every chi of self.chars:
-        place[chi.key()] is chi's place c, S[c] e_chi's rows on L (in
-        increasing order) over e_chi.den, and Es[c] E_chi = zc e_chi, or the
-        alarm text of the certificate chi fails.
+        """(place, S, vals, gcds) for every chi of self.chars: place[chi.key()]
+        is chi's place c, S[c] e_chi's rows on L (in increasing order) over
+        e_chi.den, vals[c] the values of E_chi = zc e_chi at the g_D over
+        zc.den e_chi.den, and gcds[c] the gcd of vals[c] and that den, which
+        E's canonical form divides out, or the alarm text of the certificate
+        chi fails.
 
         chi passes when e_chi lies in C[L], e_chi^2 = e_chi and E_chi != 0.
         L is a group, so e_chi^2 lies in C[L]: e_chi^2(m) = sum_a e_chi(a)
-        e_chi(a^-1 m) over a in L, one gather of the stack.  _uv_table
-        certifies l zc = zc l for l in L, so e_chi zc = zc e_chi, and with
-        zc^2 = zc that gives E^2 = E.  E(g) = sum_l zc(g l^-1) e_chi(l): one
-        gather of zc and one matmul with the stack.  The products run a
-        block of characters at a time."""
-        if self._stack is None:
-            t, e, L = self.table, self.e, np.asarray(self.table.subgroup("L"))
-            self._uv_table()
-            ft, kf = fold_array(e)
-            ecs, k, nl, phi = [self.e_chi(c) for c in self.chars], len(self.chars), len(L), len(ft)
-            at = np.full(t.size, nl)
-            at[L] = np.arange(nl)
-            S = np.zeros((k, nl, phi), dtype=exact_dtype(max(max_abs(x.rows) for x in ecs)))
-            Es = [None] * k
-            for c, (chi, ec) in enumerate(zip(self.chars, ecs)):
-                if (at[ec.keys] == nl).any():
-                    Es[c] = f"e_chi does not commute with z e_U e_V for chi={chi.key()}"
-                else:
-                    S[c, at[ec.keys]] = ec.rows
+        e_chi(a^-1 m) over a in L, one gather of the stack, a block of
+        characters at a time.  _uv_table certifies l zc = zc l for l in L,
+        so E = zc e_chi = e_chi zc, and with zc^2 = zc that gives E^2 = E;
+        and U zc = zc = zc V, so E is constant on U\\G/V.  E(g_D) = sum_l
+        zc(g_D l^-1) e_chi(l): one (#U\\G/V, |L|) gather of zc and one matmul
+        with the stack."""
+        t, e, L = self.table, self.e, np.asarray(self.table.subgroup("L"))
+        self._uv_table     # first: E = e_chi zc rests on its certificate
+        ft, kf = fold_array(e)
+        ecs, k, nl, phi = [self.e_chi(c) for c in self.chars], len(self.chars), len(L), len(ft)
+        at = np.full(t.size, nl)
+        at[L] = np.arange(nl)
+        S = np.zeros((k, nl, phi), dtype=exact_dtype(max(max_abs(x.rows) for x in ecs)))
+        gcds = [None] * k
+        for c, (chi, ec) in enumerate(zip(self.chars, ecs)):
+            if (at[ec.keys] == nl).any():
+                gcds[c] = f"e_chi does not commute with z e_U e_V for chi={chi.key()}"
+            else:
+                S[c, at[ec.keys]] = ec.rows
 
-            # e_chi^2 on L: square[c, m, u] = sum_(a, r) S[c, at(a^-1 m), r]
-            # SF[c, (a, r), u], SF[c, (a, r), u] = sum_s S[c, a, s] ft[s, (r, u)]
-            bound = kf * nl * max_abs(S) ** 2
-            dens = [ec.den for ec in ecs]
-            dtype, exact = matmul_dtype(bound), exact_dtype(bound + max_abs(S) * max(dens))
-            dens = np.array(dens, dtype=exact)
-            pair, Sd = at[t._table[t._inv[L], L[:, None]]], S.astype(dtype)
-            SF = (Sd @ ft.astype(dtype)).reshape(k, nl * phi, phi)
-            for blk in row_blocks(k, nl * nl * phi, _SCRATCH):
-                square = (Sd[blk][:, pair].reshape(-1, nl, nl * phi) @ SF[blk]).astype(exact)
-                fixed = (square == S[blk].astype(exact) * dens[blk, None, None]).all(axis=(1, 2))
-                for c in np.flatnonzero(~fixed) + blk.start:
-                    Es[c] = Es[c] or f"e_chi not idempotent for chi={self.chars[c].key()}"
+        # e_chi^2 on L: square[c, m, u] = sum_(a, r) S[c, at(a^-1 m), r]
+        # SF[c, (a, r), u], SF[c, (a, r), u] = sum_s S[c, a, s] ft[s, (r, u)]
+        bound = kf * nl * max_abs(S) ** 2
+        dens = [ec.den for ec in ecs]
+        dtype, exact = matmul_dtype(bound), exact_dtype(bound + max_abs(S) * max(dens))
+        dens = np.array(dens, dtype=exact)
+        pair, Sd = at[t._table[t._inv[L], L[:, None]]], S.astype(dtype)
+        SF = (Sd @ ft.astype(dtype)).reshape(k, nl * phi, phi)
+        for blk in row_blocks(k, nl * nl * phi, _SCRATCH):
+            square = (Sd[blk][:, pair].reshape(-1, nl, nl * phi) @ SF[blk]).astype(exact)
+            fixed = (square == S[blk].astype(exact) * dens[blk, None, None]).all(axis=(1, 2))
+            for c in np.flatnonzero(~fixed) + blk.start:
+                gcds[c] = gcds[c] or f"e_chi not idempotent for chi={self.chars[c].key()}"
 
-            zc = _dense(self.zc)[:, 0]
-            bound = max_abs(zc) * max_abs(S) * nl
-            dtype = matmul_dtype(bound)
-            Z = zc.astype(dtype)[t._table[:, t._inv[L]]]
-            for blk in row_blocks(k, t.size * phi, _SCRATCH):
-                rows = (Z @ S[blk].astype(dtype).transpose(1, 0, 2).reshape(nl, -1)).reshape(
-                    t.size, -1, phi)
-                for c in range(blk.start, blk.stop):
-                    if Es[c] is None:
-                        E = AlgElem.from_vec(t, e, (np.arange(t.size), rows[:, c - blk.start]
-                                                    .astype(exact_dtype(bound)),
-                                                    self.zc.den * ecs[c].den))
-                        Es[c] = E if not E.is_zero() else (
-                            f"z e_U e_V e_chi vanished for chi={self.chars[c].key()}")
-            self._stack = {c.key(): i for i, c in enumerate(self.chars)}, S, Es
-        return self._stack
+        zc = _dense(self.zc)[:, 0]
+        bound = max_abs(zc) * max_abs(S) * nl
+        dtype = matmul_dtype(bound)
+        Z = zc.astype(dtype)[t._table[self.uv_first[:, None], t._inv[L]]]
+        vals = (Z @ S.astype(dtype).transpose(1, 0, 2).reshape(nl, -1)).reshape(
+            -1, k, phi).transpose(1, 0, 2).astype(exact_dtype(bound))
+        for c, chi in enumerate(self.chars):
+            if gcds[c] is None:
+                gcds[c] = (math.gcd(content(vals[c]), self.zc.den * ecs[c].den) if vals[c].any()
+                           else f"z e_U e_V e_chi vanished for chi={chi.key()}")
+        return {c.key(): i for i, c in enumerate(self.chars)}, S, vals, gcds
+
+    def _certified(self, chi: LeviChar):
+        """(c, g): chi's place in _chi_stack and the gcd that E_chi's
+        canonical form divides out; VerifyAlarm when chi's certificate
+        failed."""
+        place, *_, gcds = self._chi_stack
+        c = place[chi.key()]
+        if isinstance(gcds[c], str):
+            raise VerifyAlarm(gcds[c])
+        return c, gcds[c]
 
     def E(self, chi: LeviChar) -> AlgElem:
-        """The idempotent E = zc e_chi, read from the stack of every
-        character (_chi_stack); VerifyAlarm when chi's certificate failed."""
-        place, _, Es = self._chi_stack()
-        E = Es[place[chi.key()]]
-        if isinstance(E, str):
-            raise VerifyAlarm(E)
-        return E
+        """The idempotent E = zc e_chi over G, its values at the g_D
+        (_chi_stack) spread over U\\G/V; VerifyAlarm when chi's certificate
+        failed."""
+        c, _ = self._certified(chi)
+        return AlgElem.from_vec(self.table, self.e, (
+            np.arange(self.table.size), self._chi_stack[2][c][self.uv_class],
+            self.zc.den * self.e_chi(chi).den))
 
+    @functools.cached_property
     def _uv_table(self):
-        """(cls, reps, F), built once for thm1's sandwiches and the end algebras.
+        """(cls, reps, F) for thm1's sandwiches and the end algebras.
 
         U zc = zc = zc V, and l zc = zc l for l in L is certified here, so
         E_sigma C[G] E_chi is spanned by the e_sigma X_y e_chi, X_y = zc y zc,
@@ -938,60 +924,56 @@ class Verifier:
         orbit, and F[y, D] = X_y(g_D) = sum_m zc(m^-1 y^-1) zc(m g_D) over
         zc.den^2.
         """
-        if self._uv is None:
-            t, z, L = self.table, _dense(self.zc)[:, 0], np.asarray(self.table.subgroup("L"))
-            # zc(l g) = zc(g l) for all g is l zc l^-1 = zc
-            if (z[t._table[L]] != z[t._table[:, L]].T).any():
-                raise VerifyAlarm("z e_U e_V does not commute with L")
-            gD, linv = self.uv_first, t._inv[L]
-            cls = self.uv_class[t._table[t._table[linv[:, None], gD][..., None], linv]]
-            reps = np.flatnonzero(cls.min(axis=(0, 2)) == np.arange(len(gD)))
-            dtype = exact_dtype(t.size * max_abs(z) ** 2)
-            F = (z[t._table[t._inv, gD[reps, None]]].astype(dtype)
-                 @ z[t._table[:, gD]].astype(dtype, copy=False))
-            self._uv = cls, reps, F
-        return self._uv
+        t, z, L = self.table, _dense(self.zc)[:, 0], np.asarray(self.table.subgroup("L"))
+        # zc(l g) = zc(g l) for all g is l zc l^-1 = zc
+        if (z[t._table[L]] != z[t._table[:, L]].T).any():
+            raise VerifyAlarm("z e_U e_V does not commute with L")
+        gD, linv = self.uv_first, t._inv[L]
+        cls = self.uv_class[t._table[t._table[linv[:, None], gD][..., None], linv]]
+        reps = np.flatnonzero(cls.min(axis=(0, 2)) == np.arange(len(gD)))
+        dtype = exact_dtype(t.size * max_abs(z) ** 2)
+        F = (z[t._table[t._inv, gD[reps, None]]].astype(dtype)
+             @ z[t._table[:, gD]].astype(dtype, copy=False))
+        return cls, reps, F
 
+    @functools.cached_property
     def _end_rows(self):
         """M[c, y, D]: |L|^2 times the value at g_D of e_chi X_y e_chi, for
         chi = chars[c] and X_y of _uv_table: sum_{a, b in L} e_chi(a) F[y,
         cls[a, D, b]] e_chi(b), folded into Q(zeta_e), the diagonal of
         _sandwich_values.  F gathered at cls and two matmuls with the stack
-        of _chi_stack, a block of double cosets and of characters at a time,
-        built once."""
-        if self._end_vals is None:
-            cls, _, F = self._uv_table()
-            S = self._chi_stack()[1]
-            ft, kf = fold_array(self.e)
-            k, nl, phi = S.shape
-            bound = kf * max_abs(F) * (nl * max_abs(S)) ** 2
-            dtype = matmul_dtype(bound)
-            # SF[c, (b, p), u] = sum_q S[c, b, q] ft[p, (q, u)], ft being
-            # symmetric in p and q
-            F, S = F.astype(dtype), S.astype(dtype)
-            SF = (S @ ft.astype(dtype)).reshape(k, nl * phi, phi)
-            out = np.empty((k, len(F), cls.shape[1], phi), dtype=exact_dtype(bound))
-            for ds in row_blocks(cls.shape[1], len(F) * nl * nl, _SCRATCH):
-                # X[(y, D, b), a] = F[y, cls[a, D, b]] for D in ds
-                X = F[:, cls[:, ds].transpose(1, 2, 0)].reshape(-1, nl)
-                for blk in row_blocks(k, len(X) * phi, _SCRATCH):
-                    # (X @ S[c])[(y, D, b), p] = sum_a e_chi(a)_p F[y, cls[a, D, b]]
-                    T = (X @ S[blk]).reshape(blk.stop - blk.start, -1, nl * phi)
-                    out[blk, :, ds] = (T @ SF[blk]).reshape(len(T), len(F), -1, phi)
-            self._end_vals = out
-        return self._end_vals
+        of _chi_stack, a block of double cosets and of characters at a
+        time."""
+        cls, _, F = self._uv_table
+        S = self._chi_stack[1]
+        ft, kf = fold_array(self.e)
+        k, nl, phi = S.shape
+        bound = kf * max_abs(F) * (nl * max_abs(S)) ** 2
+        dtype = matmul_dtype(bound)
+        # SF[c, (b, p), u] = sum_q S[c, b, q] ft[p, (q, u)], ft being
+        # symmetric in p and q
+        F, S = F.astype(dtype), S.astype(dtype)
+        SF = (S @ ft.astype(dtype)).reshape(k, nl * phi, phi)
+        out = np.empty((k, len(F), cls.shape[1], phi), dtype=exact_dtype(bound))
+        for ds in row_blocks(cls.shape[1], len(F) * nl * nl, _SCRATCH):
+            # X[(y, D, b), a] = F[y, cls[a, D, b]] for D in ds
+            X = F[:, cls[:, ds].transpose(1, 2, 0)].reshape(-1, nl)
+            for blk in row_blocks(k, len(X) * phi, _SCRATCH):
+                # (X @ S[c])[(y, D, b), p] = sum_a e_chi(a)_p F[y, cls[a, D, b]]
+                T = (X @ S[blk]).reshape(blk.stop - blk.start, -1, nl * phi)
+                out[blk, :, ds] = (T @ SF[blk]).reshape(len(T), len(F), -1, phi)
+        return out
 
     def module_reducer(self, chi: LeviChar) -> SparseReducer:
         """B = E_chi C[G] E_chi as a SparseReducer on U\\G/V: key D holds the
         value at g_D, which fixes an element of B (U E = E = E V); the rows
-        are chi's e_chi X_y e_chi of _end_rows.  E(chi), certified on the
-        stack, is the unit of B.  end_algebra feeds these rows of a block of
-        characters into one reducer, chi's at keys c #(U\\G/V) + D, whose
-        pivots for chi are this reducer's, shifted.  The name is that of the
-        left-module route this replaced, under which perfbench times it."""
-        self._uv_table()     # first, as E's certificate and B's rows read it
-        self.E(chi)
-        M = self._end_rows()[self._chi_stack()[0][chi.key()]]
+        are chi's e_chi X_y e_chi of _end_rows, read once chi's certificate
+        on the stack (_chi_stack) holds; E_chi is the unit of B.  end_algebra
+        feeds these rows of a block of characters into one reducer, chi's at
+        keys c #(U\\G/V) + D, whose pivots for chi are this reducer's,
+        shifted.  The name is that of the left-module route this replaced,
+        under which perfbench times it."""
+        M = self._end_rows[self._certified(chi)[0]]
         red = SparseReducer(self.e)
         red.feed((np.arange(M.shape[1]), M, 1))
         return red
@@ -1001,23 +983,25 @@ class Verifier:
     def intertwining_dim_formula(self, chi: LeviChar, sigma: LeviChar) -> int:
         return sum(1 for w in self.table.weyl if chi.acted(w) == sigma)
 
-    def _sandwich_rank(self, chi: LeviChar, sigma: LeviChar) -> int:
-        """rank{E_sigma g E_chi : g in G}, from one table of every pair: the
-        rank of the e_sigma X_y e_chi of _uv_table, each fixed by its values
-        at the g_D of reps, one per orbit of L x L on U\\G/V (its value at
-        a^-1 g c^-1 is sigma(a) chi(c) times that at g), each a certified
-        rank over Q(zeta_e) (_cyclo_rank)."""
-        if not self._sandwich:
-            cls, reps, F = self._uv_table()
-            S = np.array([self.e_chi(c).rows for c in self.chars])
-            M = _sandwich_values(F, cls[:, reps], S, self.e)
-            keys, live = [c.key() for c in self.chars], M.any(axis=(0, 1, 4))
-            for (s, left), (x, right) in itertools.product(enumerate(keys), repeat=2):
-                rank = _cyclo_rank(self.e, M[:, :, s, x]) if live[s, x] else 0
-                self._sandwich[right, left] = rank
-        return self._sandwich[chi.key(), sigma.key()]
+    @functools.cached_property
+    def _sandwich_ranks(self):
+        """{(chi key, sigma key): rank{E_sigma g E_chi : g in G}} for every
+        pair, from one table: the rank of the e_sigma X_y e_chi of
+        _uv_table, each fixed by its values at the g_D of reps, one per orbit
+        of L x L on U\\G/V (its value at a^-1 g c^-1 is sigma(a) chi(c) times
+        that at g), each a certified rank over Q(zeta_e) (_cyclo_rank)."""
+        cls, reps, F = self._uv_table
+        S = np.array([self.e_chi(c).rows for c in self.chars])
+        M = _sandwich_values(F, cls[:, reps], S, self.e)
+        keys, live = [c.key() for c in self.chars], M.any(axis=(0, 1, 4))
+        return {(right, left): _cyclo_rank(self.e, M[:, :, s, x]) if live[s, x] else 0
+                for (s, left), (x, right) in itertools.product(enumerate(keys), repeat=2)}
 
-    @property
+    def _sandwich_rank(self, chi: LeviChar, sigma: LeviChar) -> int:
+        """rank{E_sigma g E_chi : g in G} (_sandwich_ranks)."""
+        return self._sandwich_ranks[chi.key(), sigma.key()]
+
+    @functools.cached_property
     def classes(self):
         """cls[g], the number of g's conjugacy class, the classes numbered in
         increasing order of their least elements.  S (self.generators) generates
@@ -1027,76 +1011,77 @@ class Verifier:
         min with every lab[s^-1 g s] (one (|S|, |G|) gather), then lab <-
         lab[lab] until stable; lab[g] stays in g's class, and a round that
         changes nothing leaves it constant there."""
-        if self._classes is None:
-            t, S = self.table, self.generators(self.table)
-            conj = t._table[t._table[t._inv[S]], S[:, None]]   # entry (s, g) is s^-1 g s
-            lab, new = None, np.arange(t.size, dtype=t._table.dtype)
-            while not np.array_equal(lab, new):
-                lab = new
-                new = np.minimum(lab, lab[conj].min(axis=0))
-                while not np.array_equal(new, new[new]):
-                    new = new[new]
-            self._classes = np.searchsorted(np.flatnonzero(lab == np.arange(t.size)), lab)
-        return self._classes
+        t, S = self.table, self.generators(self.table)
+        conj = t._table[t._table[t._inv[S]], S[:, None]]   # entry (s, g) is s^-1 g s
+        lab, new = None, np.arange(t.size, dtype=t._table.dtype)
+        while not np.array_equal(lab, new):
+            lab = new
+            new = np.minimum(lab, lab[conj].min(axis=0))
+            while not np.array_equal(new, new[new]):
+                new = new[new]
+        return np.searchsorted(np.flatnonzero(lab == np.arange(t.size)), lab)
+
+    @functools.cached_property
+    def _class_sums(self):
+        """s[c, K] = sum_{h in K} E(h) over zc.den e_chi.den, for chi =
+        chars[c] and the classes K that self.classes numbers: E is constant
+        on U\\G/V, so s[c] is the matrix #(K cap D), one bincount over G,
+        times E's values at the g_D, one matmul with the stack of
+        _chi_stack for every character."""
+        t, cls, vals = self.table, self.classes, self._chi_stack[2]
+        k, n, phi = vals.shape
+        KD = np.bincount(cls * n + self.uv_class, minlength=(int(cls.max()) + 1) * n)
+        bound = t.size * max_abs(vals)
+        dtype = matmul_dtype(bound)
+        sums = KD.reshape(-1, n).astype(dtype) @ vals.astype(dtype).transpose(1, 0, 2).reshape(
+            n, -1)
+        return sums.reshape(-1, k, phi).transpose(1, 0, 2).astype(exact_dtype(bound))
 
     def pind_character(self, chi: LeviChar):
         """Character of the induced module on classes: (s, den), with s an
         integer array (#classes, phi) whose row K over den is the class sum
-        sum_{h in K} E(h).  The value at g is sum_x E(x^-1 g^-1 x) =
+        sum_{h in K} E(h) (_class_sums, divided by the gcd that E's
+        canonical form drops).  The value at g is sum_x E(x^-1 g^-1 x) =
         |C_G(g)| s[class(g^-1)] / den: x^-1 g^-1 x covers g^-1's class
-        |C_G(g)| times.
+        |C_G(g)| times."""
+        c, g = self._certified(chi)
+        return self._class_sums[c] // g, self.zc.den * self.e_chi(chi).den // g
 
-        The class sums of every character come at once, for the labelling
-        self.classes holds, from Z[K, l] = sum_{g in K} zc(g l^-1) (np.add.at,
-        a row block of g at a time) and one matmul with the stack of
-        _chi_stack: s_chi(K) = sum_l Z[K, l] e_chi(l), over zc.den e_chi.den,
-        then divided by the content that E dropped."""
-        E, cls = self.E(chi), self.classes
-        if self._sums is None or self._sums[0] is not cls:
-            t, L, S = self.table, np.asarray(self.table.subgroup("L")), self._chi_stack()[1]
-            zc = _dense(self.zc)[:, 0]
-            Z = np.zeros((int(cls.max()) + 1, len(L)), dtype=exact_dtype(max_abs(zc) * t.size))
-            for gs in row_blocks(t.size, len(L)):
-                np.add.at(Z, cls[gs], zc[t._table[gs][:, t._inv[L]]])
-            bound = max_abs(Z) * max_abs(S) * len(L)
-            dtype = matmul_dtype(bound)
-            self._sums = cls, (Z.astype(dtype) @ S.astype(dtype)).astype(exact_dtype(bound))
-        c = self._chi_stack()[0][chi.key()]
-        return self._sums[1][c] // (self.zc.den * self.e_chi(chi).den // E.den), E.den
+    @functools.cached_property
+    def _character_dims(self):
+        """{(chi key, sigma key): dim Hom}, via the averaged inner product of
+        the two characters: |G|^-1 sum_g a(g) conj(b(g)) = sum_K (|G|/|K|)
+        a(K) conj(b(K)) on the class sums.  With S the stack of every
+        character's class sums, w the centraliser orders and C the matrix of
+        complex conjugation, that is one contraction of w S with S C and the
+        fold tensor, as two matmuls in matmul_dtype; each pair is divided
+        once, at the end, and a pair that does not divide into an integer is
+        kept as None, for _character_dim's alarm.
+        """
+        sums, dens = zip(*(self.pind_character(c) for c in self.chars))
+        S = np.array(sums)
+        ft, kf = fold_array(self.e)
+        phi, w = len(ft), self.table.size // np.bincount(self.classes)
+        conj = galois(self.e, -1)
+        bound = kf * int(w.sum()) * phi * max_abs(conj) * max_abs(S) ** 2
+        dtype = matmul_dtype(bound)
+        S, conj, ft, w = (x.astype(dtype, copy=False) for x in (S, conj, ft, w))
+        # total[a, b, u] = sum_(k, s) (w S)[a, k, s] Y[(k, s), (b, u)], with
+        # Y[b, k, (s, u)] = sum_r (S C)[b, k, r] ft[r, (s, u)] (ft symmetric)
+        a, k = S.shape[:2]
+        Y = ((S @ conj) @ ft).reshape(a, k, phi, phi).transpose(1, 2, 0, 3)
+        total = ((w[:, None] * S).reshape(a, -1) @ Y.reshape(k * phi, -1)).reshape(
+            a, a, phi).astype(exact_dtype(bound))
+        den = np.array(dens, dtype=object)
+        tot, dd = total[..., 0].astype(object), np.outer(den, den)
+        q = tot // dd
+        q[(tot % dd != 0) | total[..., 1:].any(axis=-1)] = None
+        keys = [c.key() for c in self.chars]
+        return {(a, b): q[i, j] for (i, a), (j, b) in itertools.product(enumerate(keys), repeat=2)}
 
     def _character_dim(self, chi: LeviChar, sigma: LeviChar) -> int:
-        """dim Hom via the averaged inner product of the two characters:
-        |G|^-1 sum_g a(g) conj(b(g)) = sum_K (|G|/|K|) a(K) conj(b(K)) on
-        the class sums, from one table of every pair.  With S the stack of
-        every character's class sums, w the centraliser orders and C the
-        matrix of complex conjugation, that is one contraction of w S with
-        S C and the fold tensor, as two matmuls in matmul_dtype; each pair is
-        divided once, at the end, and a pair that does not divide into an
-        integer is kept as an alarm.
-        """
-        if self._chardim is None:
-            sums, dens = zip(*(self.pind_character(c) for c in self.chars))
-            S = np.array(sums)
-            ft, kf = fold_array(self.e)
-            phi, w = len(ft), self.table.size // np.bincount(self.classes)
-            conj = galois(self.e, -1)
-            bound = kf * int(w.sum()) * phi * max_abs(conj) * max_abs(S) ** 2
-            dtype = matmul_dtype(bound)
-            S, conj, ft, w = (x.astype(dtype, copy=False) for x in (S, conj, ft, w))
-            # total[a, b, u] = sum_(k, s) (w S)[a, k, s] Y[(k, s), (b, u)], with
-            # Y[b, k, (s, u)] = sum_r (S C)[b, k, r] ft[r, (s, u)] (ft symmetric)
-            a, k = S.shape[:2]
-            Y = ((S @ conj) @ ft).reshape(a, k, phi, phi).transpose(1, 2, 0, 3)
-            total = ((w[:, None] * S).reshape(a, -1) @ Y.reshape(k * phi, -1)).reshape(
-                a, a, phi).astype(exact_dtype(bound))
-            den = np.array(dens, dtype=object)
-            tot, dd = total[..., 0].astype(object), np.outer(den, den)
-            q = tot // dd
-            q[(tot % dd != 0) | total[..., 1:].any(axis=-1)] = None
-            keys = [c.key() for c in self.chars]
-            self._chardim = {(a, b): q[i, j] for (i, a), (j, b)
-                             in itertools.product(enumerate(keys), repeat=2)}
-        dim = self._chardim[chi.key(), sigma.key()]
+        """dim Hom from the averaged inner product (_character_dims)."""
+        dim = self._character_dims[chi.key(), sigma.key()]
         if dim is None:
             raise VerifyAlarm("character inner product is not an integer")
         return dim
@@ -1132,14 +1117,14 @@ class Verifier:
         the caller's first read decides whether it shares a stack."""
         key = chi.key()
         if key not in self._end:
-            self.E(chi)
-            place, _, Es = self._chi_stack()
-            cls, _, F = self._uv_table()
+            self._certified(chi)
+            place, *_, gcds = self._chi_stack
+            cls, _, F = self._uv_table
             # the feed and the products are (K m, K n, phi) with m <= len(F)
             # rows per character and n = #(U\\G/V)
             size = math.isqrt(_SCRATCH // (len(F) ** 2 * cls.shape[1] * len(power_fold(self.e))))
             more = [c for c in self.reps if (k := c.key()) != key and k not in self._end
-                    and not isinstance(Es[place[k]], str)]
+                    and not isinstance(gcds[place[k]], str)]
             self._end_block([chi] + more[:max(size - 1, 0)])
         return self._end[key]
 
@@ -1153,8 +1138,8 @@ class Verifier:
         centres from one block-diagonal system, the commutators of each chi a
         block; and every trace form certified at once (_wedderburn_blocks)."""
         e, keys = self.e, [c.key() for c in chis]
-        place = self._chi_stack()[0]
-        M = self._end_rows()[[place[k] for k in keys]]
+        place = self._chi_stack[0]
+        M = self._end_rows[[place[k] for k in keys]]
         K, m, n, phi = M.shape
         rows = np.zeros((K, m, K, n, phi), dtype=M.dtype)
         rows[np.arange(K), :, np.arange(K)] = M
@@ -1170,7 +1155,7 @@ class Verifier:
         b[:, at] = vals
         b = b.reshape(-1, K, n, phi)[np.arange(len(b)), owner]
         pi, pj = np.nonzero(owner[:, None] == owner)    # pairs within one chi
-        P = _uv_products(self._uv_counts(), b, e, self.table.size, (pi, pj))
+        P = _uv_products(self._uv_counts, b, e, self.table.size, (pi, pj))
         po = owner[pi]
         vecs = np.zeros((len(P), K, n, phi), dtype=P.dtype)
         vecs[np.arange(len(P)), po] = P
@@ -1222,17 +1207,16 @@ class Verifier:
             raise VerifyAlarm("character list does not start with the trivial one")
         return self.end_algebra(trivial).center_dim
 
+    @functools.cached_property
     def local_verifiers(self):
         """One Verifier per local factor (for product-ring cross-checks), each
         on the factor's group that enumerate_gl kept."""
-        if self._local_verifiers is None:
-            # equal local rings share one Verifier (same seed, same results)
-            made = {}
-            for loc, factor in zip(self.ring.locals, self.table.factors):
-                if loc not in made:
-                    made[loc] = Verifier._on_table(factor, self.seed, self.max_cost)
-            self._local_verifiers = [made[loc] for loc in self.ring.locals]
-        return self._local_verifiers
+        # equal local rings share one Verifier (same seed, same results)
+        made = {}
+        for loc, factor in zip(self.ring.locals, self.table.factors):
+            if loc not in made:
+                made[loc] = Verifier._on_table(factor, self.seed, self.max_cost)
+        return [made[loc] for loc in self.ring.locals]
 
     # -- named checks -----------------------------------------------------------
 
@@ -1370,15 +1354,18 @@ class Verifier:
         right, left = [t._table[:, X].T.copy() for X in H], [t._table[X] for X in H]
         if any(x.rows[:, 1:].any() for x in (h.z, h.z_inv, h.unit)):
             raise VerifyAlarm("the Halmos solve gave an irrational element")
-        (z, zd), (zi, zid), (u, ud), (zc, zcd), (cvu, cvud) = (
-            (_dense(x)[:, 0], x.den) for x in (h.z, h.z_inv, h.unit, self.zc, self.c_vu))
-        if not _same(_average(_average(z, right[0]), right[1]), zd * len(H[0]) * len(H[1]),
-                     zc, zcd):
+        (z, zd), (zi, zid), (u, ud), (zc, zcd), (cuv, cuvd), (cvu, cvud) = (
+            (_dense(x)[:, 0], x.den)
+            for x in (h.z, h.z_inv, h.unit, self.zc, self.c_uv, self.c_vu))
+
+        def times(v, d, xs):
+            # (num, den) of v / d times e_X for each X of xs in turn
+            for x in xs:
+                v, d = _average(v, right[x]), d * len(H[x])
+            return v, d
+
+        if not _same(*times(z, zd, (0, 1)), zc, zcd):
             raise VerifyAlarm("z e_U e_V of the Halmos solve differs from the Krylov zc")
-        # z c_vu^2 = z e_V e_U e_V e_U
-        vu, vud = z, zd
-        for x in (1, 0, 1, 0):
-            vu, vud = _average(vu, right[x]), vud * len(H[x])
 
         def along(v, d):
             # (num, den) of v w_l for every word w_l
@@ -1390,8 +1377,9 @@ class Verifier:
             "self_adjoint": h.z.star() == h.z,
             "central": all(np.array_equal(_average(z, r), _average(z, l))
                            for r, l in zip(right, left)),
-            "uv_identity": self._zc_ids[1],
-            "vu_identity": _same(vu, vud, cvu, cvud),
+            # z c_uv^2 = zc c_uv and z c_vu^2 = z e_V e_U e_V e_U
+            "uv_identity": _same(*times(zc, zcd, (0, 1)), cuv, cuvd),
+            "vu_identity": _same(*times(z, zd, (1, 0, 1, 0)), cvu, cvud),
             "invertible": (_same(*_combination(*h.z_coords, words), z, zd)
                            and _same(*_combination(*h.z_inv_coords, words), zi, zid)
                            and _same(*_combination(*h.z_inv_coords, along(z, zd)), u, ud)
@@ -1412,14 +1400,10 @@ class Verifier:
         return CheckResult("lem3.3", status, expected, actual)
 
     def conjugates(self, w: PermWord):
-        """(e_{U^w}, e_{V^w}) for a Weyl element, built once."""
-        key = w.perms
-        if key not in self._conj:
-            t = self.table
-            widx = t.weyl_to_index[w]
-            self._conj[key] = tuple(idempotent_subgroup(
-                t, self.e, t.conjugated(t.subgroup(h), widx)) for h in "UV")
-        return self._conj[key]
+        """(e_{U^w}, e_{V^w}) for a Weyl element."""
+        t, widx = self.table, self.table.weyl_to_index[w]
+        return tuple(idempotent_subgroup(t, self.e, t.conjugated(t.subgroup(h), widx))
+                     for h in "UV")
 
     def check_lemma34(self) -> CheckResult:
         """e_V e_{U^w} e_{V^w} = e_V e_U e_{V^w} for every w: the two sides
@@ -1628,7 +1612,7 @@ class Verifier:
     def check_local_product(self) -> CheckResult:
         """Product rings: the pipeline count factors over the local rings."""
         combined = self.pipeline_count()
-        locals_ = [lv.pipeline_count() for lv in self.local_verifiers()]
+        locals_ = [lv.pipeline_count() for lv in self.local_verifiers]
         prod = math.prod(locals_)
         status = "pass" if combined == prod else "fail"
         return CheckResult("lem3.1", status,
@@ -1646,19 +1630,14 @@ class Verifier:
 
     def run_checks(self, only=None, skip=None) -> VerifyReport:
         ids = self.check_order()
+        # an id names a check or a family prefix such as "prop3.2"
+        for u in sorted({*(only or ()), *(skip or ())}):
+            if not any(i.startswith(u) for i in ids):
+                raise ValueError(f"unknown check id {u!r}")
         if only:
-            wanted = set(only)
-            unknown = wanted - set(ids)
-            if unknown:
-                # allow family prefixes such as "prop3.2"
-                for u in sorted(unknown):
-                    if not any(i.startswith(u) for i in ids):
-                        raise ValueError(f"unknown check id {u!r}")
-            ids = [i for i in ids if i in wanted
-                   or any(i.startswith(u) for u in wanted)]
+            ids = [i for i in ids if any(i.startswith(u) for u in only)]
         if skip:
-            ids = [i for i in ids
-                   if i not in set(skip) and not any(i.startswith(s) for s in skip)]
+            ids = [i for i in ids if not any(i.startswith(s) for s in skip)]
         checks = []
         for cid in ids:
             start = time.perf_counter()

@@ -430,7 +430,7 @@ def twisted_scalar_failures(v):
     at det g, compared with e_U, e_V and e_L as group-algebra elements, on a
     Verifier per local factor."""
     failures = []
-    for f, lv in enumerate(v.local_verifiers() if len(v.ring.locals) > 1 else [v]):
+    for f, lv in enumerate(v.local_verifiers if len(v.ring.locals) > 1 else [v]):
         tf, ef, loc = lv.table, lv.ring.unit_exponent(), lv.ring.locals[0]
         eL = idempotent_subgroup(tf, ef, tf.subgroup("L"))
         units = np.array(loc.units)
@@ -494,7 +494,7 @@ def single_E(v, chi):
     and E = zc e_chi is one gather of zc at g l^-1 for e_chi's keys and one
     matmul, with the stack's alarm texts."""
     key, t, ec = chi.key(), v.table, v.e_chi(chi)
-    v._uv_table()
+    v._uv_table
     if not _mask(t, t.subgroup("L"))[ec.keys].all():
         raise VerifyAlarm(f"e_chi does not commute with z e_U e_V for chi={key}")
     _, kf = fold_array(v.e)
@@ -532,7 +532,7 @@ def single_end_algebra(v, chi):
     of their own, their coordinates from one coords_list sweep on that
     reducer, and single_end_fields."""
     e, bred = v.e, single_module(v, chi)
-    N, (keys, rows, den) = v._uv_counts(), stack(bred.basis_rows())
+    N, (keys, rows, den) = v._uv_counts, stack(bred.basis_rows())
     k, basis = len(rows), np.zeros((len(rows), len(N), rows.shape[2]), dtype=rows.dtype)
     basis[:, keys] = rows
     struct, den = _coords(bred, (np.arange(len(N)), _uv_products(N, basis, e, v.table.size),
@@ -543,7 +543,7 @@ def single_end_algebra(v, chi):
 def single_module(v, chi):
     """Verifier.module_reducer one character at a time: its e_chi X_y e_chi
     from a _sandwich_values call of its own, after single_E's certificate."""
-    cls, _, F = v._uv_table()
+    cls, _, F = v._uv_table
     single_E(v, chi)
     M = _sandwich_values(F, cls, v.e_chi(chi).rows[None], v.e)
     red = SparseReducer(v.e)

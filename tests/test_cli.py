@@ -73,6 +73,15 @@ def test_verify_skip(capsys):
     assert ids == ["lem3.3", "cor2.3"]
 
 
+@pytest.mark.parametrize("flag", ["--only", "--skip"])
+def test_verify_rejects_unknown_ids(capsys, flag):
+    # an id that names no check of this run, nor prefixes one, is a usage
+    # error for either list, also next to known ids
+    for ids, bad in (("thm9", "thm9"), ("thm1,cor9,prop3.2", "cor9")):
+        code, out, err = run(capsys, "verify", "--ring", "Z/4", "-n", "2", flag, ids)
+        assert (code, out, err) == (2, "", f"pseries: unknown check id {bad!r}\n")
+
+
 def test_same_seed_byte_identical(capsys):
     args = ("verify", "--ring", "GF(2,1)", "-n", "2", "--format", "json", "--seed", "7")
     code1, out1, _ = run(capsys, *args)

@@ -353,7 +353,7 @@ def test_local_verifiers_enumerate_nothing(monkeypatch):
     monkeypatch.setattr(groups, "enumerate_gl", counted)
     v = verify.Verifier(parse_ring_spec("Z/2xGF(2,2)"), 2)
     assert len(calls) == 1
-    locals_ = v.local_verifiers()
+    locals_ = v.local_verifiers
     assert [lv.table for lv in locals_] == v.table.factors
     assert v.check_scalar_twist().passed
     assert len(calls) == 1

@@ -1,5 +1,6 @@
 """Verification engine internals on small groups; the acceptance file runs the gate."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -18,7 +19,7 @@ from pseries.algebra import AlgebraError
 from pseries.chars import factor_chars, unit_structures
 from pseries.cyclo import fold_array, power_fold, root_coords
 from pseries.groups import ring_arrays
-from pseries.verify import HalmosElement, VerifyAlarm, compositions
+from pseries.verify import HalmosElement, VerifyAlarm, VerifyReport, compositions
 from references import (least_conjugate_classes, left_translate, mul, right_translate,
                         single_class_sums, single_E, single_end_algebra, single_module,
                         single_wedderburn_blocks, solved_krylov_zc, translates,
@@ -192,8 +193,8 @@ def test_lemma33_never_passes_with_a_corrupted_right_action(monkeypatch):
 def test_lemma33_invertible_reads_false_on_a_wrong_z_inv():
     v = Verifier(parse_ring_spec("GF(3,1)"), 2)
     h = v.halmos
-    v._halmos = HalmosElement(h.z, h.z_inv.scale(2), h.unit, h.basis, h.solution_dim,
-                              h.words, h.z_coords, h.z_inv_coords)
+    v.halmos = HalmosElement(h.z, h.z_inv.scale(2), h.unit, h.basis, h.solution_dim,
+                             h.words, h.z_coords, h.z_inv_coords)
     r = v.check_lemma33()
     assert r.status == "fail" and r.actual["invertible"] is False
 
@@ -224,7 +225,7 @@ def test_E_never_wrong_when_a_count_is_corrupted(monkeypatch):
 def test_lemma33_alarms_when_halmos_z_disagrees_with_zc(monkeypatch):
     v = Verifier(parse_ring_spec("GF(3,1)"), 2)
     h = v.halmos
-    monkeypatch.setattr(v, "_halmos", HalmosElement(
+    monkeypatch.setattr(v, "halmos", HalmosElement(
         h.z.scale(2), h.z_inv, h.unit, h.basis, h.solution_dim))
     (result,) = v.run_checks(only=["lem3.3"]).checks
     assert result.status == "fail"
@@ -378,7 +379,8 @@ def test_E_alarms_for_one_corrupted_e_chi_only(vget, spec, corrupt, alarm):
 
 
 @pytest.mark.parametrize("spec,n", [("GF(2,1)", 2), ("GF(3,1)", 2), ("GF(2,2)", 2), ("Z/4", 2),
-                                    ("Z/6", 2), ("Z/2xZ/2", 2), ("GF(2,1)", 3)])
+                                    ("Z/6", 2), ("Z/2xZ/2", 2), ("GF(2,1)", 3),
+                                    ("Z/2xZ/2xZ/3", 2)])
 def test_character_stack_matches_per_character_route(vget, spec, n):
     # E, its class sums and the end algebra's spanning rows of every
     # character from the stack against one gather and one contraction per
@@ -431,7 +433,7 @@ def moved_off_L(t):
     rows = np.zeros((t.size, zc.rows.shape[1]), dtype=np.int64)
     rows[zc.keys] = zc.rows
     rows[label == moved, 0] += 1
-    v._zc = AlgElem.from_vec(t, v.e, (np.arange(t.size), rows, zc.den))
+    v.zc = AlgElem.from_vec(t, v.e, (np.arange(t.size), rows, zc.den))
     return v
 
 
@@ -533,7 +535,7 @@ def test_classes_alarm_when_S_does_not_generate(spec):
     v.table.subgroups["V"] = (v.table.identity,)
     with pytest.raises(VerifyAlarm, match="do not generate"):
         v.classes
-    assert v._classes is None
+    assert "classes" not in vars(v)
 
 
 @pytest.mark.parametrize("spec,n,q", [("GF(3,1)", 2, 3), ("GF(2,2)", 2, 4),
@@ -560,7 +562,8 @@ def test_thm1_never_passes_with_corrupted_classes(monkeypatch, vget, spec):
     k, sizes = int(cls.max()) + 1, np.bincount(cls)
 
     def averages(labels):
-        v._classes = labels
+        v.classes = labels
+        vars(v).pop("_class_sums", None)
         return np.bincount(labels)[labels], [v.pind_character(chi)[0][labels] for chi in v.chars]
 
     size, sums = averages(cls)
@@ -582,12 +585,14 @@ def test_thm1_never_passes_with_corrupted_classes(monkeypatch, vget, spec):
     real = Verifier.pind_character
 
     def recording(self, chi):
-        read.append(self._classes)
+        read.append(self.classes)
         return real(self, chi)
 
     monkeypatch.setattr(Verifier, "pind_character", recording)
     for labels in splits + merges:
-        v._classes, v._chardim, read[:] = labels, None, []
+        v.classes, read[:] = labels, []
+        for name in ("_class_sums", "_character_dims"):
+            vars(v).pop(name, None)
         (result,) = v.run_checks(only=["thm1"]).checks
         assert result.status == "fail", labels
         assert read and all(r is labels for r in read)
@@ -913,6 +918,54 @@ def test_count_builds_only_the_representatives(monkeypatch):
     assert stacks == [[partner] + reps]
 
 
+# the run-wide intermediates of a Verifier, each built on its first read
+CACHED = ("halmos", "zc", "ulv", "reps", "classes", "local_verifiers", "_chi_stack",
+          "_uv_table", "_uv_counts", "_end_rows", "_sandwich_ranks", "_character_dims",
+          "_class_sums")
+
+
+def test_verifier_state_is_built_on_first_read(vget):
+    # set-up builds none of them, and count none that only lem3.3 and thm1
+    # read
+    v = Verifier._on_table(vget("GF(2,2)", 2).table, 0, 10 ** 8)
+    assert all(isinstance(vars(Verifier)[name], functools.cached_property) for name in CACHED)
+    assert not set(CACHED) & set(vars(v))
+    v.count_principal_series()
+    assert not {"halmos", "classes", "_class_sums", "_sandwich_ranks",
+                "_character_dims"} & set(vars(v))
+
+
+def test_second_run_builds_no_run_wide_state_again(monkeypatch, vget):
+    # zc, z and the double-coset counts are built once per Verifier, the
+    # local verifiers' included; prop3.7 counts its sandwiches on each run,
+    # as it caches nothing, so the second run leaves it out
+    v = Verifier._on_table(vget("Z/2xZ/2", 2).table, 0, 10 ** 8)
+    calls = []
+    for owner, name in ((Verifier, "_krylov_zc"), (Verifier, "_solve_halmos"),
+                        (verify, "_counts")):
+        inner = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, inner=inner, name=name: (
+            calls.append(name), inner(*args))[1])
+    first = v.run_checks()
+    assert first.all_passed and set(calls) == {"_krylov_zc", "_solve_halmos", "_counts"}
+    calls.clear()
+    second = v.run_checks(skip=["prop3.7"])
+    assert calls == []
+    assert second.to_json() == VerifyReport(
+        first.ring, first.n, first.seed, [c for c in first.checks if c.id != "prop3.7"]).to_json()
+
+
+@pytest.mark.parametrize("spec", ["Z/4", "GF(2,2)", "Z/2xZ/2xZ/3"])
+def test_chi_stack_holds_nothing_as_wide_as_G(vget, spec):
+    # E is kept at the g_D: no array of the stack, nor the rows of an
+    # AlgElem in it, has an axis of length |G|
+    v = vget(spec, 2)
+    items = [x for part in v._chi_stack for x in (
+        part.values() if isinstance(part, dict) else part if isinstance(part, list) else [part])]
+    shapes = [np.shape(x.rows if isinstance(x, AlgElem) else x) for x in items]
+    assert any(shapes) and all(v.table.size not in shape for shape in shapes)
+
+
 @pytest.mark.parametrize("spec,n", STANDARD_PAIRS + [("Z/2xGF(2,2)", 2)])
 def test_verifier_reps_are_the_orbit_reps(vget, spec, n):
     v = vget(spec, n)
@@ -925,7 +978,7 @@ def test_uv_products_are_exact_on_the_python_int_path(vget):
     # Python ints; N's float64 counts must enter them as ints, or every
     # product is a float (7.094823811888605e+39 for the constant rows)
     v = vget("GF(3,1)", 2)
-    N, big = v._uv_counts(), 3 ** 40 + 1
+    N, big = v._uv_counts, 3 ** 40 + 1
     k = len(N)
     b = np.empty((2, k, 1), dtype=object)
     b[0, :, 0] = big
@@ -1026,15 +1079,15 @@ def test_local_product_count(vget):
     v = vget("Z/6", 2)
     combined = v.pipeline_count()
     prod = 1
-    for lv in v.local_verifiers():
+    for lv in v.local_verifiers:
         prod *= lv.pipeline_count()
     assert combined == prod == 10
 
 
 def test_equal_local_rings_share_one_verifier(vget):
-    first, second = vget("Z/2xZ/2", 2).local_verifiers()
+    first, second = vget("Z/2xZ/2", 2).local_verifiers
     assert first is second
-    assert [lv.ring.canonical_str for lv in vget("Z/6", 2).local_verifiers()] == ["Z/2", "Z/3"]
+    assert [lv.ring.canonical_str for lv in vget("Z/6", 2).local_verifiers] == ["Z/2", "Z/3"]
 
 
 def _det_units(t):
